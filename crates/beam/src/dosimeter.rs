@@ -12,8 +12,6 @@
 //! [`SramDosimeter::measure_transmission`] reproduces that protocol against
 //! the simulated beam.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::poisson::sample_poisson;
 use serscale_stats::summary::Summary;
 use serscale_stats::SimRng;
@@ -22,14 +20,14 @@ use serscale_types::{Bits, CrossSection, Flux, SimDuration};
 use crate::facility::{BeamFacility, BeamPosition};
 
 /// A calibrated SRAM dosimeter board.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramDosimeter {
     bits: Bits,
     sigma_bit: CrossSection,
 }
 
 /// The result of a transmission measurement campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransmissionMeasurement {
     /// Estimated halo/center flux ratio.
     pub ratio: f64,

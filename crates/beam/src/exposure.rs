@@ -7,12 +7,10 @@
 //! benchmark run, plus reboot gaps if the beam stays on — and reads back
 //! totals and stopping-rule predicates.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{Fluence, Flux, SimDuration, NYC_SEA_LEVEL_FLUX};
 
 /// One contiguous exposure segment at constant flux.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExposureSegment {
     /// The >10 MeV flux during the segment.
     pub flux: Flux,
@@ -39,7 +37,7 @@ impl ExposureSegment {
 /// assert!((ledger.total_fluence().as_per_cm2() - 1.49e11).abs() / 1.49e11 < 0.01);
 /// assert!(ledger.reached_significance());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FluenceLedger {
     segments: Vec<ExposureSegment>,
     total_fluence: Fluence,

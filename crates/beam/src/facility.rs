@@ -9,12 +9,10 @@
 //! percent sign). Thermal
 //! neutrons contribute about 15 % of the >10 MeV flux in that configuration.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{Flux, NeutronEnergy};
 
 /// Where the device under test sits relative to the beam axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BeamPosition {
     /// Directly in the beam path (full flux).
     Center,
@@ -57,7 +55,7 @@ impl BeamPosition {
 }
 
 /// An accelerated neutron irradiation facility.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeamFacility {
     name: String,
     /// Lower bound of the center >10 MeV flux band (n/cm²/s).

@@ -7,14 +7,12 @@
 //! instants (for per-benchmark-run attribution, where it matters whether a
 //! strike lands inside a 5-second run or in the reboot gap after it).
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::poisson::{sample_exponential, sample_poisson};
 use serscale_stats::SimRng;
 use serscale_types::{CrossSection, Flux, SimDuration, SimInstant};
 
 /// A Poisson strike scheduler for one device (or one array) in a beam.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrikeScheduler {
     flux: Flux,
 }

@@ -16,13 +16,11 @@
 //!   treating the calibrated `σ_bit` of `serscale-sram` as
 //!   spectrum-averaged.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::SimRng;
 use serscale_types::{CrossSection, NeutronEnergy};
 
 /// An atmospheric-like neutron energy spectrum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeutronSpectrum {
     /// Spectral index γ of the power-law tail.
     gamma: f64,
@@ -141,7 +139,7 @@ impl NeutronSpectrum {
 
 /// A Weibull energy response of the per-bit upset cross-section — the
 /// canonical parameterization of radiation test data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeibullResponse {
     /// Saturation cross-section (cm²/bit).
     sigma_sat: CrossSection,

@@ -17,8 +17,6 @@
 //! exactly the methodology the design implication proposes — and the
 //! prediction can be cross-checked against the simulated beam campaign.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::ci::wilson_ci;
 use serscale_stats::SimRng;
 use serscale_types::{Fit, Flux, Millivolts, NYC_SEA_LEVEL_FLUX};
@@ -28,7 +26,7 @@ use serscale_workload::Benchmark;
 use crate::dut::DeviceUnderTest;
 
 /// The result of a fault-injection campaign on one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvfEstimate {
     /// The injected benchmark.
     pub benchmark: Benchmark,
@@ -50,7 +48,7 @@ impl AvfEstimate {
 }
 
 /// Statistical fault injector for the benchmark kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultInjector {
     injections_per_benchmark: u32,
 }
@@ -109,7 +107,7 @@ impl FaultInjector {
 }
 
 /// The IEEE-754 bit regions of a 64-bit float, for position-resolved AVF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BitClass {
     /// Bits 0–31: low mantissa — tiny relative perturbations.
     MantissaLow,

@@ -1,8 +1,6 @@
 //! The full beam campaign: Vmin anchoring, sessions in sequence, one
 //! consolidated report — the whole of Table 2 in one call.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_beam::facility::{BeamFacility, BeamPosition};
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::PlatformSpec;
@@ -17,7 +15,7 @@ use crate::session::{ExecutionPlan, RetryPolicy, SessionLimits, SessionReport, T
 
 /// Where the per-frequency safe Vmin anchoring the logic amplification
 /// comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VminSource {
     /// Use the paper's characterized values (920 mV @ 2.4 GHz, 790 mV @
     /// 900 MHz, interpolated elsewhere). Deterministic.
@@ -31,7 +29,7 @@ pub enum VminSource {
 }
 
 /// Campaign configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Master seed; everything downstream forks from it.
     pub seed: u64,
@@ -115,7 +113,7 @@ impl CampaignConfig {
 }
 
 /// The consolidated campaign outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// The working flux the DUT saw.
     pub flux: Flux,

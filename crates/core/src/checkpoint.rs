@@ -18,61 +18,17 @@
 //! draw yields *energy per unit of useful work* — the metric that decides
 //! whether an undervolted machine actually comes out ahead.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::PowerModel;
 use serscale_types::{Fit, SimDuration, Watts};
 
 /// A checkpoint/restart configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointScheme {
     /// Time to write one checkpoint.
     pub checkpoint_cost: SimDuration,
     /// Time to restore from the last checkpoint after a failure.
     pub restart_cost: SimDuration,
-}
-
-/// The unvalidated wire shape of a [`CheckpointScheme`], e.g. as decoded
-/// from a config file. The workspace's `serde` is a deliberate no-op, so
-/// deserialization in this codebase is hand-rolled — and a hand-rolled
-/// (or derived) decode of `CheckpointScheme` itself would bypass
-/// [`CheckpointScheme::new`]'s zero-cost assertion and divide by zero in
-/// [`CheckpointScheme::inflation_factor`]. Decode into this raw struct
-/// instead and convert via `TryFrom`, which re-validates.
-#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
-pub struct RawCheckpointScheme {
-    /// Claimed checkpoint-write cost, in seconds.
-    pub checkpoint_cost_s: f64,
-    /// Claimed restart cost, in seconds.
-    pub restart_cost_s: f64,
-}
-
-impl TryFrom<RawCheckpointScheme> for CheckpointScheme {
-    type Error = String;
-
-    fn try_from(raw: RawCheckpointScheme) -> Result<Self, Self::Error> {
-        let duration = |name: &str, secs: f64| {
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(format!(
-                    "{name} must be finite and non-negative, got {secs}"
-                ));
-            }
-            Ok(SimDuration::from_secs(secs))
-        };
-        let checkpoint_cost = duration("checkpoint_cost_s", raw.checkpoint_cost_s)?;
-        let restart_cost = duration("restart_cost_s", raw.restart_cost_s)?;
-        if checkpoint_cost.is_zero() {
-            return Err(
-                "checkpoint_cost_s must be positive (the Young/Daly optimum degenerates at zero)"
-                    .to_string(),
-            );
-        }
-        Ok(CheckpointScheme {
-            checkpoint_cost,
-            restart_cost,
-        })
-    }
 }
 
 impl CheckpointScheme {
@@ -126,39 +82,6 @@ impl CheckpointScheme {
         let m = mtbf.as_secs();
         1.0 + c / tau + (tau / m) * (r / tau + 0.5)
     }
-
-    /// Serializes the scheme as a JSON object (the inverse of
-    /// [`from_json`](Self::from_json)).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"checkpoint_cost_s\":{},\"restart_cost_s\":{}}}",
-            crate::trace::fmt_f64(self.checkpoint_cost.as_secs()),
-            crate::trace::fmt_f64(self.restart_cost.as_secs())
-        )
-    }
-
-    /// Decodes a scheme from JSON through the validated
-    /// [`RawCheckpointScheme`] path — malformed input (zero checkpoint
-    /// cost, negative or non-finite durations) is an error, never a
-    /// scheme that later divides by zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntactic or semantic problem.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = crate::journal::Json::parse(text)?;
-        let field = |key: &str| {
-            value
-                .get(key)
-                .and_then(crate::journal::Json::f64)
-                .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-        };
-        let raw = RawCheckpointScheme {
-            checkpoint_cost_s: field("checkpoint_cost_s")?,
-            restart_cost_s: field("restart_cost_s")?,
-        };
-        CheckpointScheme::try_from(raw)
-    }
 }
 
 impl Default for CheckpointScheme {
@@ -169,7 +92,7 @@ impl Default for CheckpointScheme {
 
 /// The end-to-end ledger of running at one operating point with
 /// checkpointing sized to its measured failure rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingLedger {
     /// The operating point.
     pub point: OperatingPoint,
@@ -334,55 +257,6 @@ mod tests {
             &scheme(),
             &PowerModel::xgene2(),
         );
-    }
-
-    #[test]
-    fn scheme_json_round_trips_through_validation() {
-        let original =
-            CheckpointScheme::new(SimDuration::from_secs(12.5), SimDuration::from_secs(60.0));
-        let decoded = CheckpointScheme::from_json(&original.to_json()).expect("round-trip");
-        assert_eq!(decoded, original);
-        // The degenerate zero restart cost is legal; zero checkpoint cost
-        // is not.
-        let zero_restart =
-            CheckpointScheme::from_json("{\"checkpoint_cost_s\":30.0,\"restart_cost_s\":0.0}")
-                .expect("zero restart cost is valid");
-        assert!(zero_restart.restart_cost.is_zero());
-    }
-
-    #[test]
-    fn hostile_scheme_json_is_rejected_not_divided_by() {
-        for (label, text) in [
-            (
-                "zero checkpoint cost",
-                "{\"checkpoint_cost_s\":0.0,\"restart_cost_s\":60.0}",
-            ),
-            (
-                "negative checkpoint cost",
-                "{\"checkpoint_cost_s\":-30.0,\"restart_cost_s\":60.0}",
-            ),
-            (
-                "negative restart cost",
-                "{\"checkpoint_cost_s\":30.0,\"restart_cost_s\":-1.0}",
-            ),
-            (
-                "non-finite cost",
-                "{\"checkpoint_cost_s\":1e999,\"restart_cost_s\":60.0}",
-            ),
-            ("missing field", "{\"checkpoint_cost_s\":30.0}"),
-            ("not json", "checkpoint_cost_s=30"),
-        ] {
-            assert!(
-                CheckpointScheme::from_json(text).is_err(),
-                "{label} must be rejected"
-            );
-        }
-        // And the TryFrom path itself, as a config loader would use it.
-        let raw = RawCheckpointScheme {
-            checkpoint_cost_s: 0.0,
-            restart_cost_s: 60.0,
-        };
-        assert!(CheckpointScheme::try_from(raw).is_err());
     }
 
     #[test]

@@ -14,13 +14,11 @@
 //! (AppCrash 17.9 %, SysCrash 51.6 %, SDC 30.5 % of a 3.45 events/hour
 //! total — see `DESIGN.md` §3).
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::SimRng;
 use serscale_types::SimDuration;
 
 /// The three abnormal-behaviour classes of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FailureClass {
     /// Silent data corruption: output mismatch with no other symptom.
     Sdc,
@@ -50,7 +48,7 @@ impl std::fmt::Display for FailureClass {
 }
 
 /// The verdict of one benchmark run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunVerdict {
     /// Output matched the golden reference; no crash.
     Correct,
@@ -80,7 +78,7 @@ impl RunVerdict {
 }
 
 /// How an uncorrectable or control-path fault escalates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EscalationModel {
     /// P(uncorrectable cache error → system crash).
     pub ue_to_syscrash: f64,
@@ -173,7 +171,7 @@ impl EscalationModel {
 /// not answer, it power-cycles it (SysCrash path). Both recoveries cost
 /// wall-clock time during which the beam keeps delivering fluence but no
 /// measurements are taken.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlPc {
     /// How long the Control-PC waits before declaring a run unresponsive.
     pub response_timeout: SimDuration,

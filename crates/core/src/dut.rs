@@ -1,7 +1,5 @@
 //! The Device Under Test: the SoC model wired to the radiation physics.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::platform::{ArrayInstance, OperatingPoint, Platform};
 use serscale_soc::{LogicSusceptibility, PlatformSpec};
 use serscale_sram::{MbuModel, SoftErrorModel};
@@ -18,7 +16,7 @@ use serscale_types::{CacheLevel, CrossSection, Megahertz, Millivolts, VoltageDom
 /// 15 FIT/Mbit of the static-test study \[83\] (§3.5). Constants are
 /// calibrated from Figure 6's per-level rates at nominal voltage
 /// (`DESIGN.md` §3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionEfficiency {
     /// TLBs (small, hot — relatively high efficiency).
     pub tlb: f64,
@@ -78,7 +76,7 @@ impl DetectionEfficiency {
 /// for the SoC-domain L3): an array is designed for — and its calibrated
 /// nominal cross-section refers to — its own supply, so the voltage ratio
 /// entering the Qcrit law is `V/V_domain-nominal`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceUnderTest {
     soc: Platform,
     sram_pmd: SoftErrorModel,

@@ -9,15 +9,13 @@
 //! nominal — which lands a step or two above Vmin, never on it, because of
 //! the margin-collapse cliff.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::PowerModel;
 use serscale_types::{Fit, Flux, Millivolts, Watts, NYC_SEA_LEVEL_FLUX};
 
 use crate::dut::DeviceUnderTest;
 
 /// One voltage step of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// PMD voltage at this step (the SoC rail follows the campaign's
     /// pairing rule: min(PMD, SoC nominal)).

@@ -1,8 +1,6 @@
 //! Failures-in-Time analysis (§6 of the paper): per-class FIT rates at the
 //! NYC reference flux, the SDC/notification split, and the memory SER.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::rate::FitEstimate;
 use serscale_stats::CrossSectionEstimate;
 use serscale_types::NYC_SEA_LEVEL_FLUX;
@@ -12,7 +10,7 @@ use crate::session::SessionReport;
 
 /// The per-class FIT breakdown of one session — one voltage group of
 /// Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitBreakdown {
     /// Application-crash FIT.
     pub app_crash: FitEstimate,
@@ -28,7 +26,7 @@ pub struct FitBreakdown {
 
 /// The SDC FIT split by hardware-notification coincidence — one voltage
 /// group of Figures 12/13.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SdcNotificationSplit {
     /// SDCs with no hardware indication whatsoever.
     pub without_notification: FitEstimate,

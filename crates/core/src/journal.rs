@@ -44,6 +44,7 @@ use std::path::{Path, PathBuf};
 
 use serscale_soc::edac::{EdacRecord, EdacSeverity};
 use serscale_soc::platform::OperatingPoint;
+use serscale_types::json::{self, JsonValue};
 use serscale_types::{ArrayKind, SimDuration, SimInstant};
 use serscale_workload::Benchmark;
 
@@ -51,7 +52,6 @@ use crate::campaign::CampaignConfig;
 use crate::classify::RunVerdict;
 use crate::runner::RunOutcome;
 use crate::session::{StopReason, TrialExecution};
-use crate::trace::{fmt_f64, json_string};
 
 /// The journal format version; bumped on any schema change so a resume
 /// against records from another version fails loudly instead of silently
@@ -172,8 +172,8 @@ impl Record {
                     }
                     edac.push_str(&format!(
                         "[{},{},\"{}\"]",
-                        fmt_f64(r.time.as_secs()),
-                        json_string(&r.array.to_string()),
+                        json::number(r.time.as_secs()),
+                        json::escape(&r.array.to_string()),
                         r.severity
                     ));
                 }
@@ -183,8 +183,8 @@ impl Record {
                      \"verdict\":\"{kind}\",\"ce_notified\":{notified},\"wall_s\":{},\
                      \"strikes\":{},\"retries\":{},\"quarantined\":{},\"edac\":{edac}}}",
                     execution.trial,
-                    json_string(&outcome.benchmark.to_string()),
-                    fmt_f64(outcome.wall_time.as_secs()),
+                    json::escape(&outcome.benchmark.to_string()),
+                    json::number(outcome.wall_time.as_secs()),
                     outcome.sram_strikes,
                     execution.retries,
                     execution.quarantined,
@@ -202,31 +202,33 @@ impl Record {
             .rfind(",\"crc\":\"")
             .ok_or_else(|| "line has no crc field".to_string())?;
         let body = format!("{}}}", &line[..crc_at]);
-        let json = Json::parse(line)?;
-        let claimed = json
+        let doc = json::parse(line)?;
+        let claimed = doc
             .get("crc")
-            .and_then(Json::str)
+            .and_then(JsonValue::as_str)
             .ok_or_else(|| "crc is not a string".to_string())?;
-        let claimed = u64::from_str_radix(claimed, 16).map_err(|e| format!("bad crc: {e}"))?;
-        if claimed != fnv1a64(body.as_bytes()) {
+        // Compared as the exact text `to_line` writes, so a flipped byte
+        // anywhere in the line — even one that changes only the case of a
+        // hex digit — fails the digest.
+        if claimed != format!("{:016x}", fnv1a64(body.as_bytes())) {
             return Err("crc mismatch".to_string());
         }
-        Self::from_json(&json)
+        Self::from_json(&doc)
     }
 
-    fn from_json(json: &Json) -> Result<Self, String> {
-        let rec = json
+    fn from_json(doc: &JsonValue) -> Result<Self, String> {
+        let rec = doc
             .get("rec")
-            .and_then(Json::str)
+            .and_then(JsonValue::as_str)
             .ok_or_else(|| "missing rec tag".to_string())?;
         let field_u64 = |name: &str| {
-            json.get(name)
-                .and_then(Json::u64)
+            doc.get(name)
+                .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("missing or non-integer {name}"))
         };
         let field_hex = |name: &str| {
-            json.get(name)
-                .and_then(Json::str)
+            doc.get(name)
+                .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("missing {name}"))
                 .and_then(|s| {
                     u64::from_str_radix(s, 16).map_err(|e| format!("bad hex {name}: {e}"))
@@ -256,45 +258,45 @@ impl Record {
                 })
             }
             "trial" => {
-                let benchmark = json
+                let benchmark = doc
                     .get("benchmark")
-                    .and_then(Json::str)
+                    .and_then(JsonValue::as_str)
                     .ok_or_else(|| "missing benchmark".to_string())
                     .and_then(benchmark_from_name)?;
-                let kind = json
+                let kind = doc
                     .get("verdict")
-                    .and_then(Json::str)
+                    .and_then(JsonValue::as_str)
                     .ok_or_else(|| "missing verdict".to_string())?;
-                let notified = json
+                let notified = doc
                     .get("ce_notified")
-                    .and_then(Json::bool)
+                    .and_then(JsonValue::as_bool)
                     .ok_or_else(|| "missing ce_notified".to_string())?;
                 let verdict = verdict_from_parts(kind, notified)?;
-                let wall_s = json
+                let wall_s = doc
                     .get("wall_s")
-                    .and_then(Json::f64)
+                    .and_then(JsonValue::as_f64)
                     .filter(|w| w.is_finite() && *w >= 0.0)
                     .ok_or_else(|| "missing or invalid wall_s".to_string())?;
                 let mut edac = Vec::new();
-                for entry in json
+                for entry in doc
                     .get("edac")
-                    .and_then(Json::array)
+                    .and_then(JsonValue::as_array)
                     .ok_or_else(|| "missing edac array".to_string())?
                 {
                     let triple = entry
-                        .array()
+                        .as_array()
                         .filter(|t| t.len() == 3)
                         .ok_or_else(|| "edac entry is not a triple".to_string())?;
                     let t_s = triple[0]
-                        .f64()
+                        .as_f64()
                         .filter(|t| t.is_finite() && *t >= 0.0)
                         .ok_or_else(|| "bad edac time".to_string())?;
                     let array = triple[1]
-                        .str()
+                        .as_str()
                         .ok_or_else(|| "bad edac array name".to_string())
                         .and_then(array_from_name)?;
                     let severity = triple[2]
-                        .str()
+                        .as_str()
                         .ok_or_else(|| "bad edac severity".to_string())
                         .and_then(severity_from_name)?;
                     edac.push(EdacRecord {
@@ -316,17 +318,17 @@ impl Record {
                         },
                         retries: u32::try_from(field_u64("retries")?)
                             .map_err(|_| "retries out of range".to_string())?,
-                        quarantined: json
+                        quarantined: doc
                             .get("quarantined")
-                            .and_then(Json::bool)
+                            .and_then(JsonValue::as_bool)
                             .ok_or_else(|| "missing quarantined".to_string())?,
                     },
                 })
             }
             "session_end" => {
-                let reason = json
+                let reason = doc
                     .get("reason")
-                    .and_then(Json::str)
+                    .and_then(JsonValue::as_str)
                     .ok_or_else(|| "missing reason".to_string())?;
                 Ok(Record::SessionEnd {
                     session: field_u64("session")?,
@@ -784,254 +786,6 @@ pub fn start_or_resume(
     file.set_len(valid as u64)?;
     file.seek(SeekFrom::Start(valid as u64))?;
     Ok((JournalWriter::from_file(file), Some(recovered)))
-}
-
-/// A minimal JSON value, kept as close to the wire as possible: numbers
-/// stay raw tokens so 64-bit integers survive without a float round-trip
-/// (the core crate deliberately has no serde-JSON backend — see the
-/// workspace's vendored no-op `serde`).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number(String),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err("trailing bytes after JSON value".to_string());
-        }
-        Ok(value)
-    }
-
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn u64(&self) -> Option<u64> {
-        match self {
-            Json::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.list(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 number".to_string())?;
-        if raw.is_empty() || raw == "-" {
-            return Err(format!("empty number at byte {start}"));
-        }
-        Ok(Json::Number(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "non-scalar \\u escape".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is validated
-                    // UTF-8, so char boundaries are well-defined).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-UTF-8 string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn list(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,17 +8,19 @@
 //! * **Order canonicalization** — work is dispatched as contiguous
 //!   *chunks* of input items, each tagged with its queue index, and the
 //!   output vector is reassembled in input order, so callers can reduce
-//!   left-to-right exactly as the sequential loop does. Chunking keeps the
-//!   channel round-trips per item negligible even for microsecond shards.
+//!   left-to-right exactly as the sequential loop does. Workers claim
+//!   chunks through one shared atomic index, and chunking keeps that
+//!   claim negligible per item even for microsecond shards.
 //! * **No shared mutable state** — each worker builds its own scratch
 //!   state (e.g. a [`BenchmarkRunner`](crate::runner::BenchmarkRunner)
-//!   with its strike buffers and envelope caches) via a factory closure;
-//!   shards communicate only through bounded channels.
+//!   with its strike buffers and envelope caches) via a factory closure,
+//!   and hands its outputs back only when it is joined.
 //! * **Panic isolation** — a panicking shard does not tear down the pool
-//!   mid-flight. The pool stops feeding new work, drains the in-flight
-//!   results, joins every worker, and only then resumes the first panic
-//!   payload on the caller's thread, so the process-visible behavior
-//!   matches the sequential loop panicking at that shard.
+//!   mid-flight. Workers stop claiming new chunks, the in-flight chunks
+//!   finish, every worker is joined, and only then is the panic of the
+//!   earliest failing chunk resumed on the caller's thread, so the
+//!   process-visible behavior matches the sequential loop panicking at
+//!   that shard.
 //!
 //! Determinism across thread counts is *not* the pool's job alone: shards
 //! must not read ambient state that depends on scheduling. The campaign
@@ -27,11 +29,9 @@
 //! function of (seed, session, trial).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel;
-use crossbeam::thread;
 
 /// What one pool worker did during a [`par_map_with_profile`] call:
 /// observe-only utilization accounting for the live monitoring plane.
@@ -39,8 +39,8 @@ use crossbeam::thread;
 pub struct WorkerReport {
     /// Host nanoseconds this worker spent inside the work closure.
     pub busy_nanos: u64,
-    /// Shards (input items) this worker pulled off the queue, counted
-    /// across every chunk it stole (work stealing makes the split uneven;
+    /// Shards (input items) this worker claimed, counted across every
+    /// chunk it took (first come, first served makes the split uneven;
     /// the skew *is* the signal).
     pub shards: u64,
 }
@@ -53,7 +53,7 @@ pub struct PoolProfile {
     /// One report per worker, in worker-index order (a single entry for
     /// the inline `jobs == 1` path).
     pub workers: Vec<WorkerReport>,
-    /// Host wall nanoseconds of the whole invocation (feed → drain).
+    /// Host wall nanoseconds of the whole invocation (split → drain).
     pub wall_nanos: u64,
 }
 
@@ -82,7 +82,7 @@ impl PoolProfile {
     }
 
     /// Total idle nanoseconds: wall time not spent in the work closure,
-    /// summed across workers (queue waits, channel sends, merge stalls).
+    /// summed across workers (thread start-up, claims, merge stalls).
     pub fn idle_nanos(&self) -> u64 {
         let span = self.wall_nanos.saturating_mul(self.workers.len() as u64);
         span.saturating_sub(self.busy_nanos())
@@ -185,12 +185,6 @@ pub fn backoff_delay(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << attempt.min(10)).min(CAP)
 }
 
-/// What a worker reports back for one chunk of shards.
-enum ShardOutcome<O> {
-    Done(Vec<O>),
-    Panicked(Box<dyn std::any::Any + Send>),
-}
-
 /// The host's hardware thread count, probed once per process.
 fn host_parallelism() -> usize {
     use std::sync::OnceLock;
@@ -202,7 +196,7 @@ fn host_parallelism() -> usize {
 /// capped at the host's hardware threads.
 ///
 /// The engine's work is CPU-bound, so threads beyond the core count only
-/// add context-switch and channel overhead — and the determinism contract
+/// add context-switch overhead — and the determinism contract
 /// makes `jobs` a pure throughput knob (the report is bit-identical at
 /// any value), so capping the *execution substrate* never changes a
 /// result. Wave planning still uses the requested `jobs`.
@@ -214,7 +208,7 @@ pub fn effective_workers(jobs: usize) -> usize {
 /// outputs in input order.
 ///
 /// Each worker calls `make_state()` once and threads the resulting scratch
-/// value through every shard it steals. This is how the session driver
+/// value through every shard it claims. This is how the session driver
 /// gives each worker its own [`BenchmarkRunner`](crate::runner) — and with
 /// it the runner's per-worker scratch arenas (strike buffers, cached rate
 /// envelopes), which amortize across every trial the worker executes
@@ -228,7 +222,7 @@ pub fn effective_workers(jobs: usize) -> usize {
 /// thread — the reference path the determinism tests compare against.
 ///
 /// Work is dispatched in contiguous *chunks* of several shards, not one
-/// shard at a time, so per-shard channel traffic amortizes away for the
+/// shard at a time, so the per-claim cost amortizes away for the
 /// microsecond-scale trials the campaign engine feeds through here.
 ///
 /// # Panics
@@ -247,7 +241,7 @@ where
 
 /// [`par_map_with`] that also reports per-worker utilization: the outputs
 /// (identical, bit for bit, to the unprofiled call) plus a
-/// [`PoolProfile`] of busy/steal accounting per worker. Profiling is
+/// [`PoolProfile`] of busy/claim accounting per worker. Profiling is
 /// observe-only — timestamps are taken around the work closure and never
 /// influence scheduling, ordering or the outputs.
 ///
@@ -283,6 +277,15 @@ where
     pooled_map(workers, items, make_state, work)
 }
 
+/// What one pool worker hands back when the pool drains: the outputs
+/// of the chunks it claimed (tagged with their chunk index), its
+/// utilization report, and the panic of the chunk it died on, if any.
+struct WorkerHaul<O> {
+    chunks: Vec<(usize, Vec<O>)>,
+    report: WorkerReport,
+    panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
+}
+
 /// The threaded pool behind [`par_map_with_profile`], with an exact
 /// worker count (no host-parallelism clamp — tests use this to exercise
 /// the threaded path regardless of the machine they run on).
@@ -302,11 +305,10 @@ where
     let total = items.len();
     let workers = workers.min(total).max(1);
     // Contiguous chunks, roughly four per worker: large enough that the
-    // per-chunk channel round-trip amortizes across many shards, small
-    // enough that the end-of-queue imbalance stays a fraction of one
-    // worker's share.
+    // per-chunk claim amortizes across many shards, small enough that the
+    // end-of-queue imbalance stays a fraction of one worker's share.
     let chunk_size = total.div_ceil(workers * 4).max(1);
-    let chunks: Vec<(usize, Vec<I>)> = {
+    let chunks: Vec<Mutex<Option<Vec<I>>>> = {
         let mut iter = items.into_iter();
         let mut chunks = Vec::with_capacity(total.div_ceil(chunk_size));
         loop {
@@ -314,101 +316,89 @@ where
             if chunk.is_empty() {
                 break;
             }
-            chunks.push((chunks.len(), chunk));
+            chunks.push(Mutex::new(Some(chunk)));
         }
         chunks
     };
-    let slot_count = chunks.len();
-    // Small bounded buffers: enough to keep workers from starving between
-    // collector wakeups, small enough that a stop-rule overshoot or a
-    // panic leaves little queued work behind.
-    let (work_tx, work_rx) = channel::bounded::<(usize, Vec<I>)>(2 * workers);
-    let (out_tx, out_rx) = channel::bounded::<(usize, ShardOutcome<O>)>(2 * workers);
+    // Workers claim chunks in queue order through one shared index; each
+    // index is claimed exactly once, so every chunk's lock is uncontended.
+    let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
 
-    let scope_result = thread::scope(|scope| {
+    let hauls: Vec<std::thread::Result<WorkerHaul<O>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let chunk_rx = work_rx.clone();
-                let result_tx = out_tx.clone();
-                let make_state = &make_state;
-                let work = &work;
-                let abort = &abort;
-                scope.spawn(move |_| {
+                let (chunks, next, abort) = (&chunks, &next, &abort);
+                let (make_state, work) = (&make_state, &work);
+                scope.spawn(move || {
                     let mut state = make_state();
-                    let mut report = WorkerReport::default();
-                    for (index, chunk) in chunk_rx.iter() {
-                        if abort.load(Ordering::Relaxed) {
+                    let mut haul = WorkerHaul {
+                        chunks: Vec::new(),
+                        report: WorkerReport::default(),
+                        panic: None,
+                    };
+                    while !abort.load(Ordering::Relaxed) {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = chunks.get(index) else {
                             break;
-                        }
+                        };
+                        let chunk = slot
+                            .lock()
+                            .expect("only the claiming worker ever locks a chunk")
+                            .take()
+                            .expect("each chunk index is claimed once");
                         let shards = chunk.len() as u64;
                         let chunk_clock = Instant::now();
-                        let outcome = match catch_unwind(AssertUnwindSafe(|| {
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
                             chunk
                                 .into_iter()
                                 .map(|item| work(&mut state, item))
                                 .collect::<Vec<O>>()
-                        })) {
-                            Ok(outputs) => ShardOutcome::Done(outputs),
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                ShardOutcome::Panicked(payload)
-                            }
-                        };
-                        report.busy_nanos = report.busy_nanos.saturating_add(
+                        }));
+                        haul.report.busy_nanos = haul.report.busy_nanos.saturating_add(
                             u64::try_from(chunk_clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
                         );
-                        report.shards += shards;
-                        if result_tx.send((index, outcome)).is_err() {
-                            break;
+                        haul.report.shards += shards;
+                        match outcome {
+                            Ok(outputs) => haul.chunks.push((index, outputs)),
+                            Err(payload) => {
+                                abort.store(true, Ordering::Relaxed);
+                                haul.panic = Some((index, payload));
+                                break;
+                            }
                         }
                     }
-                    report
+                    haul
                 })
             })
             .collect();
-        // The scope-local handles must go: workers hold the only remaining
-        // clones, so the collector's iterator can observe the disconnect.
-        drop(work_rx);
-        drop(out_tx);
-
-        // Feed from a dedicated thread so a full work queue can never
-        // deadlock against a full result queue.
-        let abort_ref = &abort;
-        scope.spawn(move |_| {
-            for pair in chunks {
-                if abort_ref.load(Ordering::Relaxed) || work_tx.send(pair).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let mut slots: Vec<Option<Vec<O>>> = (0..slot_count).map(|_| None).collect();
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for (index, outcome) in out_rx.iter() {
-            match outcome {
-                ShardOutcome::Done(outputs) => slots[index] = Some(outputs),
-                ShardOutcome::Panicked(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        // The result channel disconnected, so every worker has exited its
-        // loop; joining here only collects their utilization reports.
-        let workers: Vec<WorkerReport> = handles
-            .into_iter()
-            .map(|handle| handle.join().unwrap_or_default())
-            .collect();
-        (slots, first_panic, workers)
+        handles.into_iter().map(|handle| handle.join()).collect()
     });
 
-    let (slots, first_panic, workers) = match scope_result {
-        Ok(collected) => collected,
-        Err(payload) => resume_unwind(payload),
-    };
-    if let Some(payload) = first_panic {
+    // Every worker has exited, so the pool has drained. Re-raise the
+    // panic of the earliest failing chunk (a worker that died outside a
+    // chunk, e.g. in `make_state`, counts as failing first).
+    let mut slots: Vec<Option<Vec<O>>> = (0..chunks.len()).map(|_| None).collect();
+    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
+    let mut reports = Vec::with_capacity(workers);
+    for haul in hauls {
+        let (report, panic) = match haul {
+            Ok(haul) => {
+                for (index, outputs) in haul.chunks {
+                    slots[index] = Some(outputs);
+                }
+                (haul.report, haul.panic)
+            }
+            Err(payload) => (WorkerReport::default(), Some((0, payload))),
+        };
+        reports.push(report);
+        if let Some((index, payload)) = panic {
+            if first_panic.as_ref().is_none_or(|(first, _)| index < *first) {
+                first_panic = Some((index, payload));
+            }
+        }
+    }
+    if let Some((_, payload)) = first_panic {
         resume_unwind(payload);
     }
     let outputs = slots
@@ -416,7 +406,7 @@ where
         .flat_map(|slot| slot.expect("pool drained without a panic, so every chunk reported"))
         .collect();
     let profile = PoolProfile {
-        workers,
+        workers: reports,
         wall_nanos: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
     };
     (outputs, profile)
@@ -440,7 +430,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn outputs_come_back_in_input_order() {

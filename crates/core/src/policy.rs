@@ -16,8 +16,6 @@
 //! buys most of a P-state's power saving at zero performance cost — at
 //! the price of the SER increase the beam campaign measured.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::dvfs::DvfsTable;
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::{PlatformSpec, PowerModel};
@@ -26,7 +24,7 @@ use serscale_types::{Fit, Megahertz, Millivolts, Watts, NYC_SEA_LEVEL_FLUX};
 use crate::dut::DeviceUnderTest;
 
 /// One frequency's three-way comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyRow {
     /// The clock frequency.
     pub frequency: Megahertz,

@@ -17,8 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use serscale_beam::FluenceLedger;
 use serscale_soc::edac::{EdacSeverity, LevelCounts};
 use serscale_soc::platform::OperatingPoint;
@@ -33,7 +31,7 @@ use crate::runner::{BenchmarkRunner, RunOutcome};
 use crate::scheduler::{CancelToken, Cancelled};
 
 /// When a session ends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionLimits {
     /// Stop once this many error events (SDCs + crashes) accumulated —
     /// the "100 events" significance rule of §3.5.
@@ -173,7 +171,7 @@ impl ExecutionPlan<'static> {
 }
 
 /// Why the session stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StopReason {
     /// Enough error events accumulated.
     ErrorEvents,
@@ -184,7 +182,7 @@ pub enum StopReason {
 }
 
 /// Per-benchmark telemetry within a session (the data behind Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BenchmarkStats {
     /// Completed runs.
     pub runs: u64,
@@ -210,7 +208,7 @@ impl BenchmarkStats {
 
 /// The full outcome of one session — one Table 2 column plus the data
 /// behind Figures 5, 6/7 and 8 at this voltage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// The tested operating point.
     pub operating_point: OperatingPoint,

@@ -1,14 +1,13 @@
 //! Validated campaign specifications for the control plane.
 //!
 //! A campaign submitted over HTTP arrives as an untrusted JSON document.
-//! This module is the schema layer between the wire and the engine,
-//! generalizing the validated-construction pattern of
-//! [`crate::checkpoint`]'s `TryFrom<RawCheckpointScheme>`: the permissive
-//! carrier [`RawCampaignSpec`] holds whatever the document said (numbers
-//! as raw `f64`, everything optional), and `TryFrom` narrows it into a
-//! [`CampaignSpec`] whose every field is finite, in range, and exactly
-//! representable — or fails with a [`SpecError`] naming the offending
-//! field and how to fix it.
+//! This module is the schema layer between the wire and the engine: the
+//! permissive carrier [`RawCampaignSpec`] holds whatever the document
+//! said (numbers as raw `f64`, everything optional), and `TryFrom`
+//! narrows it into a [`CampaignSpec`] whose every field is finite, in
+//! range, and exactly representable — or fails with a [`SpecError`]
+//! naming the offending field and how to fix it. The checks come from
+//! [`serscale_types::spec`], which the platform schema shares.
 //!
 //! A validated spec converts to a [`CampaignConfig`] via
 //! [`CampaignSpec::config`]; the default spec maps to the exact
@@ -17,13 +16,11 @@
 
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::PlatformSpec;
+use serscale_types::spec::{identifier, integer_in, SpecError, EXACT_INT_MAX};
 use serscale_types::{Megahertz, Millivolts, SimDuration};
 
 use crate::campaign::{CampaignConfig, VminSource};
 use crate::session::SessionLimits;
-
-/// Largest f64 that still represents every integer exactly (2^53).
-const EXACT_INT_MAX: f64 = 9_007_199_254_740_992.0;
 
 /// The permissive wire-side carrier for a campaign spec.
 ///
@@ -70,32 +67,6 @@ pub struct RawSessionSpec {
     /// Beam-time box for the session, minutes.
     pub minutes: f64,
 }
-
-/// A spec field that failed validation, with an actionable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError {
-    /// The offending field (dotted path, e.g. `sessions[2].pmd_mv`).
-    pub field: String,
-    /// What was wrong and what would be accepted.
-    pub reason: String,
-}
-
-impl SpecError {
-    fn new(field: impl Into<String>, reason: impl Into<String>) -> Self {
-        SpecError {
-            field: field.into(),
-            reason: reason.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "spec field `{}`: {}", self.field, self.reason)
-    }
-}
-
-impl std::error::Error for SpecError {}
 
 /// A fully validated campaign spec: every field finite, in range, and
 /// ready to become a [`CampaignConfig`].
@@ -146,40 +117,6 @@ impl CampaignSpec {
             config.vmin_source = VminSource::Characterized { trials };
         }
         config
-    }
-}
-
-/// Checks that `value` is finite and integer-valued in `[min, max]`.
-fn integer_in(field: &str, value: f64, min: f64, max: f64, hint: &str) -> Result<u64, SpecError> {
-    if !value.is_finite() {
-        return Err(SpecError::new(
-            field,
-            format!("{value} is not a finite number; {hint}"),
-        ));
-    }
-    if value.fract() != 0.0 || !(min..=max).contains(&value) {
-        return Err(SpecError::new(
-            field,
-            format!("{value} is not an integer in [{min}, {max}]; {hint}"),
-        ));
-    }
-    Ok(value as u64)
-}
-
-/// Checks a name-like identifier: 1–64 chars of `[A-Za-z0-9._-]`.
-fn identifier(field: &str, value: &str) -> Result<String, SpecError> {
-    let ok = !value.is_empty()
-        && value.len() <= 64
-        && value
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'));
-    if ok {
-        Ok(value.to_string())
-    } else {
-        Err(SpecError::new(
-            field,
-            format!("{value:?} is not a valid identifier; use 1-64 characters of [A-Za-z0-9._-]"),
-        ))
     }
 }
 

@@ -7,18 +7,16 @@
 //! observer: an append-only trace of runs, EDAC reports, failures and
 //! recoveries that renders to a human-readable log.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::edac::EdacRecord;
 use serscale_soc::platform::OperatingPoint;
-use serscale_types::{SimDuration, SimInstant};
+use serscale_types::{json, SimDuration, SimInstant};
 use serscale_workload::Benchmark;
 
 use crate::classify::RunVerdict;
 use crate::session::StopReason;
 
 /// One timestamped logbook entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogEvent {
     /// The session driver came up at an operating point (the logbook
     /// header: without it a trace cannot be interpreted — every
@@ -197,7 +195,7 @@ pub struct NoopObserver;
 impl SessionObserver for NoopObserver {}
 
 /// An append-only event trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Logbook {
     events: Vec<LogEvent>,
 }
@@ -308,7 +306,7 @@ impl LogEvent {
             LogEvent::SessionStarted { at, point } => format!(
                 "{{\"event\":\"session_start\",\"t_s\":{},\"pmd_mv\":{},\"soc_mv\":{},\
                  \"freq_mhz\":{}}}",
-                fmt_f64(at.as_secs()),
+                json::number(at.as_secs()),
                 point.pmd.get(),
                 point.soc.get(),
                 point.frequency.get()
@@ -329,66 +327,29 @@ impl LogEvent {
                 format!(
                     "{{\"event\":\"run\",\"t_s\":{},\"benchmark\":{},\"verdict\":\"{kind}\",\
                      \"ce_notified\":{notified}}}",
-                    fmt_f64(start.as_secs()),
-                    json_string(&benchmark.to_string()),
+                    json::number(start.as_secs()),
+                    json::escape(&benchmark.to_string()),
                 )
             }
             LogEvent::Edac(r) => format!(
                 "{{\"event\":\"edac\",\"t_s\":{},\"array\":{},\"severity\":\"{}\",\
                  \"domain\":\"{}\"}}",
-                fmt_f64(r.time.as_secs()),
-                json_string(&r.array.to_string()),
+                json::number(r.time.as_secs()),
+                json::escape(&r.array.to_string()),
                 r.severity,
                 r.array.voltage_domain()
             ),
             LogEvent::Recovery { start, duration } => format!(
                 "{{\"event\":\"recovery\",\"t_s\":{},\"duration_s\":{}}}",
-                fmt_f64(start.as_secs()),
-                fmt_f64(duration.as_secs())
+                json::number(start.as_secs()),
+                json::number(duration.as_secs())
             ),
             LogEvent::SessionEnded { at, reason } => format!(
                 "{{\"event\":\"session_end\",\"t_s\":{},\"reason\":\"{reason:?}\"}}",
-                fmt_f64(at.as_secs())
+                json::number(at.as_secs())
             ),
         }
     }
-}
-
-/// Full-precision, bit-stable float formatting for the JSONL trace (the
-/// shortest representation that round-trips, which `{}` guarantees).
-/// Shared with the run journal, whose resume-equivalence contract leans
-/// on the exact-round-trip property.
-pub(crate) fn fmt_f64(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        // Keep integral values valid JSON numbers with a decimal point so
-        // consumers that distinguish int/float see a stable type.
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
-}
-
-/// Escapes a string into a JSON string literal (benchmark and array names
-/// are ASCII identifiers today, but the trace format should not depend on
-/// that staying true).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl SessionObserver for Logbook {
@@ -555,12 +516,6 @@ mod tests {
         assert!(lines[0].contains("\"event\":\"session_start\""));
         assert!(lines[0].contains("\"pmd_mv\":920"));
         assert!(lines.last().unwrap().contains("\"event\":\"session_end\""));
-    }
-
-    #[test]
-    fn json_string_escapes_control_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

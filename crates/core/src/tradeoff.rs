@@ -1,7 +1,5 @@
 //! The power/susceptibility trade-off analyses of §5 (Figures 9 and 10).
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::PowerModel;
 use serscale_types::Watts;
@@ -10,7 +8,7 @@ use crate::campaign::CampaignReport;
 use crate::session::SessionReport;
 
 /// One operating point of Figure 9: power draw against cache upset rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeoffRow {
     /// The operating point.
     pub point: OperatingPoint,
@@ -22,7 +20,7 @@ pub struct TradeoffRow {
 
 /// One scaled operating point of Figure 10: what you save vs what it
 /// costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SavingsRow {
     /// The operating point.
     pub point: OperatingPoint,

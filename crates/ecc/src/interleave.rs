@@ -11,16 +11,14 @@
 //! interleaving (§4.3); the SoC model instantiates [`Interleaver`] with
 //! degree 1 (identity) for the L3 and degree 4 for the smaller arrays.
 
-use serde::{Deserialize, Serialize};
-
 /// A physical bit location inside an array row of `degree × word_bits`
 /// physical cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysicalBit(pub u32);
 
 /// A logical location: which of the `degree` words in the row, and which
 /// bit within that word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LogicalBit {
     /// Index of the logical word within the interleaved row (`0..degree`).
     pub word: u32,
@@ -44,7 +42,7 @@ pub struct LogicalBit {
 ///     .collect();
 /// assert_eq!(words, vec![0, 1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interleaver {
     degree: u32,
     word_bits: u32,

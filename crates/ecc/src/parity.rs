@@ -7,8 +7,6 @@
 //! refilled from the next level (§3.1 of the paper), which is why L1/TLB
 //! single-bit upsets never reach software.
 
-use serde::{Deserialize, Serialize};
-
 /// The even-parity bit of a 64-bit data word.
 ///
 /// ```
@@ -24,14 +22,14 @@ pub fn parity_bit(data: u64) -> bool {
 
 /// A parity-protected 64-bit entry: the data word plus its stored parity
 /// bit, both of which radiation can flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParityWord {
     data: u64,
     parity: bool,
 }
 
 /// The result of checking a parity-protected entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParityCheck {
     /// Stored parity matches the data: either no error, or an undetectable
     /// even-weight error.

@@ -8,13 +8,11 @@
 //! corner cases (mis-correction, even-weight parity escapes) fall out of the
 //! real code behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::parity::{ParityCheck, ParityWord};
 use crate::secded::{mask_syndrome, Codeword, DecodeOutcome, DATA_MASK};
 
 /// The protection scheme guarding an SRAM array (Table 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtectionScheme {
     /// No protection (core-logic flops, architectural registers).
     None,
@@ -27,7 +25,7 @@ pub enum ProtectionScheme {
 
 /// What the hardware did about a cluster of bit flips inside one protected
 /// entry, and what it reported to the EDAC log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpsetOutcome {
     /// Error removed and a *corrected error* (CE) logged. Data integrity
     /// preserved. For parity arrays this is detection + architectural

@@ -28,8 +28,6 @@
 //! mechanism behind the paper's rare "SDC accompanied by a corrected-error
 //! notification" events (§6.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of data bits per codeword.
 pub const DATA_BITS: u32 = 64;
 /// Number of check bits (7 Hamming + 1 overall parity).
@@ -109,11 +107,11 @@ pub fn mask_syndrome(mask: u128) -> u32 {
 }
 
 /// A 72-bit SECDED codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Codeword(u128);
 
 /// The outcome of decoding a (possibly corrupted) codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecodeOutcome {
     /// No error detected; data returned as stored.
     Clean {

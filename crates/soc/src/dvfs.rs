@@ -15,15 +15,13 @@
 //! voltage at each frequency sits well below the DVFS nominal — that gap
 //! is the guardband of §4.1.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{Megahertz, Millivolts};
 
 use crate::platform::OperatingPoint;
 use crate::spec::PlatformSpec;
 
 /// One DVFS performance state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PState {
     /// The state's clock frequency.
     pub frequency: Megahertz,
@@ -54,7 +52,7 @@ impl PState {
 
 /// A platform's DVFS table: every PLL grid step from the spec's minimum
 /// to its maximum frequency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsTable {
     states: Vec<PState>,
     soc_nominal: Millivolts,

@@ -11,12 +11,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{ArrayKind, CacheLevel, SimInstant};
 
 /// Whether the hardware corrected the reported event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdacSeverity {
     /// A corrected error (CE): parity-detected-and-refilled, or SECDED
     /// single-bit correction. Includes deceptive corrections of aliased
@@ -37,7 +35,7 @@ impl fmt::Display for EdacSeverity {
 }
 
 /// One EDAC log record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdacRecord {
     /// When the event was reported.
     pub time: SimInstant,
@@ -97,7 +95,7 @@ impl EdacRecord {
 pub type LevelCounts = BTreeMap<(CacheLevel, EdacSeverity), u64>;
 
 /// The in-memory EDAC event log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EdacLog {
     records: Vec<EdacRecord>,
 }

@@ -59,5 +59,5 @@ pub use logic::LogicSusceptibility;
 pub use platform::{OperatingPoint, Platform, XGene2};
 pub use power::PowerModel;
 pub use slimpro::SlimPro;
-pub use spec::{PlatformSpec, RawPlatformSpec, SpecError};
+pub use spec::{PlatformSpec, RawPlatformSpec};
 pub use thermal::ThermalModel;

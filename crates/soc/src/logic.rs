@@ -38,14 +38,12 @@
 //! explanation of Observation #6 (frequency does not matter — except
 //! through this latching window).
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{CrossSection, Megahertz, Millivolts};
 
 use crate::spec::PlatformSpec;
 
 /// The unprotected-logic susceptibility model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogicSusceptibility {
     /// Control-path cross-section at nominal voltage (cm²).
     sigma_ctrl_nominal: CrossSection,

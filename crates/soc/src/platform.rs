@@ -7,8 +7,6 @@
 //! [`Platform`] built from [`PlatformSpec::xgene2`], bit-identical to the
 //! historical hand-rolled constructor.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_sram::SramArray;
 use serscale_types::{
     ArrayKind, Bits, CoreId, Megahertz, Millivolts, PmdId, Result, VoltageDomain,
@@ -17,7 +15,7 @@ use serscale_types::{
 use crate::spec::{ArrayScope, PlatformSpec};
 
 /// Which hardware block owns an array instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayOwner {
     /// A private per-core array.
     Core(CoreId),
@@ -28,7 +26,7 @@ pub enum ArrayOwner {
 }
 
 /// One physical array instance on the die.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayInstance {
     array: SramArray,
     owner: ArrayOwner,
@@ -58,7 +56,7 @@ impl ArrayInstance {
 
 /// A complete voltage/frequency setting of the chip — one column of
 /// Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperatingPoint {
     /// PMD-domain (cores, L1/L2, TLBs) supply voltage.
     pub pmd: Millivolts,
@@ -145,7 +143,7 @@ impl OperatingPoint {
 /// Geometry and protection come from the spec's array inventory;
 /// regulator floors, step grids and the PLL window from its rails and
 /// frequency block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     spec: PlatformSpec,
     instances: Vec<ArrayInstance>,

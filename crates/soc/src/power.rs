@@ -17,15 +17,13 @@
 //! these near-nominal, full-utilization operating points (the 900 MHz point
 //! pins the frequency scaling, the three 2.4 GHz points the voltage curve).
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{Megahertz, Millivolts, Watts};
 
 use crate::platform::{OperatingPoint, XGene2};
 use crate::spec::PlatformSpec;
 
 /// The calibrated two-domain power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     pmd_dynamic: f64,
     pmd_static: f64,

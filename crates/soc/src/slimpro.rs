@@ -12,8 +12,6 @@
 //! health log — the way the real undervolting tooling for this platform
 //! (\[57\]) actually drove it.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{Celsius, Megahertz, Millivolts, VoltageDomain, Watts};
 
 use crate::edac::{EdacLog, EdacRecord};
@@ -23,7 +21,7 @@ use crate::spec::PlatformSpec;
 use crate::thermal::ThermalModel;
 
 /// A mailbox command to the management processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Command {
     /// Set one voltage rail (5 mV granularity, validated).
     SetVoltage {
@@ -44,7 +42,7 @@ pub enum Command {
 }
 
 /// A mailbox response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// The command was applied.
     Ack,
@@ -61,7 +59,7 @@ pub enum Response {
 }
 
 /// The sensor snapshot `ReadSensors` returns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorBlock {
     /// PMD rail voltage.
     pub pmd: Millivolts,
@@ -77,7 +75,7 @@ pub struct SensorBlock {
 
 /// The management processor: owns the current operating point and the
 /// health log the hardware pushes into.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlimPro {
     platform: Platform,
     power_model: PowerModel,

@@ -7,7 +7,8 @@
 //! [`PlatformSpec`] whose every field is finite, on-grid, and mutually
 //! consistent — or fails with a [`SpecError`] naming the offending field
 //! (dotted path, e.g. `arrays[3].interleave`) and how to fix it. The same
-//! two-stage pattern as `serscale-core`'s campaign specs.
+//! two-stage pattern as `serscale-core`'s campaign specs, on the same
+//! checks from [`serscale_types::spec`].
 //!
 //! Two platforms ship built in: [`PlatformSpec::xgene2`], which reproduces
 //! the paper's X-Gene 2 constructor bit-identically, and
@@ -15,113 +16,13 @@
 //! Agiakatsikas et al.'s atmospheric-neutron assessment of the quad
 //! Cortex-A53 APU.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_ecc::ProtectionScheme;
+use serscale_types::spec::{finite_in, identifier, integer_in, label, required, SpecError};
 use serscale_types::{ArrayKind, Bytes, Error, Megahertz, Millivolts, Result};
 
 use crate::platform::OperatingPoint;
 
-/// Largest f64 that still represents every integer exactly (2^53).
-const EXACT_INT_MAX: f64 = 9_007_199_254_740_992.0;
-
-/// A spec field that failed validation, with an actionable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError {
-    /// The offending field (dotted path, e.g. `arrays[3].interleave`).
-    pub field: String,
-    /// What was wrong and what would be accepted.
-    pub reason: String,
-}
-
-impl SpecError {
-    /// Builds an error naming the offending `field` (dotted path) and why
-    /// it was rejected. Public so wire-format front-ends (JSON parsing in
-    /// `serscale-telemetry`) can speak the same error language as the
-    /// schema itself.
-    pub fn new(field: impl Into<String>, reason: impl Into<String>) -> Self {
-        SpecError {
-            field: field.into(),
-            reason: reason.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "platform spec field `{}`: {}", self.field, self.reason)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-/// Checks that `value` is finite and integer-valued in `[min, max]`.
-fn integer_in(field: &str, value: f64, min: f64, max: f64, hint: &str) -> Result2<u64> {
-    if !value.is_finite() {
-        return Err(SpecError::new(
-            field,
-            format!("{value} is not a finite number; {hint}"),
-        ));
-    }
-    if value.fract() != 0.0 || !(min..=max).contains(&value) {
-        return Err(SpecError::new(
-            field,
-            format!("{value} is not an integer in [{min}, {max}]; {hint}"),
-        ));
-    }
-    Ok(value as u64)
-}
-
-/// Checks that `value` is finite and inside `[min, max]`.
-fn finite_in(field: &str, value: f64, min: f64, max: f64, hint: &str) -> Result2<f64> {
-    if !value.is_finite() || !(min..=max).contains(&value) {
-        return Err(SpecError::new(
-            field,
-            format!("{value} is not a finite number in [{min}, {max}]; {hint}"),
-        ));
-    }
-    Ok(value)
-}
-
-/// Checks a name-like identifier: 1–64 chars of `[A-Za-z0-9._-]`.
-fn identifier(field: &str, value: &str) -> Result2<String> {
-    let ok = !value.is_empty()
-        && value.len() <= 64
-        && value
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'));
-    if ok {
-        Ok(value.to_string())
-    } else {
-        Err(SpecError::new(
-            field,
-            format!("{value:?} is not a valid identifier; use 1-64 characters of [A-Za-z0-9._-]"),
-        ))
-    }
-}
-
-/// Checks a short human-readable label: 1–128 printable ASCII chars.
-fn label(field: &str, value: &str) -> Result2<String> {
-    let ok =
-        !value.is_empty() && value.len() <= 128 && value.chars().all(|c| matches!(c, ' '..='~'));
-    if ok {
-        Ok(value.to_string())
-    } else {
-        Err(SpecError::new(
-            field,
-            format!("{value:?} is not a printable label of 1-128 ASCII characters"),
-        ))
-    }
-}
-
 type Result2<T> = std::result::Result<T, SpecError>;
-
-/// A required raw field, or a structured "field is missing" error.
-fn required<T: Clone>(field: &str, value: &Option<T>) -> Result2<T> {
-    value
-        .clone()
-        .ok_or_else(|| SpecError::new(field, "required field is missing"))
-}
 
 // ---------------------------------------------------------------------------
 // Raw (wire-side) carriers
@@ -294,7 +195,7 @@ pub struct RawPowerSpec {
 // ---------------------------------------------------------------------------
 
 /// Which hardware block owns each instance of an array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayScope {
     /// One instance per core.
     PerCore,
@@ -316,7 +217,7 @@ impl ArrayScope {
 }
 
 /// A validated SRAM array entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArraySpec {
     /// The array kind (fixes cache level and voltage domain).
     pub kind: ArrayKind,
@@ -334,7 +235,7 @@ pub struct ArraySpec {
 }
 
 /// A validated voltage rail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RailSpec {
     /// Nominal voltage.
     pub nominal: Millivolts,
@@ -343,7 +244,7 @@ pub struct RailSpec {
 }
 
 /// One validated campaign operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPointSpec {
     /// Row label.
     pub label: String,
@@ -354,7 +255,7 @@ pub struct CampaignPointSpec {
 }
 
 /// The validated two-anchor Vmin(f) rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VminAnchors {
     /// Low-frequency anchor.
     pub low_freq: Megahertz,
@@ -367,7 +268,7 @@ pub struct VminAnchors {
 }
 
 /// Validated physics calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicsSpec {
     /// Per-bit SRAM cross-section at nominal voltage, cm².
     pub sram_sigma_bit_cm2: f64,
@@ -408,7 +309,7 @@ pub struct PhysicsSpec {
 }
 
 /// Validated power-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSpec {
     /// PMD-domain dynamic power at nominal V/f, watts.
     pub pmd_dynamic_w: f64,
@@ -425,7 +326,7 @@ pub struct PowerSpec {
 ///
 /// The spec is pure data — [`crate::platform::Platform::from_spec`] turns
 /// it into a die, and the physics crates read their calibration from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Platform identifier.
     pub name: String,
@@ -1521,7 +1422,6 @@ impl TryFrom<RawPlatformSpec> for PlatformSpec {
                 minutes,
             });
         }
-        let _ = EXACT_INT_MAX; // bounds above are far below 2^53 already
         Ok(PlatformSpec { campaign, ..spec })
     }
 }

@@ -7,12 +7,10 @@
 //! junction-to-ambient thermal resistance turning package power into die
 //! temperature, and the safe-window check the campaign harness performs.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{Celsius, Watts};
 
 /// A lumped thermal model: `T_die = T_ambient + θJA · P`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     ambient: Celsius,
     /// Junction-to-ambient thermal resistance (°C/W).

@@ -1,8 +1,6 @@
 //! An SRAM array: geometry, protection, interleaving — and the translation
 //! of one neutron strike into the per-word ECC outcomes the EDAC log sees.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_ecc::interleave::{Interleaver, PhysicalBit};
 use serscale_ecc::{ProtectionScheme, UpsetOutcome};
 use serscale_stats::SimRng;
@@ -19,7 +17,7 @@ use serscale_types::{ArrayKind, Bits, Bytes, VoltageDomain};
 /// let l3 = SramArray::new(ArrayKind::L3Shared, Bytes::mib(8), ProtectionScheme::Secded, 1);
 /// assert_eq!(l3.data_bits().get(), 8 * 1024 * 1024 * 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramArray {
     kind: ArrayKind,
     capacity: Bytes,
@@ -158,7 +156,7 @@ impl StrikeScratch {
 }
 
 /// The ECC outcome for one logical word touched by a strike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WordHit {
     /// How many bits flipped within this word.
     pub flipped_bits: u32,
@@ -167,7 +165,7 @@ pub struct WordHit {
 }
 
 /// The full effect of one neutron strike on one array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrikeEffect {
     /// The struck array.
     pub array: ArrayKind,

@@ -19,14 +19,12 @@
 //! slightly different mean failure voltages (hold < read < write in this
 //! model, reflecting that retention is the most robust mode).
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::ci::normal_cdf;
 use serscale_stats::SimRng;
 use serscale_types::Millivolts;
 
 /// The SRAM bit-cell failure modes of §2.2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureMode {
     /// Read-discharge too slow for the sense amplifier.
     Read,
@@ -61,7 +59,7 @@ impl FailureMode {
 }
 
 /// The RDF-induced weak-cell population of an SRAM array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeakCellPopulation {
     bits: u64,
     /// Mean cell-failure voltage of the read-stability mode (mV).

@@ -17,13 +17,11 @@
 //! grows as the voltage drops with the same exponential law as the per-bit
 //! cross-section.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::SimRng;
 use serscale_types::Millivolts;
 
 /// The cluster-size model for one technology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MbuModel {
     /// Probability that a cluster extends by one more cell, at nominal
     /// voltage.

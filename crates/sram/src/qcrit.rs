@@ -30,12 +30,10 @@
 //! found no measurable frequency dependence of the SER, and storage-cell
 //! upset physics has no clock term.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{CrossSection, Millivolts};
 
 /// Per-bit soft-error susceptibility as a function of supply voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftErrorModel {
     /// Per-bit cross-section at the nominal voltage (cm²/bit).
     sigma_nominal: CrossSection,

@@ -14,15 +14,13 @@
 //! voltages and Qcrit budgets shrink — which is the forward-looking
 //! message of the paper: undervolting's SER tax gets worse with scaling.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{CrossSection, Millivolts};
 
 use crate::mbu::MbuModel;
 use crate::qcrit::SoftErrorModel;
 
 /// A fabrication technology node with its calibrated SER parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechnologyNode {
     /// The marketing node name, e.g. `"28nm"`.
     name: &'static str,

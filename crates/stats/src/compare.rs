@@ -8,14 +8,12 @@
 //! rates: given `n₁` events in exposure `t₁` and `n₂` in `t₂`, under
 //! `H₀: λ₁ = λ₂` the count `n₁` is `Binomial(n₁+n₂, t₁/(t₁+t₂))`.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::SimDuration;
 
 use crate::ci::normal_cdf;
 
 /// The outcome of a two-sample Poisson rate comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateComparison {
     /// The observed rate ratio `(n₁/t₁) / (n₂/t₂)`.
     pub rate_ratio: f64,

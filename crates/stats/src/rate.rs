@@ -1,8 +1,6 @@
 //! Event-rate and cross-section estimates with 95 % error bars — the
 //! quantities every figure in the paper plots.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::{CrossSection, Fit, Fluence, Flux, SimDuration};
 
 use crate::ci::poisson_ci;
@@ -24,7 +22,7 @@ pub const CONFIDENCE_LEVEL: f64 = 0.95;
 /// assert!(est.lower_per_minute() < est.per_minute());
 /// assert!(est.upper_per_minute() > est.per_minute());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateEstimate {
     count: u64,
     exposure: SimDuration,
@@ -104,7 +102,7 @@ impl RateEstimate {
 /// assert!((fit.point.get() - 41.4).abs() < 0.5); // Fig. 11's 41.43 SDC FIT
 /// assert!(fit.lower.get() < fit.point.get() && fit.point.get() < fit.upper.get());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossSectionEstimate {
     events: u64,
     fluence: Fluence,
@@ -169,7 +167,7 @@ impl CrossSectionEstimate {
 }
 
 /// A FIT rate with a 95 % confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitEstimate {
     /// The point estimate.
     pub point: Fit,

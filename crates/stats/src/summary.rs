@@ -1,7 +1,5 @@
 //! Running summary statistics (Welford accumulation).
 
-use serde::{Deserialize, Serialize};
-
 /// A numerically stable running mean/variance accumulator.
 ///
 /// Used for averaging per-benchmark rates, power samples, and the repeated
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,

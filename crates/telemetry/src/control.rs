@@ -49,10 +49,11 @@ use serscale_core::journal::{config_fingerprint, journal_path, start_or_resume};
 use serscale_core::report::golden_summary;
 use serscale_core::scheduler::{CancelToken, Cancelled, FairQueue};
 use serscale_core::session::RetryPolicy;
-use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec, SpecError};
+use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec};
+use serscale_types::json::{self, JsonValue};
+use serscale_types::spec::{want_array, want_number, want_object, want_string, SpecError};
 
 use crate::export::{TelemetryOptions, TelemetrySink};
-use crate::json::{self, JsonValue};
 
 /// Upper bound on queued + live jobs a control plane will hold before
 /// refusing submissions (backpressure, and a memory bound: job state is
@@ -1087,37 +1088,10 @@ fn run_job(inner: &Arc<ControlInner>, id: u64) {
 /// back on the pseudo-field `body`, type errors and unknown fields on
 /// their dotted path, and range errors from the schema's `TryFrom`.
 pub fn parse_spec(body: &str) -> Result<CampaignSpec, SpecError> {
-    let doc = json::parse(body).map_err(|e| SpecError {
-        field: "body".to_string(),
-        reason: format!("not valid JSON: {e}"),
-    })?;
+    let doc =
+        json::parse(body).map_err(|e| SpecError::new("body", format!("not valid JSON: {e}")))?;
     let raw = raw_spec_from_json(&doc)?;
     CampaignSpec::try_from(raw)
-}
-
-fn want_number(field: &str, value: &JsonValue) -> Result<f64, SpecError> {
-    value.as_f64().ok_or_else(|| SpecError {
-        field: field.to_string(),
-        reason: format!("expected a number, got {}", kind(value)),
-    })
-}
-
-fn want_string(field: &str, value: &JsonValue) -> Result<String, SpecError> {
-    value.as_str().map(str::to_string).ok_or_else(|| SpecError {
-        field: field.to_string(),
-        reason: format!("expected a string, got {}", kind(value)),
-    })
-}
-
-fn kind(value: &JsonValue) -> &'static str {
-    match value {
-        JsonValue::Null => "null",
-        JsonValue::Bool(_) => "a boolean",
-        JsonValue::Number(_) => "a number",
-        JsonValue::String(_) => "a string",
-        JsonValue::Array(_) => "an array",
-        JsonValue::Object(_) => "an object",
-    }
 }
 
 /// Maps a parsed JSON document onto the permissive carrier. Unknown
@@ -1130,10 +1104,10 @@ fn kind(value: &JsonValue) -> &'static str {
 /// wrongly-typed values.
 pub fn raw_spec_from_json(doc: &JsonValue) -> Result<RawCampaignSpec, SpecError> {
     let JsonValue::Object(map) = doc else {
-        return Err(SpecError {
-            field: "body".to_string(),
-            reason: format!("expected a JSON object, got {}", kind(doc)),
-        });
+        return Err(SpecError::new(
+            "body",
+            format!("expected a JSON object, got {}", doc.kind()),
+        ));
     };
     let mut raw = RawCampaignSpec::default();
     for (key, value) in map {
@@ -1147,12 +1121,7 @@ pub fn raw_spec_from_json(doc: &JsonValue) -> Result<RawCampaignSpec, SpecError>
             "vmin_trials" => raw.vmin_trials = Some(want_number("vmin_trials", value)?),
             "resume" => raw.resume = Some(want_number("resume", value)?),
             "sessions" => {
-                let JsonValue::Array(items) = value else {
-                    return Err(SpecError {
-                        field: "sessions".to_string(),
-                        reason: format!("expected an array, got {}", kind(value)),
-                    });
-                };
+                let items = want_array("sessions", value)?;
                 let mut sessions = Vec::with_capacity(items.len());
                 for (at, item) in items.iter().enumerate() {
                     sessions.push(raw_session_from_json(at, item)?);
@@ -1162,17 +1131,13 @@ pub fn raw_spec_from_json(doc: &JsonValue) -> Result<RawCampaignSpec, SpecError>
             unknown => {
                 // An empty key would make an unlocatable error; anchor it
                 // on the document instead.
-                return Err(SpecError {
-                    field: if unknown.is_empty() {
-                        "body".to_string()
-                    } else {
-                        unknown.to_string()
-                    },
-                    reason: format!(
+                return Err(SpecError::new(
+                    if unknown.is_empty() { "body" } else { unknown },
+                    format!(
                         "unknown field {unknown:?}; known fields are name, tenant, platform, \
                          seed, scale, jobs, vmin_trials, sessions, resume"
                     ),
-                });
+                ));
             }
         }
     }
@@ -1180,12 +1145,7 @@ pub fn raw_spec_from_json(doc: &JsonValue) -> Result<RawCampaignSpec, SpecError>
 }
 
 fn raw_session_from_json(at: usize, doc: &JsonValue) -> Result<RawSessionSpec, SpecError> {
-    let JsonValue::Object(map) = doc else {
-        return Err(SpecError {
-            field: format!("sessions[{at}]"),
-            reason: format!("expected an object, got {}", kind(doc)),
-        });
-    };
+    let map = want_object(&format!("sessions[{at}]"), doc)?;
     let mut raw = RawSessionSpec::default();
     let mut seen = [false; 4];
     for (key, value) in map {
@@ -1208,11 +1168,10 @@ fn raw_session_from_json(at: usize, doc: &JsonValue) -> Result<RawSessionSpec, S
                 seen[3] = true;
             }
             unknown => {
-                return Err(SpecError {
-                    field: format!("sessions[{at}].{unknown}"),
-                    reason: "unknown field; sessions take pmd_mv, soc_mv, freq_mhz, minutes"
-                        .to_string(),
-                })
+                return Err(SpecError::new(
+                    format!("sessions[{at}].{unknown}"),
+                    "unknown field; sessions take pmd_mv, soc_mv, freq_mhz, minutes",
+                ))
             }
         }
     }
@@ -1221,10 +1180,10 @@ fn raw_session_from_json(at: usize, doc: &JsonValue) -> Result<RawSessionSpec, S
         .zip(["pmd_mv", "soc_mv", "freq_mhz", "minutes"])
         .find(|(seen, _)| !**seen)
     {
-        return Err(SpecError {
-            field: format!("sessions[{at}].{name}"),
-            reason: "missing; sessions need pmd_mv, soc_mv, freq_mhz and minutes".to_string(),
-        });
+        return Err(SpecError::new(
+            format!("sessions[{at}].{name}"),
+            "missing; sessions need pmd_mv, soc_mv, freq_mhz and minutes",
+        ));
     }
     Ok(raw)
 }

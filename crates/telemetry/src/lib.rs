@@ -37,9 +37,9 @@
 //! - [`progress`] — a rate-limited stderr progress reporter for
 //!   interactive runs (TTY-aware: in-place rewrites on terminals, plain
 //!   periodic lines otherwise; off in CI and golden runs).
-//! - [`json`] — a minimal JSON writer *and parser*; the exporters
-//!   self-verify their streams because the vendored `serde` is a no-op
-//!   stand-in.
+//! - [`json`] — the workspace's JSON codec, re-exported from
+//!   [`serscale_types::json`]; the exporters write with it and
+//!   self-verify their streams by parsing them back.
 //! - [`platform`] — the JSON wire format for
 //!   [`PlatformSpec`](serscale_soc::PlatformSpec) documents, behind
 //!   `repro --platform <file>`: strict unknown-field rejection on the way
@@ -60,7 +60,6 @@ pub mod control;
 pub mod convergence;
 pub mod export;
 pub mod inspect;
-pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod platform;
@@ -76,5 +75,7 @@ pub use metrics::{MetricsSnapshot, Registry};
 pub use observer::TelemetryObserver;
 pub use platform::{parse_platform, platform_to_json};
 pub use progress::{Progress, ProgressMode, ProgressSnapshot};
+/// The workspace's JSON codec; this path stays for existing importers.
+pub use serscale_types::json;
 pub use serve::{CampaignStatus, MonitorServer};
 pub use span::{SpanLevel, Tracer};

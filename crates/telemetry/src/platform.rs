@@ -11,14 +11,12 @@
 //! output reproduces the validated spec exactly, the property the schema
 //! fuzz suite pins for both built-in platforms.
 
-use std::collections::BTreeMap;
-
 use serscale_soc::spec::{
     RawArraySpec, RawCampaignPointSpec, RawPhysicsSpec, RawPowerSpec, RawRailSpec, RawVminAnchors,
 };
-use serscale_soc::{PlatformSpec, RawPlatformSpec, SpecError};
-
-use crate::json::{self, JsonValue};
+use serscale_soc::{PlatformSpec, RawPlatformSpec};
+use serscale_types::json::{self, JsonValue};
+use serscale_types::spec::{want_array, want_number, want_object, want_string, SpecError};
 
 /// Parses and validates a JSON platform document.
 ///
@@ -32,53 +30,6 @@ pub fn parse_platform(body: &str) -> Result<PlatformSpec, SpecError> {
         json::parse(body).map_err(|e| SpecError::new("body", format!("not valid JSON: {e}")))?;
     let raw = raw_platform_from_json(&doc)?;
     PlatformSpec::try_from(raw)
-}
-
-fn kind(value: &JsonValue) -> &'static str {
-    match value {
-        JsonValue::Null => "null",
-        JsonValue::Bool(_) => "a boolean",
-        JsonValue::Number(_) => "a number",
-        JsonValue::String(_) => "a string",
-        JsonValue::Array(_) => "an array",
-        JsonValue::Object(_) => "an object",
-    }
-}
-
-fn want_number(field: &str, value: &JsonValue) -> Result<f64, SpecError> {
-    value
-        .as_f64()
-        .ok_or_else(|| SpecError::new(field, format!("expected a number, got {}", kind(value))))
-}
-
-fn want_string(field: &str, value: &JsonValue) -> Result<String, SpecError> {
-    value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| SpecError::new(field, format!("expected a string, got {}", kind(value))))
-}
-
-fn want_object<'a>(
-    field: &str,
-    value: &'a JsonValue,
-) -> Result<&'a BTreeMap<String, JsonValue>, SpecError> {
-    match value {
-        JsonValue::Object(map) => Ok(map),
-        other => Err(SpecError::new(
-            field,
-            format!("expected an object, got {}", kind(other)),
-        )),
-    }
-}
-
-fn want_array<'a>(field: &str, value: &'a JsonValue) -> Result<&'a Vec<JsonValue>, SpecError> {
-    match value {
-        JsonValue::Array(items) => Ok(items),
-        other => Err(SpecError::new(
-            field,
-            format!("expected an array, got {}", kind(other)),
-        )),
-    }
 }
 
 fn unknown_field(field: &str, known: &str) -> SpecError {
@@ -232,7 +183,7 @@ pub fn raw_platform_from_json(doc: &JsonValue) -> Result<RawPlatformSpec, SpecEr
     let JsonValue::Object(map) = doc else {
         return Err(SpecError::new(
             "body",
-            format!("expected a JSON object, got {}", kind(doc)),
+            format!("expected a JSON object, got {}", doc.kind()),
         ));
     };
     let mut raw = RawPlatformSpec::default();
@@ -463,7 +414,8 @@ mod tests {
 
     #[test]
     fn non_json_bodies_land_on_the_body_field() {
-        for body in ["[1]", "7", "not json", ""] {
+        let deep = "[".repeat(60_000);
+        for body in ["[1]", "7", "not json", "", &deep] {
             let err = parse_platform(body).expect_err(body);
             assert_eq!(err.field, "body", "{body} → {err}");
         }

@@ -243,6 +243,9 @@ fn known_bad_specs_are_rejected_with_the_right_field() {
         ("{\"sessions\":7}".to_string(), "sessions"),
         ("[1,2,3]".to_string(), "body"),
         ("not json at all".to_string(), "body"),
+        // Nesting past the JSON codec's depth limit: a parse error, not a
+        // handler thread recursing off its stack.
+        ("[".repeat(60_000), "body"),
     ];
     for (body, expected_field) in corpus {
         let err = parse_spec(&body).expect_err(&format!("must reject: {body}"));

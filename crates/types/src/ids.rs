@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A hardware core index on the 8-core die.
 ///
 /// ```
@@ -13,9 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let c5 = CoreId::new(5);
 /// assert_eq!(c5.pmd(), PmdId::new(2)); // cores 4,5 share PMD 2
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(u8);
 
 impl CoreId {
@@ -44,9 +40,7 @@ impl fmt::Display for CoreId {
 
 /// A dual-core processor-module index (the unit of frequency control and the
 /// unit sharing an L2 cache on the modelled platform).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PmdId(u8);
 
 impl PmdId {
@@ -73,9 +67,7 @@ impl fmt::Display for PmdId {
 }
 
 /// A software thread index within a multithreaded benchmark run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ThreadId(u16);
 
 impl ThreadId {
@@ -98,7 +90,7 @@ impl fmt::Display for ThreadId {
 
 /// The cache-hierarchy levels whose upset rates the paper reports
 /// (Figures 6 and 7 group TLBs, L1, L2 and L3 separately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CacheLevel {
     /// Instruction/data TLBs and the unified L2 TLB (parity protected).
     Tlb,
@@ -137,7 +129,7 @@ impl fmt::Display for CacheLevel {
 /// [`CacheLevel`] is the reporting granularity; `ArrayKind` is the
 /// structural granularity (an L1I and an L1D are distinct arrays that both
 /// report as [`CacheLevel::L1`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ArrayKind {
     /// Per-core L1 instruction cache.
     L1Instruction,
@@ -206,7 +198,7 @@ impl fmt::Display for ArrayKind {
 
 /// The independently regulated voltage domains of the modelled SoC
 /// (Figure 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VoltageDomain {
     /// Processor Module Domain: the 8 cores, their L1s/TLBs and L2s.
     Pmd,

@@ -12,6 +12,11 @@
 //! wrong silently corrupts every downstream figure, which is exactly the kind
 //! of bug newtypes rule out statically.
 //!
+//! The crate is also the one home of the JSON wire vocabulary: [`json`]
+//! is the codec behind the run journal, the telemetry streams, campaign
+//! specs and platform files, and [`spec`] is the [`spec::SpecError`]-based
+//! validation toolkit both spec schemas share.
+//!
 //! ## Example
 //!
 //! ```
@@ -33,8 +38,10 @@
 
 mod error;
 mod ids;
+pub mod json;
 mod memory;
 mod radiation;
+pub mod spec;
 mod time;
 mod units;
 

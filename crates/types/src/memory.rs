@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A memory capacity in bits.
 ///
 /// ```
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(l3, Bits::new(8 * 1024 * 1024 * 8));
 /// assert!((l3.as_mbit() - 67.108864).abs() < 1e-6);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bits(u64);
 
 impl Bits {
@@ -84,9 +80,7 @@ impl fmt::Display for Bits {
 
 /// A memory capacity in bytes, with binary-prefix constructors matching how
 /// cache sizes are quoted (32 KB, 256 KB, 8 MB).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -143,7 +137,7 @@ impl fmt::Display for Bytes {
 
 /// A convenience pairing of a human-readable size with its bit capacity,
 /// used by platform spec tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemSize {
     bytes: Bytes,
 }

@@ -6,8 +6,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// The JESD89B reference neutron flux at New York City sea level for
@@ -29,7 +27,7 @@ pub const FIT_HOURS: f64 = 1.0e9;
 /// assert!(NeutronEnergy::mev(14.0) > NeutronEnergy::SEE_THRESHOLD);
 /// assert!(NeutronEnergy::THERMAL < NeutronEnergy::SEE_THRESHOLD);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct NeutronEnergy(f64);
 
 impl NeutronEnergy {
@@ -82,7 +80,7 @@ impl fmt::Display for NeutronEnergy {
 /// let fluence = halo * SimDuration::from_secs(100.0);
 /// assert!((fluence.as_per_cm2() - 1.5e6).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Flux(f64);
 
 impl Flux {
@@ -154,7 +152,7 @@ impl fmt::Display for Flux {
 ///
 /// A test session in the paper stops when fluence reaches 10¹¹ n/cm² (or 100
 /// error events accumulate, whichever is first).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fluence(f64);
 
 impl Fluence {
@@ -230,7 +228,7 @@ impl fmt::Display for Fluence {
 /// let fit = dcs.fit_at(NYC_SEA_LEVEL_FLUX);
 /// assert!((fit.get() - 8.29).abs() < 0.05); // paper: total FIT ≈ 8.31
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CrossSection(f64);
 
 impl CrossSection {
@@ -320,7 +318,7 @@ impl fmt::Display for CrossSection {
 /// let sdc_vmin = Fit::new(41.43);
 /// assert!((sdc_vmin / sdc_nominal - 16.3).abs() < 0.05); // the paper's 16×
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fit(f64);
 
 impl Fit {

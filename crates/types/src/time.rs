@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of simulated time.
 ///
 /// ```
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let session = SimDuration::from_minutes(1651.0);
 /// assert!((session.as_hours() - 27.5).abs() < 0.02);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimDuration {
@@ -143,7 +141,7 @@ impl fmt::Display for SimDuration {
 /// let t1 = t0 + SimDuration::from_secs(5.0);
 /// assert!((t1.elapsed_since(t0).as_secs() - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimInstant(f64);
 
 impl SimInstant {

@@ -4,8 +4,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A supply voltage in millivolts.
 ///
 /// The X-Gene 2 regulates its PMD domain in 5 mV steps from a 980 mV nominal
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(nominal - vmin, 60);
 /// assert!((vmin.as_volts() - 0.92).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Millivolts(u32);
 
 impl Millivolts {
@@ -127,9 +123,7 @@ impl std::str::FromStr for Millivolts {
 /// assert!((top.as_ghz() - 2.4).abs() < 1e-12);
 /// assert!(Megahertz::new(900) < top);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Megahertz(u32);
 
 impl Megahertz {
@@ -227,7 +221,7 @@ impl std::str::FromStr for Megahertz {
 /// let savings = (Watts::new(20.40) - Watts::new(18.63)).get() / 20.40;
 /// assert!((savings - 0.0868).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(f64);
 
 impl Watts {
@@ -310,7 +304,7 @@ impl fmt::Display for Watts {
 /// let dut = Celsius::new(42.5);
 /// assert!(dut.is_within(Celsius::new(40.0), Celsius::new(45.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Celsius(f64);
 
 impl Celsius {

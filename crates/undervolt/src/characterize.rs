@@ -1,8 +1,6 @@
 //! The Vmin characterization sweep (§4.1): pfail curves and safe-voltage
 //! tables.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::PlatformSpec;
 use serscale_stats::ci::wilson_ci;
 use serscale_stats::SimRng;
@@ -12,7 +10,7 @@ use serscale_workload::Benchmark;
 use crate::timing::TimingFailureModel;
 
 /// One measured point of a pfail curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PfailPoint {
     /// The tested voltage.
     pub voltage: Millivolts,
@@ -35,7 +33,7 @@ impl PfailPoint {
 }
 
 /// A full pfail-vs-voltage sweep at one frequency — one panel of Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PfailCurve {
     /// The swept frequency.
     pub frequency: Megahertz,
@@ -80,7 +78,7 @@ impl PfailCurve {
 /// running every benchmark `trials_per_benchmark` times per 5 mV step,
 /// exactly as §4.1 describes ("we ran the entire undervolting experiments
 /// hundreds of times for each benchmark and on each frequency").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Characterizer {
     timing: TimingFailureModel,
     trials_per_benchmark: u32,
@@ -230,7 +228,7 @@ impl Characterizer {
 
 /// Table 3 of the paper: the voltage settings used in the beam campaign,
 /// derived from the characterization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SafeVoltageTable {
     /// `(label, frequency, PMD voltage, SoC voltage)` rows.
     pub rows: Vec<(String, Megahertz, Millivolts, Millivolts)>,

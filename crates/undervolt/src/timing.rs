@@ -18,15 +18,13 @@
 //!   the paper notes the window is *shorter* at the lower frequency,
 //!   which the model reproduces with a smaller spread).
 
-use serde::{Deserialize, Serialize};
-
 use serscale_soc::PlatformSpec;
 use serscale_stats::ci::normal_cdf;
 use serscale_stats::SimRng;
 use serscale_types::{Celsius, Megahertz, Millivolts};
 
 /// The critical-path failure model of one chip specimen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingFailureModel {
     /// Critical voltage at the calibration frequency (mV).
     vc_at_ref: f64,

@@ -12,8 +12,6 @@
 //! produce the fleet Vmin distribution and the uniform-vs-per-chip energy
 //! comparison.
 
-use serde::{Deserialize, Serialize};
-
 use serscale_stats::summary::Summary;
 use serscale_stats::SimRng;
 use serscale_types::{Megahertz, Millivolts};
@@ -22,7 +20,7 @@ use crate::characterize::Characterizer;
 use crate::timing::TimingFailureModel;
 
 /// A manufacturing population of chips around a golden timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipPopulation {
     /// The typical specimen.
     golden: TimingFailureModel,
@@ -73,7 +71,7 @@ impl ChipPopulation {
 }
 
 /// The fleet-wide characterization outcome at one frequency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetCharacterization {
     /// The swept frequency.
     pub frequency: Megahertz,

@@ -1,12 +1,10 @@
 //! The suite verdict: every oracle's checks, renderable for humans and
-//! serializable to a small, stable JSON document for CI.
-//!
-//! The JSON writer is hand-rolled: the workspace's vendored `serde` is a
-//! no-op marker-trait stand-in (no serializer ships with it), and the
-//! verdict schema is flat enough that string building is the simpler,
-//! dependency-free choice.
+//! serializable to a small, stable JSON document for CI, written with the
+//! workspace's JSON codec ([`serscale_types::json`]).
 
 use std::fmt::Write as _;
+
+use serscale_types::json;
 
 use crate::oracle::{OracleFamily, OracleReport};
 
@@ -122,7 +120,7 @@ impl SuiteVerdict {
             out,
             "\"seed\":{},\"budget\":{},\"all_green\":{},\"checks\":{},\"violations\":{},",
             self.seed,
-            json_string(&self.budget),
+            json::escape(&self.budget),
             self.all_green(),
             self.check_count(),
             self.violation_count(),
@@ -135,9 +133,9 @@ impl SuiteVerdict {
             let _ = write!(
                 out,
                 "{{\"name\":{},\"family\":{},\"claim\":{},\"passed\":{},\"checks\":[",
-                json_string(&oracle.name),
-                json_string(&oracle.family.to_string()),
-                json_string(&oracle.claim),
+                json::escape(&oracle.name),
+                json::escape(&oracle.family.to_string()),
+                json::escape(&oracle.claim),
                 oracle.passed(),
             );
             for (j, check) in oracle.checks.iter().enumerate() {
@@ -147,9 +145,9 @@ impl SuiteVerdict {
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"passed\":{},\"detail\":{}}}",
-                    json_string(&check.name),
+                    json::escape(&check.name),
                     check.passed,
-                    json_string(&check.detail),
+                    json::escape(&check.detail),
                 );
             }
             out.push_str("]}");
@@ -157,27 +155,6 @@ impl SuiteVerdict {
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -209,15 +186,17 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_and_escaped() {
-        let json = verdict(false).to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"all_green\":false"));
-        assert!(json.contains("a \\\"quoted\\\" claim"));
-        assert!(json.contains("line1\\nline2"));
-        // Balanced braces/brackets (a cheap structural sanity check).
-        let opens = json.matches('{').count() + json.matches('[').count();
-        let closes = json.matches('}').count() + json.matches(']').count();
-        assert_eq!(opens, closes);
+        let text = verdict(false).to_json();
+        assert!(text.contains("\"all_green\":false"));
+        assert!(text.contains("a \\\"quoted\\\" claim"));
+        assert!(text.contains("line1\\nline2"));
+        let doc = json::parse(&text).expect("verdict parses");
+        let oracle = &doc
+            .get("oracles")
+            .and_then(json::JsonValue::as_array)
+            .expect("oracles")[0];
+        let claim = oracle.get("claim").and_then(json::JsonValue::as_str);
+        assert_eq!(claim, Some("a \"quoted\" claim"));
     }
 
     #[test]

@@ -3,15 +3,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The output of one kernel run: a numeric result vector plus an
 /// order-sensitive checksum over the full working state.
 ///
 /// Two outputs compare equal exactly when the computation produced
 /// bit-identical results — the golden-comparison SDC detector of the
 /// paper's test flow (§3.6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelOutput {
     /// Headline result values (residual norms, counts, checksums — kernel
     /// specific).
@@ -64,7 +62,7 @@ impl fmt::Display for KernelOutput {
 }
 
 /// A bit flip injected into a kernel's working state mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Corruption {
     /// When to inject, as a fraction of the kernel's main loop (`[0, 1)`).
     pub at_fraction: f64,

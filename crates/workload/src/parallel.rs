@@ -13,8 +13,6 @@
 //!   ordered by worker index. The result depends on the partition count
 //!   (like real EP's per-rank streams) but never on thread scheduling.
 
-use crossbeam::thread;
-
 use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
 
 /// Runs each kernel on its own worker thread and returns the outputs in
@@ -24,17 +22,13 @@ use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
 ///
 /// Panics if a worker thread panics.
 pub fn run_suite_parallel(kernels: &[Box<dyn Kernel + Sync>]) -> Vec<KernelOutput> {
-    thread::scope(|scope| {
-        let handles: Vec<_> = kernels
-            .iter()
-            .map(|k| scope.spawn(move |_| k.run()))
-            .collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = kernels.iter().map(|k| scope.spawn(|| k.run())).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("kernel thread panicked"))
             .collect()
     })
-    .expect("thread scope failed")
 }
 
 /// The thread-parallel EP kernel: `pairs` Gaussian-pair draws split across
@@ -130,19 +124,18 @@ impl EpParallel {
         // The corrupted worker, when injecting: the corruption word picks
         // it, so campaigns hit different cores.
         let victim = corruption.map(|c| (c.word as u32) % self.threads);
-        let partials = thread::scope(|scope| {
+        let partials = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.threads)
                 .map(|w| {
                     let c = if victim == Some(w) { corruption } else { None };
-                    scope.spawn(move |_| self.worker_state(w, c))
+                    scope.spawn(move || self.worker_state(w, c))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("EP worker panicked"))
                 .collect::<Vec<_>>()
-        })
-        .expect("thread scope failed");
+        });
         Self::reduce(partials)
     }
 }

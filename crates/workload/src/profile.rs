@@ -19,8 +19,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use serscale_types::SimDuration;
 
 use crate::cg::Cg;
@@ -32,7 +30,7 @@ use crate::lu::Lu;
 use crate::mg::Mg;
 
 /// The six NAS Parallel Benchmarks of the campaign (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Benchmark {
     /// Conjugate Gradient.
     Cg,
@@ -141,7 +139,7 @@ impl std::fmt::Display for Benchmark {
 }
 
 /// The measurable characteristics of one benchmark (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     benchmark: Benchmark,
     runtime: SimDuration,

@@ -14,12 +14,10 @@
 //! calibrated timing-failure model of `serscale-undervolt` — virus droops
 //! are *relative to benchmark-grade activity*.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::{Corruption, Kernel, KernelOutput};
 
 /// The micro-virus family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MicroVirus {
     /// Dense FMA pressure on every core: maximal dI/dt, worst droop.
     PowerVirus,

@@ -3,14 +3,17 @@
 
 Stdlib only. Against a base URL this client:
 
-1. submits three campaign specs from two tenants (two short jobs whose
+1. posts a body nested 60,000 arrays deep, which must come back as a 400
+   on the `body` field while `/healthz` keeps answering (the service
+   survives input that would recurse a parser off its stack),
+2. submits three campaign specs from two tenants (two short jobs whose
    reports CI diffs against one-shot `repro --summary-out` goldens, plus
    one deliberately long job),
-2. streams one job's chunked JSONL event feed while it runs,
-3. cancels the long job mid-run (wave-boundary cancel, resumable
+3. streams one job's chunked JSONL event feed while it runs,
+4. cancels the long job mid-run (wave-boundary cancel, resumable
    journal),
-4. waits for the surviving jobs, fetches their reports, and
-5. asks the service to drain via `POST /shutdown`.
+5. waits for the surviving jobs, fetches their reports, and
+6. asks the service to drain via `POST /shutdown`.
 
 Every response is checked against the control plane's documented
 contract; any violation exits nonzero with a readable message.
@@ -50,10 +53,19 @@ CANCEL_SPEC = {
     ],
 }
 
+# A submission nested far past the JSON codec's depth limit.
+DEEP_BODY = "[" * 60_000
+
 
 def request(base, method, path, body=None):
-    """One HTTP exchange; returns (status, text)."""
-    data = json.dumps(body).encode() if body is not None else None
+    """One HTTP exchange; returns (status, text). A `str` body is sent
+    verbatim, anything else as JSON."""
+    if body is None:
+        data = None
+    elif isinstance(body, str):
+        data = body.encode()
+    else:
+        data = json.dumps(body).encode()
     req = urllib.request.Request(base + path, data=data, method=method)
     try:
         with urllib.request.urlopen(req, timeout=30) as resp:
@@ -112,6 +124,14 @@ def main():
     base = args.base.rstrip("/")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+
+    status, body = request(base, "POST", "/campaigns", DEEP_BODY)
+    assert status == 400, f"deeply nested body: HTTP {status}: {body[:200]}"
+    field = json.loads(body)["error"]["field"]
+    assert field == "body", f"deeply nested body rejected on field {field!r}"
+    status, body = request(base, "GET", "/healthz")
+    assert status == 200, f"healthz after the deeply nested body: HTTP {status}: {body}"
+    print("deeply nested body rejected with 400 on `body`; service still healthy")
 
     short_ids = [submit(base, spec) for spec in SHORT_SPECS]
     cancel_id = submit(base, CANCEL_SPEC)

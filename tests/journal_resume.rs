@@ -5,7 +5,8 @@
 //!
 //! The golden run, its trace and its complete journal are computed once
 //! and shared across cases; each case then truncates a private copy of the
-//! journal and resumes from it.
+//! journal and resumes from it. The same journal feeds the reader's fuzz
+//! property: hostile lines must be refused, never panicked on.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,7 +15,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
-use serscale_core::journal::{journal_path, start_or_resume};
+use serscale_core::journal::{journal_path, read_journal, start_or_resume, Record};
 use serscale_core::trace::Logbook;
 
 const SEED: u64 = 0x0010_57ED;
@@ -141,5 +142,54 @@ fn resume_of_a_complete_journal_is_a_pure_replay() {
     let (_, _, text) = golden();
     for jobs in [1, 8] {
         resume_and_check("complete", text, jobs);
+    }
+}
+
+proptest! {
+    /// The journal reader parses untrusted bytes. Arbitrary bytes, a real
+    /// record with one byte flipped, and a line nested far past the JSON
+    /// codec's depth limit are each an `Err` from `Record::parse_line`,
+    /// and mid-file they are corruption that `read_journal` refuses —
+    /// never a panic, never a stack overflow.
+    #[test]
+    fn hostile_journal_lines_are_refused_not_panicked_on(
+        noise in prop::collection::vec(any::<u8>(), 0..300),
+        line_pick in any::<usize>(),
+        byte_pick in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let (_, _, text) = golden();
+        let lines: Vec<&str> = text.lines().collect();
+        // Never the last line: a bad final line is a torn tail, which
+        // recovery drops by design.
+        let at = line_pick % (lines.len() - 1);
+        let mut flipped = lines[at].as_bytes().to_vec();
+        flipped[byte_pick % lines[at].len()] ^= mask;
+        let deep = format!("{{\"rec\":{}1,\"crc\":\"{:016x}\"}}", "[".repeat(60_000), 0);
+        let dir = case_dir("hostile");
+        std::fs::create_dir_all(&dir).expect("dir creatable");
+        for (what, hostile) in [("noise", noise), ("flipped", flipped), ("deep", deep.into_bytes())] {
+            prop_assert!(
+                Record::parse_line(&String::from_utf8_lossy(&hostile)).is_err(),
+                "{} line parsed", what
+            );
+            let mut journal = Vec::new();
+            for line in &lines[..at] {
+                journal.extend_from_slice(line.as_bytes());
+                journal.push(b'\n');
+            }
+            journal.extend_from_slice(&hostile);
+            journal.push(b'\n');
+            for line in &lines[at + 1..] {
+                journal.extend_from_slice(line.as_bytes());
+                journal.push(b'\n');
+            }
+            std::fs::write(journal_path(&dir), &journal).expect("journal writable");
+            prop_assert!(
+                read_journal(&journal_path(&dir)).is_err(),
+                "{} line mid-file was accepted", what
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
