@@ -581,9 +581,8 @@ fn run_inspect(args: &InspectArgs) -> ExitCode {
             };
             let mut out = String::new();
             for target in targets {
-                let tracker =
-                    serscale_telemetry::convergence::ConvergenceTracker::replay(&target)
-                        .map_err(|e| format!("{}: {e}", target.display()))?;
+                let tracker = serscale_telemetry::convergence::ConvergenceTracker::replay(&target)
+                    .map_err(|e| format!("{}: {e}", target.display()))?;
                 out.push_str(&tracker.snapshot().to_json());
             }
             return Ok(out);

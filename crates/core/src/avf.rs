@@ -67,11 +67,13 @@ impl FaultInjector {
     }
 
     /// Runs the injection campaign for one benchmark: every injection is a
-    /// full kernel execution with one bit flipped at random coordinates,
-    /// verdicted by bit-exact golden comparison.
+    /// kernel execution with one bit flipped at random coordinates,
+    /// verdicted by bit-exact golden comparison. Injections run on the
+    /// shared checkpointed kernel, which returns the full re-execution's
+    /// output from the nearest golden snapshot.
     pub fn estimate(&self, rng: &mut SimRng, benchmark: Benchmark) -> AvfEstimate {
-        let kernel = benchmark.kernel();
-        let golden = kernel.golden();
+        let kernel = benchmark.shared_kernel();
+        let golden = benchmark.shared_golden();
         let mut corruptions = 0u32;
         for _ in 0..self.injections_per_benchmark {
             let corruption = Corruption::new(
@@ -79,7 +81,7 @@ impl FaultInjector {
                 rng.below(1 << 20) as usize,
                 rng.below(64) as u8,
             );
-            if !kernel.run_corrupted(corruption).matches(&golden) {
+            if !kernel.run_corrupted(corruption).matches(golden) {
                 corruptions += 1;
             }
         }
@@ -165,8 +167,8 @@ impl FaultInjector {
         rng: &mut SimRng,
         benchmark: Benchmark,
     ) -> Vec<(BitClass, AvfEstimate)> {
-        let kernel = benchmark.kernel();
-        let golden = kernel.golden();
+        let kernel = benchmark.shared_kernel();
+        let golden = benchmark.shared_golden();
         BitClass::ALL
             .into_iter()
             .map(|class| {
@@ -178,7 +180,7 @@ impl FaultInjector {
                         class_rng.below(1 << 20) as usize,
                         class.sample_bit(&mut class_rng),
                     );
-                    if !kernel.run_corrupted(corruption).matches(&golden) {
+                    if !kernel.run_corrupted(corruption).matches(golden) {
                         corruptions += 1;
                     }
                 }

@@ -27,13 +27,14 @@
 //! ([`serscale_core::trace::SessionObserver`]), which fire single-threaded
 //! in trial order at any `--jobs`. All of its state is integer counts
 //! plus one `f64` live-time accumulator per operating point, summed in
-//! session order — the same order the journal records. [`replay`] walks
-//! `journal.jsonl` through the identical arithmetic (`clock += wall_s`
-//! per trial, including quarantined ones, which advance the clock but
-//! carry no events), so the offline snapshot is **bit-identical** to the
-//! live endpoint's final one. `tests/convergence_live.rs` enforces this
-//! end to end, and the `streaming-garwood` verify oracle pins the
-//! streaming counts to `serscale-stats`' batch Garwood implementation.
+//! session order — the same order the journal records.
+//! [`ConvergenceTracker::replay`] walks `journal.jsonl` through the
+//! identical arithmetic (`clock += wall_s` per trial, including
+//! quarantined ones, which advance the clock but carry no events), so
+//! the offline snapshot is **bit-identical** to the live endpoint's final
+//! one. `tests/convergence_live.rs` enforces this end to end, and the
+//! `streaming-garwood` verify oracle pins the streaming counts to
+//! `serscale-stats`' batch Garwood implementation.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -155,10 +156,7 @@ impl ConvergenceTracker {
     /// One EDAC record landed in the current trial.
     pub fn edac(&mut self, array: ArrayKind, severity: EdacSeverity) {
         let Some(index) = self.current else { return };
-        let cell = self.points[index]
-            .cells
-            .entry(array)
-            .or_insert_with(CellCounts::default);
+        let cell = self.points[index].cells.entry(array).or_default();
         match severity {
             EdacSeverity::Corrected => cell.masked += 1,
             EdacSeverity::Uncorrected => {
@@ -249,7 +247,12 @@ impl ConvergenceTracker {
 }
 
 /// Estimates one cell from its counts and the point's live time.
-fn estimate_cell(array: ArrayKind, counts: CellCounts, live_secs: f64, trials: u64) -> CellEstimate {
+fn estimate_cell(
+    array: ArrayKind,
+    counts: CellCounts,
+    live_secs: f64,
+    trials: u64,
+) -> CellEstimate {
     let events = counts.events();
     let hours = live_secs / 3600.0;
     let (rate, ci_lower, ci_upper) = if live_secs > 0.0 {
@@ -426,7 +429,7 @@ impl ConvergenceSnapshot {
                 if cell.events == 0 {
                     continue;
                 }
-                if best.map_or(true, |(_, b)| cell.rel_halfwidth > b.rel_halfwidth) {
+                if best.is_none_or(|(_, b)| cell.rel_halfwidth > b.rel_halfwidth) {
                     best = Some((point, cell));
                 }
             }
@@ -460,10 +463,9 @@ impl ConvergenceSnapshot {
                     json::number(cell.rel_halfwidth)
                 ));
                 match cell.projected_seconds {
-                    Some(s) => out.push_str(&format!(
-                        ",\"projected_seconds\":{}}}",
-                        json::number(s)
-                    )),
+                    Some(s) => {
+                        out.push_str(&format!(",\"projected_seconds\":{}}}", json::number(s)))
+                    }
                     None => out.push_str(",\"projected_seconds\":null}"),
                 }
             }
@@ -523,17 +525,11 @@ impl ConvergenceSnapshot {
                     None => out.push_str(",\"events_to_target\":null"),
                 }
                 match cell.projected_trials {
-                    Some(t) => out.push_str(&format!(
-                        ",\"projected_trials\":{}",
-                        json::number(t)
-                    )),
+                    Some(t) => out.push_str(&format!(",\"projected_trials\":{}", json::number(t))),
                     None => out.push_str(",\"projected_trials\":null"),
                 }
                 match cell.projected_seconds {
-                    Some(s) => out.push_str(&format!(
-                        ",\"projected_seconds\":{}",
-                        json::number(s)
-                    )),
+                    Some(s) => out.push_str(&format!(",\"projected_seconds\":{}", json::number(s))),
                     None => out.push_str(",\"projected_seconds\":null"),
                 }
                 out.push('}');

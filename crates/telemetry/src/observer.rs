@@ -429,7 +429,8 @@ impl TelemetryObserver {
         }
         if self.convergence_headline.is_none() {
             self.convergence_headline = Some((
-                self.registry.gauge(&self.shard, "convergence_cells_total", &[]),
+                self.registry
+                    .gauge(&self.shard, "convergence_cells_total", &[]),
                 self.registry
                     .gauge(&self.shard, "convergence_resolved_cells", &[]),
             ));

@@ -16,6 +16,10 @@
 //! identical event traces. Any divergence — a speculation leak past a
 //! stopping rule, a merge reordering, a worker-count-dependent draw —
 //! shows up here as an inequality, with no statistics needed.
+//!
+//! Below the engines, the kernels have two paths too: the checkpointed
+//! kernels the runner uses resume corrupted runs from golden snapshots,
+//! and [`KernelResumeEquivalence`] holds them to the full re-execution.
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
 use serscale_core::dut::DeviceUnderTest;
@@ -26,6 +30,7 @@ use serscale_soc::platform::OperatingPoint;
 use serscale_soc::{PlatformSpec, RawPlatformSpec};
 use serscale_stats::SimRng;
 use serscale_types::{Flux, SimDuration};
+use serscale_workload::{Benchmark, Corruption, Kernel};
 
 use crate::oracle::{CheckResult, OracleContext, OracleFamily, OracleReport, StatOracle};
 
@@ -352,6 +357,85 @@ impl StatOracle for PlatformEquivalence {
     }
 }
 
+/// The checkpointed kernels behind `Benchmark::shared_kernel()` return
+/// exactly the output of a full re-execution (`Benchmark::kernel()`) for
+/// corruptions drawn the way the trial runner draws them.
+pub struct KernelResumeEquivalence;
+
+/// Corruptions per benchmark per budget seed.
+const RESUME_SAMPLES_PER_SEED: u64 = 20;
+
+/// Compares `candidate` with the full re-execution `reference` on every
+/// corruption: one check, failing at the first differing output.
+fn resume_check(
+    label: &str,
+    reference: &dyn Kernel,
+    candidate: &dyn Kernel,
+    corruptions: &[Corruption],
+) -> CheckResult {
+    let golden = reference.golden();
+    let mut masked = 0;
+    for (k, &corruption) in corruptions.iter().enumerate() {
+        let full = reference.run_corrupted(corruption);
+        if candidate.run_corrupted(corruption) != full {
+            return CheckResult::new(
+                label,
+                false,
+                format!("corruption {k} ({corruption:?}) diverged from the full re-execution"),
+            );
+        }
+        masked += usize::from(full.matches(&golden));
+    }
+    CheckResult::new(
+        label,
+        true,
+        format!(
+            "{} corruptions identical to the full re-execution ({masked} masked)",
+            corruptions.len()
+        ),
+    )
+}
+
+impl StatOracle for KernelResumeEquivalence {
+    fn name(&self) -> &'static str {
+        "kernel-resume-equivalence"
+    }
+
+    fn family(&self) -> OracleFamily {
+        OracleFamily::Differential
+    }
+
+    fn claim(&self) -> &'static str {
+        "Checkpointed kernel runs return the full re-execution's output bit for bit"
+    }
+
+    fn run(&self, ctx: &OracleContext) -> OracleReport {
+        let samples = RESUME_SAMPLES_PER_SEED * ctx.budget.seeds;
+        let checks = Benchmark::ALL
+            .into_iter()
+            .map(|benchmark| {
+                let mut rng = SimRng::seed_from(ctx.probe_seed(self.name(), benchmark as u64));
+                let corruptions: Vec<Corruption> = (0..samples)
+                    .map(|_| {
+                        Corruption::new(
+                            rng.uniform_in(0.0, 0.999),
+                            rng.below(1 << 20) as usize,
+                            rng.below(64) as u8,
+                        )
+                    })
+                    .collect();
+                resume_check(
+                    &format!("resume-{}", benchmark.name().to_lowercase()),
+                    benchmark.kernel().as_ref(),
+                    benchmark.shared_kernel(),
+                    &corruptions,
+                )
+            })
+            .collect();
+        self.report(checks)
+    }
+}
+
 /// Where [`ResumeEquivalence`] cuts the journal before resuming.
 enum TruncationPoint {
     /// Keep this fraction of complete records (a clean crash between
@@ -444,5 +528,51 @@ mod tests {
     fn platforms_agree() {
         let report = PlatformEquivalence.run(&ctx());
         assert!(report.passed(), "{:#?}", report.checks);
+    }
+
+    #[test]
+    fn kernel_resume_agrees() {
+        let report = KernelResumeEquivalence.run(&ctx());
+        assert!(report.passed(), "{:#?}", report.checks);
+        assert_eq!(report.checks.len(), Benchmark::ALL.len());
+    }
+
+    /// A broken resume path that calls every flip in the second half of
+    /// the run masked.
+    struct LateFlipsMasked(Benchmark);
+
+    impl Kernel for LateFlipsMasked {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn run(&self) -> serscale_workload::KernelOutput {
+            self.0.shared_golden().clone()
+        }
+
+        fn run_corrupted(&self, corruption: Corruption) -> serscale_workload::KernelOutput {
+            if corruption.at_fraction >= 0.5 {
+                self.run()
+            } else {
+                self.0.shared_kernel().run_corrupted(corruption)
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_resume_check_catches_a_lossy_resume() {
+        let corruptions: Vec<Corruption> = (0..8)
+            .map(|k| Corruption::new(0.1 + 0.11 * f64::from(k), 1000 + 37 * k as usize, 62))
+            .collect();
+        let lu = Benchmark::Lu;
+        let honest = resume_check("lu", lu.kernel().as_ref(), lu.shared_kernel(), &corruptions);
+        assert!(honest.passed, "{honest:?}");
+        let broken = resume_check(
+            "lu",
+            lu.kernel().as_ref(),
+            &LateFlipsMasked(lu),
+            &corruptions,
+        );
+        assert!(!broken.passed, "{broken:?}");
     }
 }

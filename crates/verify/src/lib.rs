@@ -19,9 +19,11 @@
 //!   the parallel engine at several worker counts must agree bit for bit,
 //!   reports and event traces alike; an interrupted-then-resumed
 //!   journaled campaign must reproduce the uninterrupted run exactly,
-//!   including across a torn journal tail; and the batched arrival
-//!   sampler must consume RNG streams draw-for-draw identically to the
-//!   per-event reference physics across random operating points; and the
+//!   including across a torn journal tail; the checkpointed kernels must
+//!   return the full re-execution's output for sampled corruptions; the
+//!   batched arrival sampler must consume RNG streams draw-for-draw
+//!   identically to the per-event reference physics across random
+//!   operating points; and the
 //!   convergence plane's streamed Garwood intervals ([`convergence`])
 //!   must be bit-identical to `serscale-stats`' batch implementation on
 //!   identical counts.
@@ -77,6 +79,7 @@ pub fn default_suite() -> Vec<Box<dyn StatOracle>> {
         Box::new(differential::TraceEquivalence),
         Box::new(differential::ResumeEquivalence),
         Box::new(differential::PlatformEquivalence),
+        Box::new(differential::KernelResumeEquivalence),
         Box::new(sampler::SamplerEquivalence),
         Box::new(convergence::StreamingGarwood),
         Box::new(ecc::SecdedExhaustive),

@@ -5,32 +5,42 @@
 //! final residual norm and solution statistics. Mirrors NPB CG's role of
 //! stressing irregular memory access and inner products.
 
-use crate::kernel::{Corruption, Kernel, KernelOutput};
+use crate::kernel::{same_bits, Corruption, KernelOutput};
+use crate::stepped::Stepped;
 
 /// The CG kernel configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cg {
     /// Grid side; the system has `side²` unknowns.
     side: usize,
     /// Number of CG iterations.
     iterations: usize,
+    /// The deterministic right-hand side `b`.
+    b: Vec<f64>,
+}
+
+/// The vectors and scalar CG carries from one iteration to the next.
+#[derive(Debug, Clone)]
+pub struct CgState {
+    /// The solution estimate — the kernel's long-lived state.
+    x: Vec<f64>,
+    /// The residual `b − A·x`.
+    r: Vec<f64>,
+    /// The search direction.
+    p: Vec<f64>,
+    /// `r·r`.
+    rr: f64,
 }
 
 impl Cg {
-    /// A miniature class-A-shaped instance (1024 unknowns, 25 iterations).
+    /// A miniature class-A-shaped instance (1024 unknowns, 60 iterations).
     pub fn class_a() -> Self {
-        Cg {
-            side: 32,
-            iterations: 60,
-        }
+        Cg::new(32, 60)
     }
 
     /// A tiny instance for tests.
     pub fn tiny() -> Self {
-        Cg {
-            side: 8,
-            iterations: 10,
-        }
+        Cg::new(8, 10)
     }
 
     /// Creates an instance with explicit size.
@@ -41,7 +51,14 @@ impl Cg {
     pub fn new(side: usize, iterations: usize) -> Self {
         assert!(side >= 2, "grid side must be at least 2");
         assert!(iterations > 0, "need at least one iteration");
-        Cg { side, iterations }
+        let b = (0..side * side)
+            .map(|i| 1.0 + (i % 7) as f64 * 0.125)
+            .collect();
+        Cg {
+            side,
+            iterations,
+            b,
+        }
     }
 
     /// Applies the 2-D five-point Laplacian: `y = A·x`.
@@ -67,74 +84,87 @@ impl Cg {
             }
         }
     }
+}
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
-        let n = self.side * self.side;
-        // Deterministic right-hand side.
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect();
+impl Stepped for Cg {
+    type State = CgState;
+    const NAME: &'static str = "CG";
 
-        let mut x = vec![0.0f64; n];
-        let mut r = b.clone();
-        let mut p = r.clone();
-        let mut ap = vec![0.0f64; n];
-        let mut rr: f64 = r.iter().map(|v| v * v).sum();
-        let inject_at = corruption.map(|c| c.iteration(self.iterations));
+    fn steps(&self) -> usize {
+        self.iterations
+    }
 
-        for it in 0..self.iterations {
-            if inject_at == Some(it) {
-                if let Some(c) = corruption {
-                    // The solution vector is the kernel's long-lived state.
-                    c.apply(&mut x);
-                }
-            }
-            self.apply_laplacian(&p, &mut ap);
-            let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-            if pap.abs() < 1e-300 {
-                break;
-            }
-            let alpha = rr / pap;
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-            let rr_new: f64 = r.iter().map(|v| v * v).sum();
-            let beta = rr_new / rr;
-            rr = rr_new;
-            for i in 0..n {
-                p[i] = r[i] + beta * p[i];
-            }
+    fn init(&self) -> CgState {
+        let r = self.b.clone();
+        let p = r.clone();
+        let rr: f64 = r.iter().map(|v| v * v).sum();
+        CgState {
+            x: vec![0.0f64; self.b.len()],
+            r,
+            p,
+            rr,
         }
+    }
 
+    fn step(&self, state: &mut CgState, _: usize) -> bool {
+        let CgState { x, r, p, rr } = state;
+        let n = x.len();
+        let mut ap = vec![0.0f64; n];
+        self.apply_laplacian(p, &mut ap);
+        let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
+        if pap.abs() < 1e-300 {
+            return false;
+        }
+        let alpha = *rr / pap;
+        for i in 0..n {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * ap[i];
+        }
+        let rr_new: f64 = r.iter().map(|v| v * v).sum();
+        let beta = rr_new / *rr;
+        *rr = rr_new;
+        for i in 0..n {
+            p[i] = r[i] + beta * p[i];
+        }
+        true
+    }
+
+    fn inject(&self, state: &mut CgState, corruption: Corruption) -> bool {
+        corruption.apply(&mut state.x)
+    }
+
+    fn finish(&self, state: CgState) -> KernelOutput {
+        let x = state.x;
         // True residual from the (possibly corrupted) solution.
-        self.apply_laplacian(&x, &mut ap);
-        let residual: f64 = b
+        let mut ax = vec![0.0f64; x.len()];
+        self.apply_laplacian(&x, &mut ax);
+        let residual: f64 = self
+            .b
             .iter()
-            .zip(&ap)
+            .zip(&ax)
             .map(|(bi, axi)| (bi - axi) * (bi - axi))
             .sum::<f64>()
             .sqrt();
         let xsum: f64 = x.iter().sum();
         KernelOutput::new(vec![residual, xsum], x)
     }
-}
 
-impl Kernel for Cg {
-    fn name(&self) -> &'static str {
-        "CG"
+    fn same(a: &CgState, b: &CgState) -> bool {
+        a.rr.to_bits() == b.rr.to_bits()
+            && same_bits(&a.x, &b.x)
+            && same_bits(&a.r, &b.r)
+            && same_bits(&a.p, &b.p)
     }
 
-    fn run(&self) -> KernelOutput {
-        self.run_impl(None)
-    }
-
-    fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+    fn bytes(state: &CgState) -> usize {
+        8 * (state.x.len() + state.r.len() + state.p.len() + 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel;
 
     #[test]
     fn deterministic() {

@@ -6,7 +6,8 @@
 //! Output: the two sums plus the ten annulus counts — exactly what real EP
 //! verifies against reference values.
 
-use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
+use crate::kernel::{same_bits, Corruption, KernelOutput, NpbRandom};
+use crate::stepped::Stepped;
 
 /// The EP kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,56 +45,72 @@ impl Ep {
         assert!(pairs > 0, "EP needs at least one pair");
         Ep { pairs, seed }
     }
-
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
-        // Working state: [sx, sy, q0..q9] — the accumulators a strike can
-        // corrupt.
-        let mut state = [0.0f64; 12];
-        let mut rng = NpbRandom::new(self.seed);
-        let inject_at = corruption.map(|c| c.iteration(self.pairs as usize));
-
-        for i in 0..self.pairs as usize {
-            if inject_at == Some(i) {
-                if let Some(c) = corruption {
-                    c.apply(&mut state);
-                }
-            }
-            let x = 2.0 * rng.next_f64() - 1.0;
-            let y = 2.0 * rng.next_f64() - 1.0;
-            let t = x * x + y * y;
-            if t <= 1.0 && t > 0.0 {
-                let factor = ((-2.0 * t.ln()) / t).sqrt();
-                let gx = x * factor;
-                let gy = y * factor;
-                state[0] += gx;
-                state[1] += gy;
-                let l = gx.abs().max(gy.abs()) as usize;
-                if l < 10 {
-                    state[2 + l] += 1.0;
-                }
-            }
-        }
-        KernelOutput::new(vec![state[0], state[1]], state)
-    }
 }
 
-impl Kernel for Ep {
-    fn name(&self) -> &'static str {
-        "EP"
+/// EP's accumulators `[sx, sy, q0..q9]` — the words a strike can
+/// corrupt — and its position in the input stream.
+#[derive(Debug, Clone)]
+pub struct EpState {
+    sums: [f64; 12],
+    rng: NpbRandom,
+}
+
+impl Stepped for Ep {
+    type State = EpState;
+    const NAME: &'static str = "EP";
+
+    fn steps(&self) -> usize {
+        self.pairs as usize
     }
 
-    fn run(&self) -> KernelOutput {
-        self.run_impl(None)
+    fn init(&self) -> EpState {
+        EpState {
+            sums: [0.0f64; 12],
+            rng: NpbRandom::new(self.seed),
+        }
     }
 
-    fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+    fn step(&self, state: &mut EpState, _: usize) -> bool {
+        let EpState { sums, rng } = state;
+        let x = 2.0 * rng.next_f64() - 1.0;
+        let y = 2.0 * rng.next_f64() - 1.0;
+        let t = x * x + y * y;
+        if t <= 1.0 && t > 0.0 {
+            let factor = ((-2.0 * t.ln()) / t).sqrt();
+            let gx = x * factor;
+            let gy = y * factor;
+            sums[0] += gx;
+            sums[1] += gy;
+            let l = gx.abs().max(gy.abs()) as usize;
+            if l < 10 {
+                sums[2 + l] += 1.0;
+            }
+        }
+        true
+    }
+
+    fn inject(&self, state: &mut EpState, corruption: Corruption) -> bool {
+        corruption.apply(&mut state.sums)
+    }
+
+    fn finish(&self, state: EpState) -> KernelOutput {
+        let sums = state.sums;
+        KernelOutput::new(vec![sums[0], sums[1]], sums)
+    }
+
+    fn same(a: &EpState, b: &EpState) -> bool {
+        a.rng == b.rng && same_bits(&a.sums, &b.sums)
+    }
+
+    fn bytes(_: &EpState) -> usize {
+        std::mem::size_of::<EpState>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel;
 
     #[test]
     fn deterministic() {

@@ -6,7 +6,8 @@
 //! accumulate a checksum per step. Exercises strided memory access across
 //! all three dimensions.
 
-use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
+use crate::kernel::{same_bits, Corruption, KernelOutput, NpbRandom};
+use crate::stepped::Stepped;
 
 /// The FT kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +42,25 @@ impl Ft {
         assert!(steps > 0, "need at least one step");
         Ft { side, steps }
     }
+}
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
+/// FT's spectral working state and the checksums of the steps so far.
+#[derive(Debug, Clone)]
+pub struct FtState {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    checksums: Vec<f64>,
+}
+
+impl Stepped for Ft {
+    type State = FtState;
+    const NAME: &'static str = "FT";
+
+    fn steps(&self) -> usize {
+        self.steps
+    }
+
+    fn init(&self) -> FtState {
         let n = self.side;
         let total = n * n * n;
         // Interleaved re/im working state.
@@ -53,32 +71,45 @@ impl Ft {
             re[i] = rng.next_f64() - 0.5;
             im[i] = rng.next_f64() - 0.5;
         }
-
         forward_3d(&mut re, &mut im, n);
-
-        let inject_at = corruption.map(|c| c.iteration(self.steps));
-        let mut checksums = Vec::with_capacity(self.steps * 2);
-        for step in 0..self.steps {
-            if inject_at == Some(step) {
-                if let Some(c) = corruption {
-                    // Hit the spectral working state.
-                    c.apply(&mut re);
-                }
-            }
-            // Evolve: multiply each mode by exp(-t·k²)-style damping.
-            evolve(&mut re, &mut im, n, (step + 1) as f64 * 1.0e-4);
-            // Inverse-transform a copy and fold its checksum, as NPB FT
-            // checksums each time step.
-            let mut cre = re.clone();
-            let mut cim = im.clone();
-            inverse_3d(&mut cre, &mut cim, n);
-            let (sre, sim) = checksum(&cre, &cim, n);
-            checksums.push(sre);
-            checksums.push(sim);
+        FtState {
+            re,
+            im,
+            checksums: Vec::with_capacity(self.steps * 2),
         }
+    }
 
-        let values = checksums.clone();
-        KernelOutput::new(values, re.into_iter().chain(im))
+    fn step(&self, state: &mut FtState, step: usize) -> bool {
+        let n = self.side;
+        // Evolve: multiply each mode by exp(-t·k²)-style damping.
+        evolve(&mut state.re, &mut state.im, n, (step + 1) as f64 * 1.0e-4);
+        // Inverse-transform a copy and fold its checksum, as NPB FT
+        // checksums each time step.
+        let mut cre = state.re.clone();
+        let mut cim = state.im.clone();
+        inverse_3d(&mut cre, &mut cim, n);
+        let (sre, sim) = checksum(&cre, &cim, n);
+        state.checksums.push(sre);
+        state.checksums.push(sim);
+        true
+    }
+
+    fn inject(&self, state: &mut FtState, corruption: Corruption) -> bool {
+        // Hit the spectral working state.
+        corruption.apply(&mut state.re)
+    }
+
+    fn finish(&self, state: FtState) -> KernelOutput {
+        let FtState { re, im, checksums } = state;
+        KernelOutput::new(checksums, re.into_iter().chain(im))
+    }
+
+    fn same(a: &FtState, b: &FtState) -> bool {
+        same_bits(&a.re, &b.re) && same_bits(&a.im, &b.im) && same_bits(&a.checksums, &b.checksums)
+    }
+
+    fn bytes(state: &FtState) -> usize {
+        8 * (state.re.len() + state.im.len() + state.checksums.len())
     }
 }
 
@@ -201,23 +232,10 @@ fn inverse_3d(re: &mut [f64], im: &mut [f64], n: usize) {
     transform_3d(re, im, n, true);
 }
 
-impl Kernel for Ft {
-    fn name(&self) -> &'static str {
-        "FT"
-    }
-
-    fn run(&self) -> KernelOutput {
-        self.run_impl(None)
-    }
-
-    fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel;
 
     #[test]
     fn deterministic() {

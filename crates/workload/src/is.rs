@@ -6,7 +6,8 @@
 //! memoization), and verify that the final ranking is a valid sort. The
 //! output carries the ranking checksum the golden comparison inspects.
 
-use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
+use crate::kernel::{same_bits, Corruption, KernelOutput, NpbRandom};
+use crate::stepped::Stepped;
 
 /// The IS kernel configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,92 +65,116 @@ impl Is {
         self.initial_keys.clone()
     }
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
-        let mut keys = self.generate_keys();
-        let inject_at = corruption.map(|c| c.iteration(self.iterations));
-
+    /// Counting sort of `keys` into per-value counts.
+    fn count(&self, keys: &[u64]) -> Vec<u64> {
         let mut counts = vec![0u64; self.range as usize];
-        let mut partial_checksums = Vec::with_capacity(self.iterations);
-
-        for it in 0..self.iterations {
-            if inject_at == Some(it) {
-                if let Some(c) = corruption {
-                    c.apply_u64(&mut keys);
-                    // Keys must stay in range after a flip — real IS would
-                    // index out of bounds and crash; we clamp and let the
-                    // ranking checksum catch the corruption instead, which
-                    // keeps the SDC (rather than crash) path exercised.
-                    for k in keys.iter_mut() {
-                        if *k >= self.range {
-                            *k %= self.range;
-                        }
-                    }
-                }
-            }
-            // NPB IS perturbs two keys each iteration.
-            let a = it % self.keys;
-            let b = (it * 31 + 7) % self.keys;
-            keys[a] = (keys[a] + it as u64) % self.range;
-            keys[b] = (keys[b] + self.range / 2) % self.range;
-
-            // Counting sort (ranking).
-            for c in counts.iter_mut() {
-                *c = 0;
-            }
-            for &k in &keys {
-                counts[k as usize] += 1;
-            }
-            // Prefix sum gives the rank of the first key with each value.
-            let mut acc = 0u64;
-            for c in counts.iter_mut() {
-                let v = *c;
-                *c = acc;
-                acc += v;
-            }
-            // Fold a checksum of a few ranks, like IS's partial verify.
-            let probe = keys[(it * 131) % self.keys];
-            partial_checksums.push(counts[probe as usize] as f64);
-        }
-
-        // Full verification pass: materialize the sorted permutation and
-        // check order. A counting sort over the (bounded) key range yields
-        // the identical ascending sequence a comparison sort would.
-        for c in counts.iter_mut() {
-            *c = 0;
-        }
-        for &k in &keys {
+        for &k in keys {
             counts[k as usize] += 1;
         }
-        let mut sorted = Vec::with_capacity(keys.len());
-        for (value, &count) in counts.iter().enumerate() {
-            sorted.extend(std::iter::repeat_n(value as u64, count as usize));
+        counts
+    }
+}
+
+/// The key array IS ranks and the partial-verification checksums of the
+/// iterations so far.
+#[derive(Debug, Clone)]
+pub struct IsState {
+    keys: Vec<u64>,
+    partial_checksums: Vec<f64>,
+}
+
+impl Stepped for Is {
+    type State = IsState;
+    const NAME: &'static str = "IS";
+
+    fn steps(&self) -> usize {
+        self.iterations
+    }
+
+    fn init(&self) -> IsState {
+        IsState {
+            keys: self.generate_keys(),
+            partial_checksums: Vec::with_capacity(self.iterations),
         }
-        let is_sorted = sorted.windows(2).all(|w| w[0] <= w[1]);
+    }
+
+    fn step(&self, state: &mut IsState, it: usize) -> bool {
+        let keys = &mut state.keys;
+        // NPB IS perturbs two keys each iteration.
+        let a = it % self.keys;
+        let b = (it * 31 + 7) % self.keys;
+        keys[a] = (keys[a] + it as u64) % self.range;
+        keys[b] = (keys[b] + self.range / 2) % self.range;
+
+        // Counting sort (ranking).
+        let mut counts = self.count(keys);
+        // Prefix sum gives the rank of the first key with each value.
+        let mut acc = 0u64;
+        for c in counts.iter_mut() {
+            let v = *c;
+            *c = acc;
+            acc += v;
+        }
+        // Fold a checksum of a few ranks, like IS's partial verify.
+        let probe = keys[(it * 131) % self.keys];
+        state.partial_checksums.push(counts[probe as usize] as f64);
+        true
+    }
+
+    fn inject(&self, state: &mut IsState, corruption: Corruption) -> bool {
+        let keys = &mut state.keys;
+        let word = corruption.word % keys.len();
+        let before = keys[word];
+        corruption.apply_u64(keys);
+        // Keys must stay in range after a flip — real IS would index out
+        // of bounds and crash; we clamp and let the ranking checksum catch
+        // the corruption instead, which keeps the SDC (rather than crash)
+        // path exercised. Every other key is already in range. With a
+        // power-of-two range, a flip above the range's bits clamps back
+        // to the key it hit.
+        if keys[word] >= self.range {
+            keys[word] %= self.range;
+        }
+        keys[word] != before
+    }
+
+    fn finish(&self, state: IsState) -> KernelOutput {
+        let IsState {
+            keys,
+            partial_checksums,
+        } = state;
+        // Full verification pass: walk the sorted permutation and check
+        // order. A counting sort over the (bounded) key range yields the
+        // identical ascending sequence a comparison sort would, so the
+        // sequence is read straight from the counts.
+        let counts = self.count(&keys);
+        let sorted = || {
+            counts
+                .iter()
+                .enumerate()
+                .flat_map(|(value, &count)| std::iter::repeat_n(value as u64, count as usize))
+        };
+        let is_sorted = sorted().is_sorted();
         let key_sum: u64 = keys.iter().sum();
 
         let mut values = vec![if is_sorted { 1.0 } else { 0.0 }, key_sum as f64];
         values.extend(&partial_checksums);
-        KernelOutput::new(values, sorted.into_iter().map(|k| k as f64))
-    }
-}
-
-impl Kernel for Is {
-    fn name(&self) -> &'static str {
-        "IS"
+        KernelOutput::new(values, sorted().map(|k| k as f64))
     }
 
-    fn run(&self) -> KernelOutput {
-        self.run_impl(None)
+    fn same(a: &IsState, b: &IsState) -> bool {
+        a.keys == b.keys && same_bits(&a.partial_checksums, &b.partial_checksums)
     }
 
-    fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+    fn bytes(state: &IsState) -> usize {
+        8 * (state.keys.len() + state.partial_checksums.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel;
 
     #[test]
     fn deterministic() {

@@ -8,8 +8,9 @@ use std::fmt;
 ///
 /// Two outputs compare equal exactly when the computation produced
 /// bit-identical results — the golden-comparison SDC detector of the
-/// paper's test flow (§3.6).
-#[derive(Debug, Clone, PartialEq)]
+/// paper's test flow (§3.6). Values compare by bit pattern, so two runs
+/// that both end in the same NaN are equal.
+#[derive(Debug, Clone)]
 pub struct KernelOutput {
     /// Headline result values (residual norms, counts, checksums — kernel
     /// specific).
@@ -49,6 +50,20 @@ impl KernelOutput {
     pub fn matches(&self, golden: &KernelOutput) -> bool {
         self == golden
     }
+}
+
+impl PartialEq for KernelOutput {
+    fn eq(&self, other: &Self) -> bool {
+        self.checksum == other.checksum && same_bits(&self.values, &other.values)
+    }
+}
+
+impl Eq for KernelOutput {}
+
+/// Whether two f64 slices hold the same bit patterns (`-0.0` and `0.0`
+/// differ; equal NaNs match).
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl fmt::Display for KernelOutput {
@@ -91,13 +106,15 @@ impl Corruption {
         }
     }
 
-    /// Applies this corruption to a slice of f64 state.
-    pub fn apply(&self, state: &mut [f64]) {
+    /// Applies this corruption to a slice of f64 state. Returns whether a
+    /// bit flipped, which it does unless the state is empty.
+    pub fn apply(&self, state: &mut [f64]) -> bool {
         if state.is_empty() {
-            return;
+            return false;
         }
         let idx = self.word % state.len();
         state[idx] = f64::from_bits(state[idx].to_bits() ^ (1u64 << self.bit));
+        true
     }
 
     /// The main-loop iteration (out of `total`) at which to inject.
@@ -142,7 +159,7 @@ pub trait Kernel {
 /// A deterministic pseudo-random stream used by kernels for input
 /// generation — NPB-style linear congruential (matches the spirit of NPB's
 /// `randlc`, not its exact constants).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NpbRandom {
     state: u64,
 }
@@ -185,6 +202,18 @@ mod tests {
         assert!(a.matches(&b));
         let c = KernelOutput::new(vec![1.0, 2.0], [3.0, f64::from_bits(4.0f64.to_bits() ^ 1)]);
         assert!(!a.matches(&c));
+    }
+
+    #[test]
+    fn output_equality_compares_bit_patterns() {
+        let nan = KernelOutput::new(vec![f64::NAN], [1.0]);
+        assert_eq!(nan, nan.clone(), "identical runs ending in NaN are equal");
+        let zero = KernelOutput::new(vec![0.0], []);
+        let negative_zero = KernelOutput {
+            values: vec![-0.0],
+            checksum: zero.checksum,
+        };
+        assert_ne!(zero, negative_zero);
     }
 
     #[test]

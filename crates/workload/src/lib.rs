@@ -19,6 +19,11 @@
 //! comparison) or doesn't (logical masking — which is why SER studies need
 //! per-workload AVFs at all).
 //!
+//! Each kernel is written as one main loop over explicit state
+//! ([`stepped::Stepped`]). [`Benchmark::kernel`] re-executes a corrupted
+//! run in full; [`Benchmark::shared_kernel`] resumes it from golden
+//! checkpoints ([`stepped::Checkpointed`]) and returns the same output.
+//!
 //! ## Profiles
 //!
 //! [`profile::WorkloadProfile`] carries the measurable per-benchmark
@@ -51,6 +56,7 @@ pub mod lu;
 pub mod mg;
 pub mod parallel;
 pub mod profile;
+pub mod stepped;
 pub mod virus;
 
 pub use kernel::{Corruption, Kernel, KernelOutput};

@@ -6,15 +6,19 @@
 //! over-relaxation factor) over a 2-D Poisson problem, reporting the
 //! residual norm trajectory like LU's verification stage.
 
-use crate::kernel::{Corruption, Kernel, KernelOutput};
+use crate::kernel::{same_bits, Corruption, KernelOutput};
+use crate::stepped::Stepped;
 
 /// The LU kernel configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lu {
     /// Grid side; the system has `side²` unknowns.
     side: usize,
     /// SSOR sweeps.
     sweeps: usize,
+    /// The forcing term, fixed for the whole solve: tabulated once so the
+    /// two transcendentals per point stay out of every sweep.
+    rhs: Vec<f64>,
 }
 
 /// The over-relaxation factor (NPB LU uses ω = 1.2).
@@ -23,18 +27,12 @@ const OMEGA: f64 = 1.2;
 impl Lu {
     /// A miniature class-A-shaped instance (64×64 grid, 30 sweeps).
     pub fn class_a() -> Self {
-        Lu {
-            side: 64,
-            sweeps: 30,
-        }
+        Lu::new(64, 30)
     }
 
     /// A tiny instance for tests.
     pub fn tiny() -> Self {
-        Lu {
-            side: 12,
-            sweeps: 8,
-        }
+        Lu::new(12, 8)
     }
 
     /// Creates an instance with explicit size.
@@ -45,19 +43,15 @@ impl Lu {
     pub fn new(side: usize, sweeps: usize) -> Self {
         assert!(side >= 3, "grid side must be at least 3");
         assert!(sweeps > 0, "need at least one sweep");
-        Lu { side, sweeps }
+        let rhs = (0..side * side)
+            .map(|idx| forcing(side, idx / side, idx % side))
+            .collect();
+        Lu { side, sweeps, rhs }
     }
 
-    fn rhs(&self, i: usize, j: usize) -> f64 {
-        // A smooth deterministic forcing term.
-        let n = self.side as f64;
-        let x = i as f64 / n;
-        let y = j as f64 / n;
-        (std::f64::consts::PI * x).sin() * (std::f64::consts::PI * y).sin()
-    }
-
-    fn residual_norm(&self, u: &[f64], rhs: &[f64]) -> f64 {
+    fn residual_norm(&self, u: &[f64]) -> f64 {
         let n = self.side;
+        let rhs = &self.rhs;
         let mut sum = 0.0;
         for i in 1..n - 1 {
             for j in 1..n - 1 {
@@ -69,67 +63,88 @@ impl Lu {
         }
         sum.sqrt()
     }
+}
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
-        let n = self.side;
-        let mut u = vec![0.0f64; n * n];
-        // The forcing term is fixed for the whole solve; tabulating it once
-        // keeps the two transcendentals per point out of every sweep (the
-        // values are the identical `sin·sin` expression either way).
-        let rhs: Vec<f64> = (0..n * n).map(|idx| self.rhs(idx / n, idx % n)).collect();
-        let inject_at = corruption.map(|c| c.iteration(self.sweeps));
-        let mut residuals = Vec::with_capacity(self.sweeps);
+/// A smooth deterministic forcing term.
+fn forcing(side: usize, i: usize, j: usize) -> f64 {
+    let n = side as f64;
+    let x = i as f64 / n;
+    let y = j as f64 / n;
+    (std::f64::consts::PI * x).sin() * (std::f64::consts::PI * y).sin()
+}
 
-        for sweep in 0..self.sweeps {
-            if inject_at == Some(sweep) {
-                if let Some(c) = corruption {
-                    c.apply(&mut u);
-                }
-            }
-            // Forward Gauss–Seidel with over-relaxation.
-            for i in 1..n - 1 {
-                for j in 1..n - 1 {
-                    let idx = i * n + j;
-                    let gs = (rhs[idx] + u[idx - n] + u[idx + n] + u[idx - 1] + u[idx + 1]) / 4.0;
-                    u[idx] += OMEGA * (gs - u[idx]);
-                }
-            }
-            // Backward sweep (the "symmetric" in SSOR).
-            for i in (1..n - 1).rev() {
-                for j in (1..n - 1).rev() {
-                    let idx = i * n + j;
-                    let gs = (rhs[idx] + u[idx - n] + u[idx + n] + u[idx - 1] + u[idx + 1]) / 4.0;
-                    u[idx] += OMEGA * (gs - u[idx]);
-                }
-            }
-            residuals.push(self.residual_norm(&u, &rhs));
+/// The SSOR iterate and the residual norms of the sweeps so far.
+#[derive(Debug, Clone)]
+pub struct LuState {
+    u: Vec<f64>,
+    residuals: Vec<f64>,
+}
+
+impl Stepped for Lu {
+    type State = LuState;
+    const NAME: &'static str = "LU";
+
+    fn steps(&self) -> usize {
+        self.sweeps
+    }
+
+    fn init(&self) -> LuState {
+        LuState {
+            u: vec![0.0f64; self.side * self.side],
+            residuals: Vec::with_capacity(self.sweeps),
         }
+    }
 
+    fn step(&self, state: &mut LuState, _: usize) -> bool {
+        let n = self.side;
+        let (u, rhs) = (&mut state.u, &self.rhs);
+        // Forward Gauss–Seidel with over-relaxation.
+        for i in 1..n - 1 {
+            for j in 1..n - 1 {
+                let idx = i * n + j;
+                let gs = (rhs[idx] + u[idx - n] + u[idx + n] + u[idx - 1] + u[idx + 1]) / 4.0;
+                u[idx] += OMEGA * (gs - u[idx]);
+            }
+        }
+        // Backward sweep (the "symmetric" in SSOR).
+        for i in (1..n - 1).rev() {
+            for j in (1..n - 1).rev() {
+                let idx = i * n + j;
+                let gs = (rhs[idx] + u[idx - n] + u[idx + n] + u[idx - 1] + u[idx + 1]) / 4.0;
+                u[idx] += OMEGA * (gs - u[idx]);
+            }
+        }
+        let residual = self.residual_norm(u);
+        state.residuals.push(residual);
+        true
+    }
+
+    fn inject(&self, state: &mut LuState, corruption: Corruption) -> bool {
+        corruption.apply(&mut state.u)
+    }
+
+    fn finish(&self, state: LuState) -> KernelOutput {
+        let LuState { u, residuals } = state;
         let final_residual = *residuals.last().expect("at least one sweep");
         let usum: f64 = u.iter().sum();
         let mut values = vec![final_residual, usum];
         values.extend(residuals.iter().copied());
         KernelOutput::new(values, u)
     }
-}
 
-impl Kernel for Lu {
-    fn name(&self) -> &'static str {
-        "LU"
+    fn same(a: &LuState, b: &LuState) -> bool {
+        same_bits(&a.u, &b.u) && same_bits(&a.residuals, &b.residuals)
     }
 
-    fn run(&self) -> KernelOutput {
-        self.run_impl(None)
-    }
-
-    fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+    fn bytes(state: &LuState) -> usize {
+        8 * (state.u.len() + state.residuals.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel;
 
     #[test]
     fn deterministic() {

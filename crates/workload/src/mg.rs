@@ -5,29 +5,29 @@
 //! a coarser grid, trilinear-ish prolongation back — reporting the L2 norm
 //! of the residual, which is exactly what NPB MG verifies.
 
-use crate::kernel::{Corruption, Kernel, KernelOutput};
+use crate::kernel::{same_bits, Corruption, KernelOutput};
+use crate::stepped::Stepped;
 
 /// The MG kernel configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mg {
     /// Finest grid side (power of two).
     side: usize,
     /// Number of V-cycles.
     cycles: usize,
+    /// Deterministic ±1 point charges, like MG's input.
+    f: Vec<f64>,
 }
 
 impl Mg {
     /// A miniature class-A-shaped instance (32³ fine grid, 4 V-cycles).
     pub fn class_a() -> Self {
-        Mg {
-            side: 32,
-            cycles: 4,
-        }
+        Mg::new(32, 4)
     }
 
     /// A tiny instance for tests.
     pub fn tiny() -> Self {
-        Mg { side: 8, cycles: 2 }
+        Mg::new(8, 2)
     }
 
     /// Creates an instance with explicit size.
@@ -41,36 +41,63 @@ impl Mg {
             "side must be a power of two ≥ 4"
         );
         assert!(cycles > 0, "need at least one V-cycle");
-        Mg { side, cycles }
-    }
-
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
-        let n = self.side;
-        let total = n * n * n;
-        // Deterministic ±1 point charges, like MG's input.
+        let total = side * side * side;
         let mut f = vec![0.0f64; total];
         for k in 0..10 {
             let idx = (k * 7919) % total;
             f[idx] = if k % 2 == 0 { 1.0 } else { -1.0 };
         }
-        let mut u = vec![0.0f64; total];
-        let inject_at = corruption.map(|c| c.iteration(self.cycles));
-        let mut residuals = Vec::with_capacity(self.cycles);
+        Mg { side, cycles, f }
+    }
+}
 
-        for cycle in 0..self.cycles {
-            if inject_at == Some(cycle) {
-                if let Some(c) = corruption {
-                    c.apply(&mut u);
-                }
-            }
-            v_cycle(&mut u, &f, n);
-            residuals.push(residual_norm(&u, &f, n));
+/// The multigrid iterate and the residual norms of the V-cycles so far.
+#[derive(Debug, Clone)]
+pub struct MgState {
+    u: Vec<f64>,
+    residuals: Vec<f64>,
+}
+
+impl Stepped for Mg {
+    type State = MgState;
+    const NAME: &'static str = "MG";
+
+    fn steps(&self) -> usize {
+        self.cycles
+    }
+
+    fn init(&self) -> MgState {
+        MgState {
+            u: vec![0.0f64; self.f.len()],
+            residuals: Vec::with_capacity(self.cycles),
         }
+    }
 
+    fn step(&self, state: &mut MgState, _: usize) -> bool {
+        v_cycle(&mut state.u, &self.f, self.side);
+        let residual = residual_norm(&state.u, &self.f, self.side);
+        state.residuals.push(residual);
+        true
+    }
+
+    fn inject(&self, state: &mut MgState, corruption: Corruption) -> bool {
+        corruption.apply(&mut state.u)
+    }
+
+    fn finish(&self, state: MgState) -> KernelOutput {
+        let MgState { u, residuals } = state;
         let final_res = *residuals.last().expect("at least one cycle");
         let mut values = vec![final_res];
         values.extend(residuals.iter().copied());
         KernelOutput::new(values, u)
+    }
+
+    fn same(a: &MgState, b: &MgState) -> bool {
+        same_bits(&a.u, &b.u) && same_bits(&a.residuals, &b.residuals)
+    }
+
+    fn bytes(state: &MgState) -> usize {
+        8 * (state.u.len() + state.residuals.len())
     }
 }
 
@@ -169,8 +196,9 @@ fn v_cycle(u: &mut [f64], f: &[f64], n: usize) {
         smooth(u, f, n, 8); // bottom solve by heavy smoothing
         return;
     }
-    let r = residual(u, f, n);
-    let rc = restrict(&r, n);
+    // The fine-grid residual is dead once restricted: drop it before the
+    // coarse solve instead of holding it through the second smooth.
+    let rc = restrict(&residual(u, f, n), n);
     let nc = n / 2;
     let mut ec = vec![0.0; nc * nc * nc];
     v_cycle(&mut ec, &rc, nc);
@@ -182,23 +210,10 @@ fn v_cycle(u: &mut [f64], f: &[f64], n: usize) {
     smooth(u, f, n, 2);
 }
 
-impl Kernel for Mg {
-    fn name(&self) -> &'static str {
-        "MG"
-    }
-
-    fn run(&self) -> KernelOutput {
-        self.run_impl(None)
-    }
-
-    fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel;
 
     #[test]
     fn deterministic() {
