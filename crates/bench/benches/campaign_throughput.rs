@@ -8,10 +8,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use serscale_bench::{
-    run_campaign_jobs, run_campaign_observed, run_campaign_recovering, REPRO_SEED,
-};
-use serscale_core::session::RetryPolicy;
+use serscale_bench::{run_campaign, REPRO_SEED};
+use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
+use serscale_core::journal::start_or_resume;
 use serscale_telemetry::{TelemetryOptions, TelemetrySink};
 
 /// Small enough for bench cadence, large enough that waves actually
@@ -19,7 +18,10 @@ use serscale_telemetry::{TelemetryOptions, TelemetrySink};
 const SCALE: f64 = 0.01;
 
 fn campaign_throughput(c: &mut Criterion) {
-    let reference = run_campaign_jobs(SCALE, REPRO_SEED, 1);
+    let reference = run_campaign(SCALE, REPRO_SEED, 1);
+    let mut config = CampaignConfig::paper_scaled(SCALE);
+    config.seed = REPRO_SEED;
+    let campaign = Campaign::new(config);
     let trials: u64 = reference.sessions.iter().map(|s| s.runs).sum();
 
     let mut group = c.benchmark_group("campaign_throughput");
@@ -37,7 +39,7 @@ fn campaign_throughput(c: &mut Criterion) {
         );
         group.bench_function(&id, |b| {
             b.iter(|| {
-                let report = run_campaign_jobs(SCALE, REPRO_SEED, jobs);
+                let report = run_campaign(SCALE, REPRO_SEED, jobs);
                 assert_eq!(report, reference, "determinism broken at jobs={jobs}");
                 report
             })
@@ -52,7 +54,9 @@ fn campaign_throughput(c: &mut Criterion) {
             b.iter(|| {
                 let sink = TelemetrySink::in_memory(TelemetryOptions::default());
                 let mut observer = sink.observer();
-                let report = run_campaign_observed(SCALE, REPRO_SEED, jobs, &mut observer);
+                let report = campaign
+                    .try_run(CampaignRunOptions::with_jobs(jobs), &mut observer)
+                    .expect("a run with no journal and no cancel token cannot fail");
                 assert_eq!(report, reference, "telemetry broke determinism");
                 report
             })
@@ -74,21 +78,16 @@ fn campaign_throughput(c: &mut Criterion) {
     //
     // Each journaled iteration uses a fresh directory, so every run pays
     // the full write path instead of replaying a finished journal.
-    {
-        use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
-        let mut config = CampaignConfig::paper_scaled(SCALE);
-        config.seed = REPRO_SEED;
-        let campaign = Campaign::new(config);
-        group.bench_function("jobs=8+robust", |b| {
-            b.iter(|| {
-                let mut discard = serscale_core::trace::Logbook::new();
-                let report =
-                    campaign.run_recoverable(CampaignRunOptions::with_jobs(8), &mut discard);
-                assert_eq!(report, reference, "robust path broke determinism");
-                report
-            })
-        });
-    }
+    group.bench_function("jobs=8+robust", |b| {
+        b.iter(|| {
+            let mut discard = serscale_core::trace::Logbook::new();
+            let report = campaign
+                .try_run(CampaignRunOptions::with_jobs(8), &mut discard)
+                .expect("a run with no journal and no cancel token cannot fail");
+            assert_eq!(report, reference, "robust path broke determinism");
+            report
+        })
+    });
     // The live monitoring plane, one layer at a time:
     //
     // * `jobs=8+listen`              — the HTTP server bound but idle.
@@ -129,7 +128,9 @@ fn campaign_throughput(c: &mut Criterion) {
                     })
                 });
                 let mut observer = sink.observer();
-                let report = run_campaign_observed(SCALE, REPRO_SEED, 8, &mut observer);
+                let report = campaign
+                    .try_run(CampaignRunOptions::with_jobs(8), &mut observer)
+                    .expect("a run with no journal and no cancel token cannot fail");
                 drop(observer);
                 stop.store(true, std::sync::atomic::Ordering::Release);
                 if let Some(scraper) = scraper {
@@ -160,16 +161,19 @@ fn campaign_throughput(c: &mut Criterion) {
                     std::process::id()
                 ));
                 let _ = std::fs::remove_dir_all(&dir);
+                let (mut writer, _) =
+                    start_or_resume(&dir, campaign.config()).expect("journal opens");
                 let mut discard = serscale_core::trace::Logbook::new();
-                let report = run_campaign_recovering(
-                    SCALE,
-                    REPRO_SEED,
-                    8,
-                    RetryPolicy::standard(),
-                    &dir,
-                    &mut discard,
-                )
-                .expect("journaled run");
+                let report = campaign
+                    .try_run(
+                        CampaignRunOptions {
+                            journal: Some(&mut writer),
+                            ..CampaignRunOptions::with_jobs(8)
+                        },
+                        &mut discard,
+                    )
+                    .expect("journaled run");
+                drop(writer);
                 assert_eq!(report, reference, "journaling broke determinism");
                 let _ = std::fs::remove_dir_all(&dir);
                 report

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let report = serscale_bench::run_campaign(0.02, serscale_bench::REPRO_SEED);
+    let report = serscale_bench::run_campaign(0.02, serscale_bench::REPRO_SEED, 1);
     println!("{}", serscale_bench::experiments::figure12(&report));
     let mut group = c.benchmark_group("repro");
     group.sample_size(10);

@@ -11,13 +11,14 @@ fn bench(c: &mut Criterion) {
         "{}",
         serscale_bench::experiments::table2(&serscale_bench::run_campaign(
             0.05,
-            serscale_bench::REPRO_SEED
+            serscale_bench::REPRO_SEED,
+            1
         ))
     );
     let mut group = c.benchmark_group("repro");
     group.sample_size(10);
     group.bench_function("table2_sessions", |b| {
-        b.iter(|| black_box(serscale_bench::run_campaign(0.001, 1)));
+        b.iter(|| black_box(serscale_bench::run_campaign(0.001, 1, 1)));
     });
     group.finish();
 }

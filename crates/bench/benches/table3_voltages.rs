@@ -11,7 +11,8 @@ fn bench(c: &mut Criterion) {
         "{}",
         serscale_bench::experiments::table3(&serscale_bench::run_campaign(
             0.02,
-            serscale_bench::REPRO_SEED
+            serscale_bench::REPRO_SEED,
+            1
         ))
     );
     let mut group = c.benchmark_group("repro");

@@ -29,14 +29,11 @@ use std::io::IsTerminal as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use serscale_bench::{
-    experiments, run_platform_campaign_jobs, run_platform_campaign_observed,
-    run_platform_campaign_recovering_monitored, GOLDEN_SCALE, REPRO_SEED,
-};
+use serscale_bench::{experiments, GOLDEN_SCALE, REPRO_SEED};
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
-use serscale_core::journal::SyncProbe;
+use serscale_core::journal::{start_or_resume, RecoveredCampaign, SyncProbe};
 use serscale_core::session::RetryPolicy;
-use serscale_core::trace::{tee, Logbook, SessionObserver};
+use serscale_core::trace::{tee, Logbook, NoopObserver, SessionObserver};
 use serscale_soc::PlatformSpec;
 use serscale_telemetry::{
     ControlPlane, ControlPlaneOptions, ProgressMode, TelemetryOptions, TelemetrySink,
@@ -219,11 +216,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Observer for runs that need the crash-safe execution path but have no
-/// trace or telemetry consumer attached.
-struct Discard;
-impl SessionObserver for Discard {}
-
 /// Resolves `--platform`: a built-in name first (`xgene2`, `zynq-mpsoc`),
 /// then a JSON platform-spec file. Schema violations surface the spec
 /// layer's structured field errors verbatim.
@@ -242,50 +234,6 @@ fn resolve_platform(arg: &str) -> Result<PlatformSpec, String> {
         "unknown platform {arg}: not a built-in ({}) and not a spec file",
         PlatformSpec::BUILTIN_NAMES.join(", ")
     ))
-}
-
-/// Runs the analysis campaign through the crash-safe engine path: with a
-/// journal directory the run is journaled (and resumed, if the directory
-/// already holds a matching journal); without one, only the
-/// retry/quarantine policy differs from the plain path — and with nothing
-/// failing, not even that changes a byte of the report.
-///
-/// Returns the report plus how many trials the journal replayed instead
-/// of re-simulating (always 0 without a journal). The optional `probe`
-/// lets the monitoring plane watch journal fsync lag; both hooks are
-/// observe-only.
-#[allow(clippy::too_many_arguments)]
-fn run_campaign_robust(
-    spec: &PlatformSpec,
-    scale: f64,
-    seed: u64,
-    jobs: usize,
-    retry: RetryPolicy,
-    journal_dir: Option<&Path>,
-    probe: Option<SyncProbe>,
-    observer: &mut dyn SessionObserver,
-) -> Result<(CampaignReport, u64), String> {
-    match journal_dir {
-        Some(dir) => run_platform_campaign_recovering_monitored(
-            spec, scale, seed, jobs, retry, dir, probe, observer,
-        )
-        .map_err(|e| format!("run journal at {}: {e}", dir.display())),
-        None => {
-            let mut config = CampaignConfig::for_platform_scaled(spec, scale);
-            config.seed = seed;
-            let report = Campaign::new(config).run_recoverable(
-                CampaignRunOptions {
-                    jobs,
-                    retry,
-                    journal: None,
-                    recovered: None,
-                    cancel: None,
-                },
-                observer,
-            );
-            Ok((report, 0))
-        }
-    }
 }
 
 struct BenchArgs {
@@ -814,9 +762,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Journaling attaches to the analysis campaign when one runs,
-    // otherwise to the golden run (the only campaign of the invocation).
-    let crash_safe = journal_dir.is_some() || args.trial_timeout.is_some();
 
     // The telemetry sink observes whichever campaign this invocation runs
     // (the analysis campaign if one is needed, otherwise the golden run).
@@ -904,77 +849,78 @@ fn main() -> ExitCode {
     }
 
     let mut trace = Logbook::new();
-    let mut golden_report: Option<CampaignReport> = None;
     let mut resumed_trials = 0u64;
+    // Runs one campaign of this invocation. The journal, the retry policy
+    // and the telemetry sink attach to the analysis campaign when one
+    // runs, otherwise to the golden run (the only campaign of the
+    // invocation). A journal directory that already holds a journal for
+    // this exact configuration is resumed: its completed prefix is
+    // replayed instead of re-simulated, bit-identically.
+    let mut run_campaign =
+        |scale: f64, seed: u64, attached: bool| -> Result<CampaignReport, String> {
+            let mut config = CampaignConfig::for_platform_scaled(&platform, scale);
+            config.seed = seed;
+            let campaign = Campaign::new(config);
+            let journal = journal_dir.as_deref().filter(|_| attached);
+            let (mut writer, recovered) = match journal {
+                Some(dir) => {
+                    let (mut writer, recovered) = start_or_resume(dir, campaign.config())
+                        .map_err(|e| format!("run journal at {}: {e}", dir.display()))?;
+                    if let Some(probe) = &probe {
+                        writer.attach_probe(probe.clone());
+                    }
+                    (Some(writer), recovered)
+                }
+                None => (None, None),
+            };
+            resumed_trials = recovered
+                .as_ref()
+                .map_or(0, RecoveredCampaign::trials_recovered);
+            let mut noop = NoopObserver;
+            let mut teed;
+            let observer: &mut dyn SessionObserver = match &sink {
+                Some(sink) if attached => {
+                    sink.set_progress_target_sim_secs(scale * full_campaign_sim_secs(&platform));
+                    teed = tee(&mut trace, sink.observer());
+                    &mut teed
+                }
+                _ => &mut noop,
+            };
+            let report = campaign.try_run(
+                CampaignRunOptions {
+                    jobs: args.jobs,
+                    retry: if attached {
+                        retry
+                    } else {
+                        RetryPolicy::standard()
+                    },
+                    journal: writer.as_mut(),
+                    recovered: recovered.as_ref(),
+                    cancel: None,
+                },
+                observer,
+            );
+            report.map_err(|e| match journal {
+                Some(dir) => format!("run journal at {}: {e}", dir.display()),
+                None => e.to_string(),
+            })
+        };
 
+    let mut golden_report: Option<CampaignReport> = None;
     if args.golden {
         // The golden diff is pinned to one (scale, seed) pair; only the
         // worker count is the caller's to vary — by contract it must not
         // change a single byte of this output.
-        let golden_journal = if needs_campaign {
-            None
-        } else {
-            journal_dir.as_deref()
-        };
-        let report = match &sink {
-            Some(sink) if !needs_campaign => {
-                sink.set_progress_target_sim_secs(GOLDEN_SCALE * full_campaign_sim_secs(&platform));
-                let mut observer = tee(&mut trace, sink.observer());
-                if crash_safe {
-                    match run_campaign_robust(
-                        &platform,
-                        GOLDEN_SCALE,
-                        REPRO_SEED,
-                        args.jobs,
-                        retry,
-                        golden_journal,
-                        probe.clone(),
-                        &mut observer,
-                    ) {
-                        Ok((report, resumed)) => {
-                            resumed_trials = resumed;
-                            report
-                        }
-                        Err(e) => {
-                            eprintln!("repro: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    run_platform_campaign_observed(
-                        &platform,
-                        GOLDEN_SCALE,
-                        REPRO_SEED,
-                        args.jobs,
-                        &mut observer,
-                    )
-                }
+        match run_campaign(GOLDEN_SCALE, REPRO_SEED, !needs_campaign) {
+            Ok(report) => {
+                print!("{}", serscale_bench::golden_summary(&report));
+                golden_report = Some(report);
             }
-            _ if crash_safe && !needs_campaign => {
-                match run_campaign_robust(
-                    &platform,
-                    GOLDEN_SCALE,
-                    REPRO_SEED,
-                    args.jobs,
-                    retry,
-                    golden_journal,
-                    probe.clone(),
-                    &mut Discard,
-                ) {
-                    Ok((report, resumed)) => {
-                        resumed_trials = resumed;
-                        report
-                    }
-                    Err(e) => {
-                        eprintln!("repro: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            Err(e) => {
+                eprintln!("repro: {e}");
+                return ExitCode::FAILURE;
             }
-            _ => run_platform_campaign_jobs(&platform, GOLDEN_SCALE, REPRO_SEED, args.jobs),
-        };
-        print!("{}", serscale_bench::golden_summary(&report));
-        golden_report = Some(report);
+        }
     }
 
     let report = if needs_campaign {
@@ -986,49 +932,13 @@ fn main() -> ExitCode {
             full_campaign_sim_secs(&platform) / 3600.0 * args.scale,
             args.jobs
         );
-        let run = |observer: &mut dyn SessionObserver| {
-            if crash_safe {
-                run_campaign_robust(
-                    &platform,
-                    args.scale,
-                    args.seed,
-                    args.jobs,
-                    retry,
-                    journal_dir.as_deref(),
-                    probe.clone(),
-                    observer,
-                )
-            } else {
-                Ok((
-                    run_platform_campaign_observed(
-                        &platform, args.scale, args.seed, args.jobs, observer,
-                    ),
-                    0,
-                ))
-            }
-        };
-        let outcome = match &sink {
-            Some(sink) => {
-                sink.set_progress_target_sim_secs(args.scale * full_campaign_sim_secs(&platform));
-                let mut observer = tee(&mut trace, sink.observer());
-                run(&mut observer)
-            }
-            None if crash_safe => run(&mut Discard),
-            None => Ok((
-                run_platform_campaign_jobs(&platform, args.scale, args.seed, args.jobs),
-                0,
-            )),
-        };
-        Some(match outcome {
-            Ok((report, resumed)) => {
-                resumed_trials = resumed;
-                report
-            }
+        match run_campaign(args.scale, args.seed, true) {
+            Ok(report) => Some(report),
             Err(e) => {
                 eprintln!("repro: {e}");
                 return ExitCode::FAILURE;
             }
-        })
+        }
     } else {
         None
     };

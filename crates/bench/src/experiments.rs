@@ -469,7 +469,7 @@ mod tests {
     use crate::run_campaign;
 
     fn quick() -> CampaignReport {
-        run_campaign(0.02, 7)
+        run_campaign(0.02, 7, 1)
     }
 
     #[test]

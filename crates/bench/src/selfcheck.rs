@@ -229,7 +229,12 @@ mod tests {
                     serscale_types::SimDuration::from_minutes(200.0),
                 );
             }
-            let report = serscale_core::campaign::Campaign::new(config).run();
+            let report = serscale_core::campaign::Campaign::new(config)
+                .try_run(
+                    serscale_core::campaign::CampaignRunOptions::with_jobs(1),
+                    &mut serscale_core::trace::NoopObserver,
+                )
+                .expect("a run with no journal and no cancel token cannot fail");
             let checks = run_checks(&report);
             assert!(
                 checks.len() >= 9,
@@ -257,7 +262,7 @@ mod tests {
     #[test]
     fn selfcheck_runs_even_on_tiny_campaigns() {
         // Short campaigns may fail noisy claims but must not panic.
-        let report = run_campaign(0.003, 9);
+        let report = run_campaign(0.003, 9, 1);
         let checks = run_checks(&report);
         assert!(!checks.is_empty());
         let _ = render(&checks);

@@ -16,7 +16,7 @@ use std::time::Instant;
 use serscale_core::campaign::CampaignConfig;
 use serscale_core::journal::config_fingerprint;
 
-use crate::{run_campaign_jobs, REPRO_SEED};
+use crate::{run_campaign, REPRO_SEED};
 
 /// The bench campaign scale — identical to the Criterion bench: small
 /// enough for CI cadence, large enough that waves actually shard.
@@ -75,19 +75,19 @@ pub fn measure(jobs_rows: &[usize], min_secs: f64) -> BenchReport {
     config.seed = REPRO_SEED;
     let fingerprint = config_fingerprint(&config);
 
-    let reference = run_campaign_jobs(SCALE, REPRO_SEED, 1);
+    let reference = run_campaign(SCALE, REPRO_SEED, 1);
     let trials: u64 = reference.sessions.iter().map(|s| s.runs).sum();
 
     let mut rows = Vec::new();
     for &jobs in jobs_rows {
         // Warmup: populate allocator arenas and page in the binary.
-        let warm = run_campaign_jobs(SCALE, REPRO_SEED, jobs);
+        let warm = run_campaign(SCALE, REPRO_SEED, jobs);
         assert_eq!(warm, reference, "determinism broken at jobs={jobs}");
 
         let mut iterations = 0u32;
         let started = Instant::now();
         loop {
-            let report = run_campaign_jobs(SCALE, REPRO_SEED, jobs);
+            let report = run_campaign(SCALE, REPRO_SEED, jobs);
             assert_eq!(report, reference, "determinism broken at jobs={jobs}");
             iterations += 1;
             if iterations >= 3 && started.elapsed().as_secs_f64() >= min_secs {

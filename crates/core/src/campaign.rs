@@ -10,8 +10,9 @@ use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel
 
 use crate::dut::DeviceUnderTest;
 use crate::journal::{JournalWriter, RecoveredCampaign};
-use crate::scheduler::{CancelToken, Cancelled};
-use crate::session::{ExecutionPlan, RetryPolicy, SessionLimits, SessionReport, TestSession};
+use crate::scheduler::CancelToken;
+use crate::session::{RetryPolicy, SessionLimits, SessionReport, TestSession};
+use crate::trace::{NoopObserver, SessionObserver};
 
 /// Where the per-frequency safe Vmin anchoring the logic amplification
 /// comes from.
@@ -183,36 +184,26 @@ impl Campaign {
         }
     }
 
-    /// Runs every session and consolidates the report.
-    pub fn run(&self) -> CampaignReport {
-        self.run_parallel(1)
-    }
-
     /// Runs the whole campaign through the naive reference executor
     /// ([`TestSession::run_reference`]): no waves, no speculation, no
     /// worker pool. Exists for differential verification — its report must
-    /// be bit-identical to [`run`](Self::run) and
-    /// [`run_parallel`](Self::run_parallel) at any `jobs`.
+    /// be bit-identical to [`try_run`](Self::try_run) at any `jobs`.
     pub fn run_reference(&self) -> CampaignReport {
-        self.run_with(|_, session, rng| session.run_reference(rng))
+        self.run_sessions(|_, session, rng| Ok(session.run_reference(rng, &mut NoopObserver)))
+            .expect("the reference executor neither journals nor cancels")
     }
 
-    fn run_with(
-        &self,
-        mut run_session: impl FnMut(u64, &mut TestSession, &mut SimRng) -> SessionReport,
-    ) -> CampaignReport {
-        self.try_run_with(|index, session, rng| Ok(run_session(index, session, rng)))
-            .expect("infallible session runner")
-    }
-
-    fn try_run_with(
+    /// Builds each configured session in order and hands it to
+    /// `run_session` with its index and its forked RNG, stopping at the
+    /// first error.
+    fn run_sessions(
         &self,
         mut run_session: impl FnMut(
             u64,
             &mut TestSession,
             &mut SimRng,
-        ) -> Result<SessionReport, Cancelled>,
-    ) -> Result<CampaignReport, Cancelled> {
+        ) -> Result<SessionReport, RunError>,
+    ) -> Result<CampaignReport, RunError> {
         let root = SimRng::seed_from(self.config.seed);
         let flux = self.config.facility.flux_at(self.config.position);
 
@@ -242,134 +233,110 @@ impl Campaign {
         })
     }
 
-    /// Runs the campaign on `jobs` workers with every session reporting
-    /// through one observer (see [`crate::trace`]). Sessions are announced
+    /// Runs every session in configuration order through
+    /// [`TestSession::try_run`] and consolidates the report — the one
+    /// entry point of the wave engine.
+    ///
+    /// `options` sets the worker count, the retry/quarantine policy for
+    /// panicking or hung trials, an optional run journal recording every
+    /// absorbed trial, an optional recovered prefix to replay (see
+    /// [`crate::journal::start_or_resume`]) and an optional cancellation
+    /// token. Every session reports through `observer` and is announced
     /// via [`SessionObserver::on_session_start`] in configuration order,
-    /// so a single observer can attribute the merged stream — and because
-    /// observation is one-way, the report is bit-identical to
-    /// [`run_parallel`](Self::run_parallel) with the same `jobs`.
+    /// so one observer can attribute the merged stream.
     ///
-    /// [`SessionObserver::on_session_start`]:
-    /// crate::trace::SessionObserver::on_session_start
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs == 0`.
-    pub fn run_observed(
-        &self,
-        jobs: usize,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> CampaignReport {
-        self.run_with(|_, session, rng| session.run_observed_with(rng, jobs, &mut *observer))
-    }
-
-    /// Runs the campaign with crash-safety controls: an optional run
-    /// journal recording every absorbed trial, an optional recovered
-    /// prefix to replay (see [`crate::journal::start_or_resume`]), and a
-    /// retry/quarantine policy for panicking or hung trials.
-    ///
-    /// With a fresh journal (no recovery) and [`RetryPolicy::standard`],
-    /// the report is bit-identical to
-    /// [`run_observed`](Self::run_observed) at the same `jobs`; with a
-    /// recovered prefix, the replayed trials drive the observer exactly as
-    /// the original run did, so report *and* trace stay bit-identical to
-    /// an uninterrupted run at any `jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.jobs == 0`, if the recovered prefix is
-    /// inconsistent with this configuration, if a journal write cannot
-    /// be made durable (a crash-safety layer that silently drops records
-    /// would be worse than none), or if `options.cancel` fires — callers
-    /// that cancel must use
-    /// [`try_run_recoverable`](Self::try_run_recoverable).
-    pub fn run_recoverable(
-        &self,
-        options: CampaignRunOptions<'_>,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> CampaignReport {
-        self.try_run_recoverable(options, observer)
-            .expect("campaign cancelled; use try_run_recoverable to observe cancellation")
-    }
-
-    /// [`run_recoverable`](Self::run_recoverable), but cancellable: when
-    /// `options.cancel` fires, execution stops cleanly at the next wave
-    /// boundary (or between sessions) and returns
-    /// [`Err(Cancelled)`](Cancelled).
-    ///
-    /// The journal, if any, is left exactly as a crash at a record
-    /// boundary would leave it: completed sessions closed by their
-    /// `SessionEnd` records, the in-flight session holding every absorbed
-    /// trial and no end record. Re-opening it through
-    /// [`crate::journal::start_or_resume`] and re-running the same
-    /// configuration reproduces the uninterrupted report and trace bit
-    /// for bit at any `jobs` — cancellation rides the PR-tested crash
-    /// recovery path rather than inventing a second lifecycle.
+    /// Sessions' trial grids are sharded across the pool, and every trial
+    /// draws from a counter-derived stream, so the report is bit-identical
+    /// for any `jobs` — the determinism contract the regression suite
+    /// enforces. Observation and journaling are one-way: with a fresh
+    /// journal and [`RetryPolicy::standard`] the report equals the
+    /// journal-less run's. With a recovered prefix, the replayed trials
+    /// drive the observer exactly as the original run did, so report *and*
+    /// trace stay bit-identical to an uninterrupted run at any `jobs`.
     ///
     /// # Errors
     ///
-    /// Returns [`Cancelled`] if the token fired before the campaign
-    /// completed.
+    /// [`RunError::Cancelled`] if `options.cancel` fired: execution stops
+    /// at the next wave boundary (or between sessions).
+    /// [`RunError::Journal`] if a journal write or fsync failed: execution
+    /// stops at that wave. Either way the journal is left as a crash
+    /// would leave it — completed sessions closed by their `SessionEnd`
+    /// records, the in-flight session holding its absorbed trials (a
+    /// failed write may add a torn tail) and no end record — so
+    /// re-opening it through [`crate::journal::start_or_resume`] and
+    /// re-running the same configuration reproduces the uninterrupted
+    /// report and trace bit for bit at any `jobs`.
     ///
     /// # Panics
     ///
-    /// As [`run_recoverable`](Self::run_recoverable), minus cancellation.
-    pub fn try_run_recoverable(
+    /// Panics if `options.jobs == 0` or if the recovered prefix is
+    /// inconsistent with this configuration.
+    pub fn try_run(
         &self,
         mut options: CampaignRunOptions<'_>,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> Result<CampaignReport, Cancelled> {
-        let cancel = options.cancel.clone();
-        self.try_run_with(|index, session, rng| {
-            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(Cancelled);
+        observer: &mut dyn SessionObserver,
+    ) -> Result<CampaignReport, RunError> {
+        self.run_sessions(|index, session, rng| {
+            if options.cancelled() {
+                return Err(RunError::Cancelled);
             }
-            session.try_run_planned(
-                rng,
-                ExecutionPlan {
-                    jobs: options.jobs,
-                    retry: options.retry,
-                    journal: options.journal.as_deref_mut(),
-                    recovered: options.recovered.and_then(|r| r.session(index)),
-                    session_index: index,
-                    cancel: cancel.clone(),
-                },
-                &mut *observer,
-            )
+            session.try_run(rng, index, &mut options, &mut *observer)
         })
     }
 
-    /// Runs the campaign on `jobs` worker threads.
-    ///
-    /// Sessions still execute in configuration order (their trial grids
-    /// are what gets sharded across the pool), and every trial draws from
-    /// a counter-derived stream, so the report is bit-identical to
-    /// [`run`](Self::run) for any `jobs` — the determinism contract the
-    /// regression suite enforces.
+    /// [`try_run`](Self::try_run) on `jobs` workers with no observer. This
+    /// and the two wrappers below stay because `perfbench` calls them.
     ///
     /// # Panics
     ///
     /// Panics if `jobs == 0`.
     pub fn run_parallel(&self, jobs: usize) -> CampaignReport {
-        self.run_with(|_, session, rng| session.run_parallel(rng, jobs))
+        self.try_run(CampaignRunOptions::with_jobs(jobs), &mut NoopObserver)
+            .expect("a run with no journal and no cancel token cannot fail")
+    }
+
+    /// [`try_run`](Self::try_run) on `jobs` workers, reporting to
+    /// `observer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jobs == 0`.
+    pub fn run_observed(&self, jobs: usize, observer: &mut dyn SessionObserver) -> CampaignReport {
+        self.try_run(CampaignRunOptions::with_jobs(jobs), observer)
+            .expect("a run with no journal and no cancel token cannot fail")
+    }
+
+    /// [`try_run`](Self::try_run), panicking on its error.
+    ///
+    /// # Panics
+    ///
+    /// As [`try_run`](Self::try_run), and if it returns an error.
+    pub fn run_recoverable(
+        &self,
+        options: CampaignRunOptions<'_>,
+        observer: &mut dyn SessionObserver,
+    ) -> CampaignReport {
+        self.try_run(options, observer)
+            .expect("campaign cancelled or its journal failed; use try_run to handle it")
     }
 }
 
-/// Controls for [`Campaign::run_recoverable`]: worker count, retry
-/// policy, and the crash-safety hooks (journal to append to, recovered
-/// prefix to replay).
+/// Controls for [`Campaign::try_run`] and [`TestSession::try_run`]: worker
+/// count, retry policy, the crash-safety hooks (journal to append to,
+/// recovered prefix to replay) and cooperative cancellation.
 #[derive(Debug)]
 pub struct CampaignRunOptions<'a> {
     /// Worker threads per session (must be ≥ 1).
     pub jobs: usize,
     /// Retry/quarantine policy for panicking or hung trials.
     pub retry: RetryPolicy,
-    /// Journal to append absorbed trials to, if any.
+    /// Journal to append absorbed trials to (synced once per wave), if
+    /// any.
     pub journal: Option<&'a mut JournalWriter>,
     /// Recovered journal prefix to replay before running live, if any.
     pub recovered: Option<&'a RecoveredCampaign>,
-    /// Cooperative cancellation flag, polled at wave boundaries (see
-    /// [`Campaign::try_run_recoverable`]).
+    /// Cooperative cancellation flag, polled at wave boundaries and
+    /// between sessions.
     pub cancel: Option<CancelToken>,
 }
 
@@ -385,12 +352,48 @@ impl CampaignRunOptions<'_> {
             cancel: None,
         }
     }
+
+    /// Whether the cancellation token, if any, has fired.
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
 }
+
+/// Why [`Campaign::try_run`] or [`TestSession::try_run`] stopped without
+/// a report.
+#[derive(Debug)]
+pub enum RunError {
+    /// The run's [`CancelToken`] fired; the run stopped cleanly at a wave
+    /// boundary or between sessions.
+    Cancelled,
+    /// Writing or syncing the run journal failed; the run stopped at that
+    /// wave rather than continue without crash safety.
+    Journal(std::io::Error),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Cancelled => f.write_str("run cancelled at a wave boundary"),
+            RunError::Journal(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classify::FailureClass;
+
+    /// Runs `campaign` on `jobs` workers with no journal, cancel token or
+    /// observer.
+    fn run(campaign: &Campaign, jobs: usize) -> CampaignReport {
+        campaign
+            .try_run(CampaignRunOptions::with_jobs(jobs), &mut NoopObserver)
+            .expect("a run with no journal and no cancel token cannot fail")
+    }
 
     fn quick_config(seed: u64, fraction: f64) -> CampaignConfig {
         let mut c = CampaignConfig::paper_scaled(fraction);
@@ -428,7 +431,7 @@ mod tests {
         let mut config = CampaignConfig::for_platform_scaled(&PlatformSpec::zynq_mpsoc(), 0.01);
         config.seed = 21;
         let campaign = Campaign::new(config);
-        let report = campaign.run();
+        let report = run(&campaign, 1);
         assert_eq!(report.platform, "zynq-mpsoc");
         assert_eq!(report.sessions.len(), 4);
         assert!(report.baseline().is_some(), "850 mV baseline resolves");
@@ -440,7 +443,7 @@ mod tests {
             .expect("1.5 GHz characterized");
         assert_eq!(vmin_1500, Millivolts::new(750));
         // The determinism contract holds off the X-Gene too.
-        assert_eq!(report, campaign.run_parallel(8));
+        assert_eq!(report, run(&campaign, 8));
     }
 
     #[test]
@@ -448,7 +451,7 @@ mod tests {
         let mut config = CampaignConfig::for_platform_scaled(&PlatformSpec::zynq_mpsoc(), 0.005);
         config.seed = 22;
         config.vmin_source = VminSource::Characterized { trials: 50 };
-        let report = Campaign::new(config.clone()).run();
+        let report = run(&Campaign::new(config.clone()), 1);
         for (f, v) in &report.vmins {
             let anchor = config.platform.vmin_at(*f);
             assert!(v.get().abs_diff(anchor.get()) <= 5, "{f}: {v} vs {anchor}");
@@ -458,13 +461,13 @@ mod tests {
 
     #[test]
     fn campaign_flux_is_the_paper_working_flux() {
-        let report = Campaign::new(quick_config(1, 0.01)).run();
+        let report = run(&Campaign::new(quick_config(1, 0.01)), 1);
         assert!((report.flux.as_per_cm2_s() - 1.5e6).abs() < 1e-3);
     }
 
     #[test]
     fn scaled_campaign_runs_all_sessions() {
-        let report = Campaign::new(quick_config(2, 0.02)).run();
+        let report = run(&Campaign::new(quick_config(2, 0.02)), 1);
         assert_eq!(report.sessions.len(), 4);
         assert!(report.baseline().is_some());
         assert!(report.session_at(OperatingPoint::vmin_900()).is_some());
@@ -473,15 +476,15 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let a = Campaign::new(quick_config(3, 0.01)).run();
-        let b = Campaign::new(quick_config(3, 0.01)).run();
+        let a = run(&Campaign::new(quick_config(3, 0.01)), 1);
+        let b = run(&Campaign::new(quick_config(3, 0.01)), 1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = Campaign::new(quick_config(4, 0.01)).run();
-        let b = Campaign::new(quick_config(5, 0.01)).run();
+        let a = run(&Campaign::new(quick_config(4, 0.01)), 1);
+        let b = run(&Campaign::new(quick_config(5, 0.01)), 1);
         assert_ne!(a, b);
     }
 
@@ -489,8 +492,8 @@ mod tests {
     fn reference_executor_matches_engine_paths() {
         let campaign = Campaign::new(quick_config(11, 0.01));
         let reference = campaign.run_reference();
-        assert_eq!(reference, campaign.run());
-        assert_eq!(reference, campaign.run_parallel(3));
+        assert_eq!(reference, run(&campaign, 1));
+        assert_eq!(reference, run(&campaign, 3));
     }
 
     #[test]
@@ -498,8 +501,10 @@ mod tests {
         use crate::trace::{LogEvent, Logbook};
         let campaign = Campaign::new(quick_config(12, 0.01));
         let mut logbook = Logbook::new();
-        let observed = campaign.run_observed(2, &mut logbook);
-        assert_eq!(observed, campaign.run(), "observation perturbed the run");
+        let observed = campaign
+            .try_run(CampaignRunOptions::with_jobs(2), &mut logbook)
+            .expect("a run with no journal and no cancel token cannot fail");
+        assert_eq!(observed, run(&campaign, 1), "observation perturbed the run");
         let starts: Vec<_> = logbook
             .events()
             .iter()
@@ -524,20 +529,24 @@ mod tests {
 
         // Uninterrupted golden (journal-less observed run).
         let mut golden_log = Logbook::new();
-        let golden = campaign.run_observed(2, &mut golden_log);
+        let golden = campaign
+            .try_run(CampaignRunOptions::with_jobs(2), &mut golden_log)
+            .expect("a run with no journal and no cancel token cannot fail");
 
         // A fresh journaled run must change nothing.
         let (mut writer, recovered) =
             start_or_resume(&dir, campaign.config()).expect("journal opens");
         assert!(recovered.is_none(), "fresh directory must not recover");
         let mut log = Logbook::new();
-        let report = campaign.run_recoverable(
-            CampaignRunOptions {
-                journal: Some(&mut writer),
-                ..CampaignRunOptions::with_jobs(2)
-            },
-            &mut log,
-        );
+        let report = campaign
+            .try_run(
+                CampaignRunOptions {
+                    journal: Some(&mut writer),
+                    ..CampaignRunOptions::with_jobs(2)
+                },
+                &mut log,
+            )
+            .expect("journal writes succeed");
         drop(writer);
         assert_eq!(report, golden, "journaling perturbed the report");
         assert_eq!(log, golden_log, "journaling perturbed the trace");
@@ -558,14 +567,16 @@ mod tests {
         let recovered = recovered.expect("truncated journal recovers a prefix");
         assert!(recovered.trials_recovered() > 0);
         let mut resumed_log = Logbook::new();
-        let resumed = campaign.run_recoverable(
-            CampaignRunOptions {
-                journal: Some(&mut writer),
-                recovered: Some(&recovered),
-                ..CampaignRunOptions::with_jobs(8)
-            },
-            &mut resumed_log,
-        );
+        let resumed = campaign
+            .try_run(
+                CampaignRunOptions {
+                    journal: Some(&mut writer),
+                    recovered: Some(&recovered),
+                    ..CampaignRunOptions::with_jobs(8)
+                },
+                &mut resumed_log,
+            )
+            .expect("journal writes succeed");
         drop(writer);
         assert_eq!(resumed, golden, "resumed report diverged");
         assert_eq!(resumed_log, golden_log, "resumed trace diverged");
@@ -575,7 +586,7 @@ mod tests {
 
     #[test]
     fn vmin_anchors_match_paper_defaults() {
-        let report = Campaign::new(quick_config(6, 0.01)).run();
+        let report = run(&Campaign::new(quick_config(6, 0.01)), 1);
         let lookup = |f: u32| {
             report
                 .vmins
@@ -592,7 +603,7 @@ mod tests {
     fn characterized_vmin_source_works() {
         let mut c = quick_config(7, 0.005);
         c.vmin_source = VminSource::Characterized { trials: 50 };
-        let report = Campaign::new(c).run();
+        let report = run(&Campaign::new(c), 1);
         // The characterization lands on (or within a step of) the paper's
         // anchors.
         for (f, v) in &report.vmins {
@@ -606,7 +617,7 @@ mod tests {
     fn upset_rates_rise_across_sessions() {
         // Even an 8%-length campaign shows Table 2's rate ordering between
         // the extremes.
-        let report = Campaign::new(quick_config(8, 0.08)).run();
+        let report = run(&Campaign::new(quick_config(8, 0.08)), 1);
         let nominal = report.baseline().unwrap().upset_rate().per_minute();
         let v790 = report
             .session_at(OperatingPoint::vmin_900())
@@ -618,7 +629,7 @@ mod tests {
 
     #[test]
     fn sdc_share_explodes_at_vmin_2400() {
-        let report = Campaign::new(quick_config(9, 0.1)).run();
+        let report = run(&Campaign::new(quick_config(9, 0.1)), 1);
         let nominal_share = report.baseline().unwrap().failure_shares()[&FailureClass::Sdc];
         let vmin_share = report
             .session_at(OperatingPoint::vmin_2400())

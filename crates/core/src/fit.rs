@@ -74,6 +74,7 @@ pub fn sdc_notification_split(report: &SessionReport) -> SdcNotificationSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignRunOptions;
     use crate::dut::DeviceUnderTest;
     use crate::session::{SessionLimits, TestSession};
     use serscale_soc::platform::OperatingPoint;
@@ -87,7 +88,13 @@ mod tests {
             Flux::per_cm2_s(1.5e6),
             SessionLimits::time_boxed(SimDuration::from_minutes(minutes)),
         );
-        s.run(&mut SimRng::seed_from(seed))
+        s.try_run(
+            &mut SimRng::seed_from(seed),
+            0,
+            &mut CampaignRunOptions::with_jobs(1),
+            &mut crate::trace::NoopObserver,
+        )
+        .expect("a run with no journal and no cancel token cannot fail")
     }
 
     #[test]

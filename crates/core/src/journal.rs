@@ -513,14 +513,19 @@ impl JournalWriter {
         self.pending.push('\n');
     }
 
-    /// Hands buffered records to the OS.
+    /// Hands buffered records to the OS. The buffer is cleared even when
+    /// the write fails: a short write may already have put a torn prefix
+    /// of it in the file, and writing it again would append duplicate
+    /// records behind that torn line, which recovery refuses as mid-file
+    /// corruption. Dropped records are re-simulated on resume.
     fn flush(&mut self) -> std::io::Result<()> {
-        if !self.pending.is_empty() {
-            self.file.write_all(self.pending.as_bytes())?;
-            self.pending.clear();
-            self.dirty = true;
+        if self.pending.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let written = self.file.write_all(self.pending.as_bytes());
+        self.pending.clear();
+        self.dirty = true;
+        written
     }
 
     fn fdatasync(&mut self) -> std::io::Result<()> {
@@ -541,8 +546,11 @@ impl JournalWriter {
     /// # Errors
     ///
     /// Propagates the write or fsync failure — a journal that cannot
-    /// reach stable storage cannot provide crash safety, so callers are
-    /// expected to fail the run loudly rather than continue unjournaled.
+    /// reach stable storage cannot provide crash safety, so the engine
+    /// stops the run with [`RunError::Journal`] rather than continue
+    /// unjournaled.
+    ///
+    /// [`RunError::Journal`]: crate::campaign::RunError::Journal
     pub fn sync(&mut self) -> std::io::Result<()> {
         self.flush()?;
         if self.dirty
@@ -831,6 +839,22 @@ mod tests {
             retries: 1,
             quarantined: false,
         }
+    }
+
+    /// A failed write must not leave the batch queued: the writer's
+    /// `Drop` would otherwise write it a second time behind the torn
+    /// prefix the first attempt left.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_flush_drops_the_batch() {
+        let full = OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens");
+        let mut writer = JournalWriter::from_file(full);
+        writer.append(&Record::campaign_header(&config()));
+        assert!(writer.sync().is_err(), "a write to /dev/full must fail");
+        assert!(writer.pending.is_empty(), "failed batch still queued");
     }
 
     #[test]

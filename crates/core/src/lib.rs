@@ -56,8 +56,9 @@
 //! ## Quick start
 //!
 //! ```
-//! use serscale_core::campaign::{Campaign, CampaignConfig};
+//! use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
 //! use serscale_core::session::SessionLimits;
+//! use serscale_core::trace::NoopObserver;
 //! use serscale_soc::platform::OperatingPoint;
 //! use serscale_types::SimDuration;
 //!
@@ -73,7 +74,9 @@
 //!         ..SessionLimits::default()
 //!     },
 //! )];
-//! let report = Campaign::new(config).run();
+//! let report = Campaign::new(config)
+//!     .try_run(CampaignRunOptions::with_jobs(1), &mut NoopObserver)
+//!     .expect("a run with no journal and no cancel token cannot fail");
 //! assert_eq!(report.sessions.len(), 1);
 //! ```
 

@@ -147,12 +147,17 @@ pub fn campaign_summary(report: &CampaignReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Campaign, CampaignConfig};
+    use crate::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
 
     fn report() -> CampaignReport {
         let mut config = CampaignConfig::paper_scaled(0.03);
         config.seed = 77;
-        Campaign::new(config).run()
+        Campaign::new(config)
+            .try_run(
+                CampaignRunOptions::with_jobs(1),
+                &mut crate::trace::NoopObserver,
+            )
+            .expect("a run with no journal and no cancel token cannot fail")
     }
 
     #[test]

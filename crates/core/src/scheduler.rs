@@ -11,8 +11,10 @@
 //!   its own.
 //! - [`CancelToken`] — a shared flag the engine polls at wave boundaries.
 //!   Cancellation is cooperative and clean: no trial is torn mid-flight,
-//!   the run journal stays resumable, and the cancelled run reports
-//!   [`Cancelled`] instead of fabricating a partial report.
+//!   the run journal stays resumable, and
+//!   [`Campaign::try_run`](crate::campaign::Campaign::try_run) returns
+//!   [`RunError::Cancelled`](crate::campaign::RunError::Cancelled) instead
+//!   of fabricating a partial report.
 //!
 //! Neither type spawns threads or performs I/O; the runtime that wires
 //! them to worker threads and HTTP lives in `serscale-telemetry`.
@@ -20,25 +22,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// A run was cancelled at a wave boundary before completing.
-///
-/// Returned by the `try_` execution entry points
-/// ([`crate::campaign::Campaign::try_run_recoverable`],
-/// [`crate::session::TestSession::try_run_planned`]) when their
-/// [`CancelToken`] fires. The journal, if any, holds every trial absorbed
-/// before the boundary and resumes bit-identically via
-/// [`crate::journal::start_or_resume`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
-
-impl std::fmt::Display for Cancelled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("run cancelled at a wave boundary")
-    }
-}
-
-impl std::error::Error for Cancelled {}
 
 /// A shared cancellation flag, checked cooperatively by the engine.
 ///

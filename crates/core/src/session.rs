@@ -24,11 +24,11 @@ use serscale_stats::{RateEstimate, SimRng};
 use serscale_types::{Fluence, Flux, SimDuration, SimInstant, NYC_SEA_LEVEL_FLUX};
 use serscale_workload::Benchmark;
 
+use crate::campaign::{CampaignRunOptions, RunError};
 use crate::classify::{FailureClass, RunVerdict};
 use crate::dut::DeviceUnderTest;
-use crate::journal::{JournalWriter, Record, RecoveredSession};
+use crate::journal::Record;
 use crate::runner::{BenchmarkRunner, RunOutcome};
-use crate::scheduler::{CancelToken, Cancelled};
 
 /// When a session ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,40 +134,6 @@ pub struct TrialExecution {
     /// Whether every attempt failed; a quarantined outcome advances the
     /// clock and the fluence ledger but contributes no runs or events.
     pub quarantined: bool,
-}
-
-/// How to execute a session: worker count, retry policy, and the
-/// crash-safety hooks (journal to append to, journaled history to
-/// fast-forward through).
-#[derive(Debug)]
-pub struct ExecutionPlan<'a> {
-    /// Worker threads for the speculative waves.
-    pub jobs: usize,
-    /// Retry/quarantine policy for failing trials.
-    pub retry: RetryPolicy,
-    /// Journal to append absorbed trials to (fsync'd once per wave).
-    pub journal: Option<&'a mut JournalWriter>,
-    /// Journaled history to replay before executing live.
-    pub recovered: Option<&'a RecoveredSession>,
-    /// This session's index in its campaign (tags journal records).
-    pub session_index: u64,
-    /// Cooperative cancellation flag, polled at wave boundaries (see
-    /// [`TestSession::try_run_planned`]).
-    pub cancel: Option<CancelToken>,
-}
-
-impl ExecutionPlan<'static> {
-    /// A plain plan: `jobs` workers, standard retries, no journal.
-    pub fn with_jobs(jobs: usize) -> Self {
-        ExecutionPlan {
-            jobs,
-            retry: RetryPolicy::standard(),
-            journal: None,
-            recovered: None,
-            session_index: 0,
-            cancel: None,
-        }
-    }
 }
 
 /// Why the session stopped.
@@ -340,106 +306,52 @@ impl TestSession {
         }
     }
 
-    /// Runs the session to a stopping rule and reports.
-    pub fn run(&mut self, rng: &mut SimRng) -> SessionReport {
-        self.run_observed(rng, &mut crate::trace::NoopObserver)
-    }
-
-    /// Runs the session on `jobs` worker threads. The report is
-    /// bit-identical to `run` with the same `rng` for every `jobs` value
-    /// (see the module docs for why).
+    /// Runs the session to a stopping rule and reports — the wave engine's
+    /// entry point, driven by [`Campaign::try_run`] for each configured
+    /// session: `options.jobs` workers, retry/quarantine on failing trials
+    /// under `options.retry`, every absorbed trial appended to
+    /// `options.journal` (tagged with `session_index`), and the session's
+    /// journaled history in `options.recovered` replayed before going
+    /// live.
     ///
-    /// # Panics
+    /// The merge that drives `observer` is single-threaded and in trial
+    /// order, so observers need no synchronization and see the same trace
+    /// at any `jobs`; observation never perturbs the simulation. Replayed
+    /// trials are folded through the exact accumulator the live path uses
+    /// (no physics re-run) and every RNG stream re-derives from the
+    /// caller's generator, so an interrupted-and-resumed session produces
+    /// a report and observer trace bit-identical to an uninterrupted one
+    /// at any `jobs` count (wave boundaries restart on resume, but
+    /// [`WaveStats`](crate::trace::WaveStats) is engine telemetry that
+    /// trace observers ignore).
     ///
-    /// Panics if `jobs == 0`.
-    pub fn run_parallel(&mut self, rng: &mut SimRng, jobs: usize) -> SessionReport {
-        self.run_observed_with(rng, jobs, &mut crate::trace::NoopObserver)
-    }
-
-    /// Runs the session, reporting every event through an observer (see
-    /// [`crate::trace`]). Observation never perturbs the simulation: the
-    /// same seed yields the same report with or without it.
-    pub fn run_observed(
-        &mut self,
-        rng: &mut SimRng,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> SessionReport {
-        self.run_observed_with(rng, 1, observer)
-    }
-
-    /// The general entry point: `jobs` workers, every event reported
-    /// through `observer`. The merge that drives the observer is
-    /// single-threaded and in trial order, so observers need no
-    /// synchronization and see the same trace at any `jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs == 0`.
-    pub fn run_observed_with(
-        &mut self,
-        rng: &mut SimRng,
-        jobs: usize,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> SessionReport {
-        self.run_planned(rng, ExecutionPlan::with_jobs(jobs), observer)
-    }
-
-    /// The crash-safe general entry point: executes under an
-    /// [`ExecutionPlan`] — `jobs` workers, retry/quarantine on failing
-    /// trials, optional journaling of every absorbed trial, and optional
-    /// replay of a journaled history before going live.
-    ///
-    /// Replayed trials are folded through the exact accumulator the live
-    /// path uses (no physics re-run) and every RNG stream re-derives from
-    /// the caller's generator, so an interrupted-and-resumed session
-    /// produces a report and observer trace bit-identical to an
-    /// uninterrupted one at any `jobs` count (wave boundaries restart on
-    /// resume, but [`WaveStats`](crate::trace::WaveStats) is engine
-    /// telemetry that trace observers ignore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.jobs == 0`, if the journal cannot be synced to
-    /// stable storage (crash safety would silently be lost), if the
-    /// recovered history is inconsistent with this session's
-    /// configuration (wrong trial order, or a journaled stop reason the
-    /// replay cannot reproduce), or if `plan.cancel` fires — callers that
-    /// cancel must use [`try_run_planned`](Self::try_run_planned).
-    pub fn run_planned(
-        &mut self,
-        rng: &mut SimRng,
-        plan: ExecutionPlan<'_>,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> SessionReport {
-        self.try_run_planned(rng, plan, observer)
-            .expect("session cancelled; use try_run_planned to observe cancellation")
-    }
-
-    /// [`run_planned`](Self::run_planned), but cancellable: when
-    /// `plan.cancel` fires, the run stops cleanly at the next wave
-    /// boundary and returns [`Err(Cancelled)`](Cancelled).
-    ///
-    /// The boundary guarantee is what keeps cancellation safe: every
-    /// trial absorbed before the boundary has been journaled and fsync'd
-    /// (the per-wave sync), no `SessionEnd` record is written, and no
-    /// `on_session_end` observer callback fires — so the journal reads
-    /// exactly like a crash at a record boundary and resumes
-    /// bit-identically through [`crate::journal::start_or_resume`].
+    /// [`Campaign::try_run`]: crate::campaign::Campaign::try_run
     ///
     /// # Errors
     ///
-    /// Returns [`Cancelled`] if the token fired before a stopping rule.
+    /// [`RunError::Cancelled`] when `options.cancel` fires: the run stops
+    /// at the next wave boundary, where every trial absorbed so far has
+    /// been journaled and synced, no `SessionEnd` record is written and no
+    /// `on_session_end` callback fires — so the journal reads exactly like
+    /// a crash at a record boundary and resumes bit-identically through
+    /// [`crate::journal::start_or_resume`]. [`RunError::Journal`] when a
+    /// journal write or sync fails: the run stops there, and the journal
+    /// resumes the same way once its torn tail is truncated.
     ///
     /// # Panics
     ///
-    /// As [`run_planned`](Self::run_planned), minus cancellation.
-    pub fn try_run_planned(
+    /// Panics if `options.jobs == 0`, or if the recovered history is
+    /// inconsistent with this session's configuration (wrong trial order,
+    /// or a journaled stop reason the replay cannot reproduce).
+    pub fn try_run(
         &mut self,
         rng: &mut SimRng,
-        mut plan: ExecutionPlan<'_>,
+        session_index: u64,
+        options: &mut CampaignRunOptions<'_>,
         observer: &mut dyn crate::trace::SessionObserver,
-    ) -> Result<SessionReport, Cancelled> {
-        assert!(plan.jobs > 0, "a session needs at least one worker");
+    ) -> Result<SessionReport, RunError> {
+        assert!(options.jobs > 0, "a session needs at least one worker");
+        let recovered = options.recovered.and_then(|r| r.session(session_index));
         let flux = self.runner.flux();
         let point = self.runner.dut().operating_point();
         observer.on_session_start(SimInstant::EPOCH, point);
@@ -448,13 +360,13 @@ impl TestSession {
         // from this root alone, independent of scheduling.
         let session_rng = SimRng::seed_from(rng.next_seed());
 
-        if plan.recovered.is_none() {
-            if let Some(journal) = plan.journal.as_deref_mut() {
+        if recovered.is_none() {
+            if let Some(journal) = options.journal.as_deref_mut() {
                 journal.append(&Record::SessionStart {
-                    session: plan.session_index,
+                    session: session_index,
                     point,
                 });
-                journal.sync().expect("run journal sync failed");
+                journal.sync().map_err(RunError::Journal)?;
             }
         }
 
@@ -465,7 +377,7 @@ impl TestSession {
         // Fast-forward: fold the journaled trials through the same
         // accumulator and observer the live path drives. No physics
         // re-runs; the stream is exactly what the interrupted run saw.
-        if let Some(recovered) = plan.recovered {
+        if let Some(recovered) = recovered {
             for execution in &recovered.trials {
                 assert_eq!(execution.trial, next_trial, "journal trials out of order");
                 let run_only = self.runner.run_duration(execution.outcome.benchmark);
@@ -501,19 +413,20 @@ impl TestSession {
                 // Wave boundary: the only place a cancel can land. The
                 // previous wave's trials are journaled and synced, so
                 // bailing here leaves the journal resumable.
-                if plan.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    return Err(Cancelled);
+                if options.cancelled() {
+                    return Err(RunError::Cancelled);
                 }
                 let wave_clock = std::time::Instant::now();
-                let wave = self.wave_size(&acc, plan.jobs, next_trial);
+                let wave = self.wave_size(&acc, options.jobs, next_trial);
                 let trials: Vec<u64> = (next_trial..next_trial + wave as u64).collect();
-                let retry = plan.retry;
+                let retry = options.retry;
                 // One effective worker means no pool: run on the calling
                 // thread with the session's persistent runner, whose scratch
                 // and envelope caches then survive across waves. The pool
                 // branch would reach the same trials (determinism contract),
                 // just slower.
-                let inline = plan.jobs == 1 || crate::parallel::effective_workers(plan.jobs) == 1;
+                let inline =
+                    options.jobs == 1 || crate::parallel::effective_workers(options.jobs) == 1;
                 let (executions, pool): (Vec<TrialExecution>, _) = if inline {
                     let runner = &mut self.runner;
                     let shards = trials.len() as u64;
@@ -530,7 +443,7 @@ impl TestSession {
                     let dut = self.runner.dut().clone();
                     let root = &session_rng;
                     crate::parallel::par_map_with_profile(
-                        plan.jobs,
+                        options.jobs,
                         trials,
                         move || BenchmarkRunner::new(dut.clone(), flux),
                         |runner, trial| run_trial_robust(runner, root, trial, retry),
@@ -549,9 +462,9 @@ impl TestSession {
                     absorbed += 1;
                     wave_retries += u64::from(execution.retries);
                     wave_quarantined += u64::from(execution.quarantined);
-                    if let Some(journal) = plan.journal.as_deref_mut() {
+                    if let Some(journal) = options.journal.as_deref_mut() {
                         journal.append(&Record::Trial {
-                            session: plan.session_index,
+                            session: session_index,
                             execution: execution.clone(),
                         });
                     }
@@ -560,8 +473,8 @@ impl TestSession {
                         break;
                     }
                 }
-                if let Some(journal) = plan.journal.as_deref_mut() {
-                    journal.sync().expect("run journal sync failed");
+                if let Some(journal) = options.journal.as_deref_mut() {
+                    journal.sync().map_err(RunError::Journal)?;
                 }
                 // Engine telemetry only — the host clock has no business in
                 // the simulation, and trace observers ignore this callback.
@@ -581,17 +494,17 @@ impl TestSession {
             },
         };
 
-        if let Some(journal) = plan.journal.as_deref_mut() {
+        if let Some(journal) = options.journal.as_deref_mut() {
             // A session the journal already closed needs no second end
             // record; everything else (fresh, or recovered mid-flight)
             // gets one now.
-            if plan.recovered.is_none_or(|r| r.ended.is_none()) {
+            if recovered.is_none_or(|r| r.ended.is_none()) {
                 journal.append(&Record::SessionEnd {
-                    session: plan.session_index,
+                    session: session_index,
                     reason: stop_reason,
                 });
             }
-            journal.sync().expect("run journal sync failed");
+            journal.sync().map_err(RunError::Journal)?;
         }
 
         observer.on_session_end(acc.clock, stop_reason);
@@ -608,18 +521,13 @@ impl TestSession {
     /// and canonical merge must be observationally equivalent to this
     /// loop, bit for bit, at any `jobs` count. It is deliberately kept
     /// free of the throughput machinery at *both* layers: no speculative
-    /// waves or worker pool here ([`Self::run`] goes through
-    /// [`Self::run_observed_with`], which speculates in waves even at
-    /// `jobs == 1`), and each trial's physics runs through
+    /// waves or worker pool here ([`Self::try_run`] speculates in waves
+    /// even at `jobs == 1`), and each trial's physics runs through
     /// [`BenchmarkRunner::run_once_reference`] — the per-event,
     /// envelope-rebuilt, codec-decoded twin of the batched hot path.
-    pub fn run_reference(&mut self, rng: &mut SimRng) -> SessionReport {
-        self.run_reference_observed(rng, &mut crate::trace::NoopObserver)
-    }
-
-    /// [`Self::run_reference`] with every event reported through an
-    /// observer, exactly as the wave engine would report it.
-    pub fn run_reference_observed(
+    /// Every event is reported through `observer`, exactly as the wave
+    /// engine would report it.
+    pub fn run_reference(
         &mut self,
         rng: &mut SimRng,
         observer: &mut dyn crate::trace::SessionObserver,
@@ -938,14 +846,26 @@ mod tests {
         DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency))
     }
 
+    /// Runs `session` through the wave engine on `jobs` workers, with no
+    /// journal, cancel token or observer.
+    fn run(session: &mut TestSession, seed: u64, jobs: usize) -> SessionReport {
+        session
+            .try_run(
+                &mut SimRng::seed_from(seed),
+                0,
+                &mut CampaignRunOptions::with_jobs(jobs),
+                &mut crate::trace::NoopObserver,
+            )
+            .expect("a run with no journal and no cancel token cannot fail")
+    }
+
     fn short_session(point: OperatingPoint, minutes: f64, seed: u64) -> SessionReport {
         let mut session = TestSession::new(
             dut(point),
             Flux::per_cm2_s(WORKING_FLUX),
             SessionLimits::time_boxed(SimDuration::from_minutes(minutes)),
         );
-        let mut rng = SimRng::seed_from(seed);
-        session.run(&mut rng)
+        run(&mut session, seed, 1)
     }
 
     #[test]
@@ -969,8 +889,7 @@ mod tests {
                 max_duration: None,
             },
         );
-        let mut rng = SimRng::seed_from(2);
-        let report = session.run(&mut rng);
+        let report = run(&mut session, 2, 1);
         assert_eq!(report.stop_reason, StopReason::ErrorEvents);
         assert_eq!(report.error_events(), 5);
     }
@@ -986,8 +905,7 @@ mod tests {
                 max_duration: None,
             },
         );
-        let mut rng = SimRng::seed_from(3);
-        let report = session.run(&mut rng);
+        let report = run(&mut session, 3, 1);
         assert_eq!(report.stop_reason, StopReason::Fluence);
         assert!(report.fluence >= Fluence::per_cm2(1.0e9));
     }
@@ -1046,8 +964,9 @@ mod tests {
                 SessionLimits::time_boxed(SimDuration::from_minutes(30.0)),
             )
         };
-        let wave = make().run(&mut SimRng::seed_from(12));
-        let reference = make().run_reference(&mut SimRng::seed_from(12));
+        let wave = run(&mut make(), 12, 1);
+        let reference =
+            make().run_reference(&mut SimRng::seed_from(12), &mut crate::trace::NoopObserver);
         assert_eq!(wave, reference);
     }
 
@@ -1067,8 +986,9 @@ mod tests {
                 },
             )
         };
-        let wave = make().run_parallel(&mut SimRng::seed_from(13), 4);
-        let reference = make().run_reference(&mut SimRng::seed_from(13));
+        let wave = run(&mut make(), 13, 4);
+        let reference =
+            make().run_reference(&mut SimRng::seed_from(13), &mut crate::trace::NoopObserver);
         assert_eq!(wave, reference);
         assert_eq!(reference.stop_reason, StopReason::ErrorEvents);
     }
@@ -1140,7 +1060,7 @@ mod tests {
             Flux::per_cm2_s(0.0),
             SessionLimits::time_boxed(SimDuration::from_minutes(5.0)),
         );
-        let report = session.run(&mut SimRng::seed_from(1));
+        let report = run(&mut session, 1, 1);
         assert_eq!(report.memory_upsets, 0);
         assert_eq!(report.error_events(), 0);
         assert_eq!(report.fluence, Fluence::ZERO);
@@ -1357,20 +1277,22 @@ mod tests {
                 Flux::per_cm2_s(WORKING_FLUX),
                 SessionLimits::time_boxed(SimDuration::from_minutes(5.0)),
             );
-            let mut rng = SimRng::seed_from(31);
-            let plan = ExecutionPlan {
-                jobs,
+            let mut options = CampaignRunOptions {
                 retry: RetryPolicy {
                     max_retries: 1,
                     backoff: std::time::Duration::ZERO,
                     timeout: Some(std::time::Duration::ZERO),
                 },
-                journal: None,
-                recovered: None,
-                session_index: 0,
-                cancel: None,
+                ..CampaignRunOptions::with_jobs(jobs)
             };
-            session.run_planned(&mut rng, plan, &mut crate::trace::NoopObserver)
+            session
+                .try_run(
+                    &mut SimRng::seed_from(31),
+                    0,
+                    &mut options,
+                    &mut crate::trace::NoopObserver,
+                )
+                .expect("a run with no journal and no cancel token cannot fail")
         };
         let report = run(1);
         assert_eq!(report.stop_reason, StopReason::BeamTime);
@@ -1404,8 +1326,7 @@ mod tests {
         let make = || TestSession::new(dut(OperatingPoint::nominal()), quiet_flux, limits);
 
         let mut reference_log = crate::trace::Logbook::new();
-        let reference =
-            make().run_reference_observed(&mut SimRng::seed_from(23), &mut reference_log);
+        let reference = make().run_reference(&mut SimRng::seed_from(23), &mut reference_log);
 
         let dir = std::env::temp_dir().join(format!(
             "serscale-zero-upset-journal-{}",
@@ -1417,18 +1338,17 @@ mod tests {
         let (mut journal, recovered) = start_or_resume(&dir, &config).unwrap();
         assert!(recovered.is_none());
         let mut wave_log = crate::trace::Logbook::new();
-        let report = make().run_planned(
-            &mut SimRng::seed_from(23),
-            ExecutionPlan {
-                jobs: 8,
-                retry: RetryPolicy::standard(),
-                journal: Some(&mut journal),
-                recovered: None,
-                session_index: 0,
-                cancel: None,
-            },
-            &mut wave_log,
-        );
+        let report = make()
+            .try_run(
+                &mut SimRng::seed_from(23),
+                0,
+                &mut CampaignRunOptions {
+                    journal: Some(&mut journal),
+                    ..CampaignRunOptions::with_jobs(8)
+                },
+                &mut wave_log,
+            )
+            .expect("journal writes succeed");
         drop(journal);
 
         assert_eq!(report, reference);
@@ -1474,16 +1394,18 @@ mod tests {
                 SessionLimits::time_boxed(SimDuration::from_minutes(20.0)),
             )
         };
-        let plain = make().run(&mut SimRng::seed_from(17));
-        let mut planned = make();
-        let report = planned.run_planned(
-            &mut SimRng::seed_from(17),
-            ExecutionPlan {
-                retry: RetryPolicy::with_timeout(std::time::Duration::from_secs(30)),
-                ..ExecutionPlan::with_jobs(2)
-            },
-            &mut crate::trace::NoopObserver,
-        );
+        let plain = run(&mut make(), 17, 1);
+        let report = make()
+            .try_run(
+                &mut SimRng::seed_from(17),
+                0,
+                &mut CampaignRunOptions {
+                    retry: RetryPolicy::with_timeout(std::time::Duration::from_secs(30)),
+                    ..CampaignRunOptions::with_jobs(2)
+                },
+                &mut crate::trace::NoopObserver,
+            )
+            .expect("a run with no journal and no cancel token cannot fail");
         assert_eq!(report, plain);
         assert_eq!(report.trial_retries, 0);
         assert!(report.quarantined_trials.is_empty());

@@ -188,7 +188,7 @@ impl<A: SessionObserver, B: SessionObserver> SessionObserver for Tee<A, B> {
     }
 }
 
-/// The do-nothing observer (what plain `TestSession::run` uses).
+/// The do-nothing observer, for runs nothing watches.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -381,13 +381,31 @@ impl SessionObserver for Logbook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignRunOptions;
     use crate::dut::DeviceUnderTest;
-    use crate::session::{SessionLimits, TestSession};
+    use crate::session::{SessionLimits, SessionReport, TestSession};
     use serscale_soc::platform::OperatingPoint;
     use serscale_stats::SimRng;
     use serscale_types::Flux;
 
-    fn logbook_for(minutes: f64, seed: u64) -> (crate::session::SessionReport, Logbook) {
+    /// Runs `session` on one worker with no journal, reporting to
+    /// `observer`.
+    fn run(
+        session: &mut TestSession,
+        seed: u64,
+        observer: &mut dyn SessionObserver,
+    ) -> SessionReport {
+        session
+            .try_run(
+                &mut SimRng::seed_from(seed),
+                0,
+                &mut CampaignRunOptions::with_jobs(1),
+                observer,
+            )
+            .expect("a run with no journal and no cancel token cannot fail")
+    }
+
+    fn logbook_for(minutes: f64, seed: u64) -> (SessionReport, Logbook) {
         let point = OperatingPoint::vmin_2400();
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
@@ -396,7 +414,7 @@ mod tests {
             SessionLimits::time_boxed(serscale_types::SimDuration::from_minutes(minutes)),
         );
         let mut logbook = Logbook::new();
-        let report = session.run_observed(&mut SimRng::seed_from(seed), &mut logbook);
+        let report = run(&mut session, seed, &mut logbook);
         (report, logbook)
     }
 
@@ -530,7 +548,7 @@ mod tests {
         let mut left = Logbook::new();
         let mut right = Logbook::new();
         let mut both = tee(&mut left, &mut right);
-        session.run_observed(&mut SimRng::seed_from(21), &mut both);
+        run(&mut session, 21, &mut both);
         assert!(!left.is_empty());
         assert_eq!(left, right, "tee must mirror the full trace");
     }
@@ -566,9 +584,9 @@ mod tests {
                 SessionLimits::time_boxed(serscale_types::SimDuration::from_minutes(20.0)),
             )
         };
-        let plain = make().run(&mut SimRng::seed_from(9));
+        let plain = run(&mut make(), 9, &mut NoopObserver);
         let mut logbook = Logbook::new();
-        let observed = make().run_observed(&mut SimRng::seed_from(9), &mut logbook);
+        let observed = run(&mut make(), 9, &mut logbook);
         assert_eq!(plain, observed, "observation must not perturb the physics");
     }
 }

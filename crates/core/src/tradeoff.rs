@@ -84,7 +84,7 @@ pub fn susceptibility_ratio(session: &SessionReport, baseline: &SessionReport) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Campaign, CampaignConfig};
+    use crate::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
 
     fn quick_report() -> &'static CampaignReport {
         // Equal-length sixteen-hour sessions, computed once and shared by
@@ -100,7 +100,12 @@ mod tests {
                     serscale_types::SimDuration::from_minutes(960.0),
                 );
             }
-            Campaign::new(c).run()
+            Campaign::new(c)
+                .try_run(
+                    CampaignRunOptions::with_jobs(1),
+                    &mut crate::trace::NoopObserver,
+                )
+                .expect("a run with no journal and no cancel token cannot fail")
         })
     }
 

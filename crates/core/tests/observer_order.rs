@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::classify::RunVerdict;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, StopReason, TestSession};
@@ -86,19 +87,19 @@ proptest! {
         let point = OperatingPoint::CAMPAIGN[point_idx];
 
         let mut waved = StampRecorder::default();
-        session(point, minutes).run_observed_with(
-            &mut SimRng::seed_from(seed),
-            jobs,
-            &mut waved,
-        );
+        session(point, minutes)
+            .try_run(
+                &mut SimRng::seed_from(seed),
+                0,
+                &mut CampaignRunOptions::with_jobs(jobs),
+                &mut waved,
+            )
+            .expect("a run with no journal and no cancel token cannot fail");
         assert_well_ordered(&waved.stamps);
         prop_assert!(waved.waves >= 1, "the wave engine reports its waves");
 
         let mut reference = StampRecorder::default();
-        session(point, minutes).run_reference_observed(
-            &mut SimRng::seed_from(seed),
-            &mut reference,
-        );
+        session(point, minutes).run_reference(&mut SimRng::seed_from(seed), &mut reference);
         assert_well_ordered(&reference.stamps);
         prop_assert_eq!(
             reference.waves, 0,

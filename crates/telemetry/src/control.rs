@@ -22,20 +22,22 @@
 //!
 //! `DELETE /campaigns/{id}` fires the job's
 //! [`CancelToken`]; the engine observes it at the next wave boundary
-//! ([`Campaign::try_run_recoverable`]), where the journal is synced and
-//! resumable. Resubmitting the same spec with `"resume": <id>` re-opens
-//! the cancelled job's journal through
+//! ([`Campaign::try_run`] returns [`RunError::Cancelled`]), where the
+//! journal is synced and resumable. Resubmitting the same spec with
+//! `"resume": <id>` re-opens the cancelled job's journal through
 //! [`start_or_resume`] and reproduces the uninterrupted report bit for
 //! bit — cancellation deliberately rides the crash-recovery path instead
 //! of inventing a second lifecycle.
 //!
 //! ## Quarantine
 //!
-//! A panicking campaign (engine assertion, poisoned journal directory)
-//! is caught on its runner thread, marked `failed`, and the runner moves
-//! on — one tenant's pathological spec cannot stall another tenant's
-//! queue. This mirrors the worker pool's drain-then-resume semantics one
-//! level up.
+//! A campaign whose journal cannot be opened, written or synced
+//! ([`RunError::Journal`]) is marked `failed`, with the I/O error as its
+//! reason; its journal stays resumable. A panicking campaign (engine
+//! assertion) is caught on its runner thread and marked `failed` too.
+//! Either way the runner moves on — one tenant's pathological spec
+//! cannot stall another tenant's queue. This mirrors the worker pool's
+//! drain-then-resume semantics one level up.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,10 +46,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serscale_core::campaign::{Campaign, CampaignRunOptions};
+use serscale_core::campaign::{Campaign, CampaignRunOptions, RunError};
 use serscale_core::journal::{config_fingerprint, journal_path, start_or_resume};
 use serscale_core::report::golden_summary;
-use serscale_core::scheduler::{CancelToken, Cancelled, FairQueue};
+use serscale_core::scheduler::{CancelToken, FairQueue};
 use serscale_core::session::RetryPolicy;
 use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec};
 use serscale_types::json::{self, JsonValue};
@@ -949,39 +951,34 @@ fn run_job(inner: &Arc<ControlInner>, id: u64) {
             status.config_fingerprint = Some(config_fingerprint(campaign.config()));
         });
         let mut observer = sink.observer();
-        let outcome = match &journal_dir {
+        let (mut writer, recovered) = match &journal_dir {
             Some(dir) => {
-                let (mut writer, recovered) = start_or_resume(dir, campaign.config())
+                let (writer, recovered) = start_or_resume(dir, campaign.config())
                     .map_err(|e| format!("journal at {}: {e}", dir.display()))?;
                 resumed_trials = recovered.as_ref().map_or(0, |r| r.trials_recovered());
                 sink.set_campaign_status(|status| {
                     status.journal = Some(journal_path(dir).display().to_string());
                     status.resumed_trials = resumed_trials;
                 });
-                let result = campaign.try_run_recoverable(
-                    CampaignRunOptions {
-                        jobs,
-                        retry: RetryPolicy::standard(),
-                        journal: Some(&mut writer),
-                        recovered: recovered.as_ref(),
-                        cancel: Some(cancel.clone()),
-                    },
-                    &mut observer,
-                );
-                drop(writer); // durable sync before the status flips
-                result
+                (Some(writer), recovered)
             }
-            None => campaign.try_run_recoverable(
-                CampaignRunOptions {
-                    cancel: Some(cancel.clone()),
-                    ..CampaignRunOptions::with_jobs(jobs)
-                },
-                &mut observer,
-            ),
+            None => (None, None),
         };
+        let outcome = campaign.try_run(
+            CampaignRunOptions {
+                jobs,
+                retry: RetryPolicy::standard(),
+                journal: writer.as_mut(),
+                recovered: recovered.as_ref(),
+                cancel: Some(cancel.clone()),
+            },
+            &mut observer,
+        );
+        drop(writer); // durable sync before the status flips
         Ok(match outcome {
             Ok(report) => JobOutcome::Done(golden_summary(&report)),
-            Err(Cancelled) => JobOutcome::Cancelled,
+            Err(RunError::Cancelled) => JobOutcome::Cancelled,
+            Err(RunError::Journal(e)) => JobOutcome::Failed(format!("run journal: {e}")),
         })
     }));
     let outcome = match caught {

@@ -376,7 +376,7 @@ impl TelemetrySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serscale_core::campaign::{Campaign, CampaignConfig};
+    use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
 
     fn small_campaign() -> Campaign {
         Campaign::new(CampaignConfig::paper_scaled(0.005))
@@ -397,7 +397,12 @@ mod tests {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let campaign = small_campaign();
         // Run WITHOUT the observer: counters stay zero, report does not.
-        let report = campaign.run();
+        let report = campaign
+            .try_run(
+                CampaignRunOptions::with_jobs(1),
+                &mut serscale_core::trace::NoopObserver,
+            )
+            .expect("a run with no journal and no cancel token cannot fail");
         let err = sink
             .crosscheck_campaign(&report)
             .expect_err("zero counters cannot match a live report");

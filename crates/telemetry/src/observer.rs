@@ -680,10 +680,25 @@ impl SessionObserver for TelemetryObserver {
 mod tests {
     use super::*;
     use crate::export::{TelemetryOptions, TelemetrySink};
+    use serscale_core::campaign::CampaignRunOptions;
     use serscale_core::dut::DeviceUnderTest;
-    use serscale_core::session::{SessionLimits, TestSession};
+    use serscale_core::session::{SessionLimits, SessionReport, TestSession};
+    use serscale_core::trace::NoopObserver;
     use serscale_stats::SimRng;
     use serscale_types::Flux;
+
+    /// Runs `session` from `seed` under `options` (no journal, no cancel
+    /// token), reporting to `observer`.
+    fn run(
+        session: &mut TestSession,
+        seed: u64,
+        mut options: CampaignRunOptions<'_>,
+        observer: &mut dyn SessionObserver,
+    ) -> SessionReport {
+        session
+            .try_run(&mut SimRng::seed_from(seed), 0, &mut options, observer)
+            .expect("a run with no journal and no cancel token cannot fail")
+    }
 
     fn run_session(observer: &mut TelemetryObserver, minutes: f64, seed: u64) {
         let point = OperatingPoint::vmin_2400();
@@ -693,7 +708,12 @@ mod tests {
             Flux::per_cm2_s(1.5e6),
             SessionLimits::time_boxed(SimDuration::from_minutes(minutes)),
         );
-        session.run_observed(&mut SimRng::seed_from(seed), observer);
+        run(
+            &mut session,
+            seed,
+            CampaignRunOptions::with_jobs(1),
+            observer,
+        );
     }
 
     #[test]
@@ -709,7 +729,12 @@ mod tests {
             Flux::per_cm2_s(1.5e6),
             SessionLimits::time_boxed(SimDuration::from_minutes(120.0)),
         );
-        let report = session.run(&mut SimRng::seed_from(11));
+        let report = run(
+            &mut session,
+            11,
+            CampaignRunOptions::with_jobs(1),
+            &mut NoopObserver,
+        );
 
         let snap = sink.registry().snapshot();
         assert_eq!(snap.counter_total("runs_total", &[]), report.runs);
@@ -766,7 +791,7 @@ mod tests {
 
     #[test]
     fn retry_and_quarantine_counters_surface() {
-        use serscale_core::session::{ExecutionPlan, RetryPolicy};
+        use serscale_core::session::RetryPolicy;
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
         let point = OperatingPoint::nominal();
@@ -778,13 +803,15 @@ mod tests {
         );
         // A zero trial timeout fails every attempt, so every trial is
         // retried once and then quarantined.
-        let mut plan = ExecutionPlan::with_jobs(2);
-        plan.retry = RetryPolicy {
-            max_retries: 1,
-            backoff: std::time::Duration::ZERO,
-            timeout: Some(std::time::Duration::ZERO),
+        let options = CampaignRunOptions {
+            retry: RetryPolicy {
+                max_retries: 1,
+                backoff: std::time::Duration::ZERO,
+                timeout: Some(std::time::Duration::ZERO),
+            },
+            ..CampaignRunOptions::with_jobs(2)
         };
-        let report = session.run_planned(&mut SimRng::seed_from(9), plan, &mut observer);
+        let report = run(&mut session, 9, options, &mut observer);
         assert!(!report.quarantined_trials.is_empty());
         let snap = sink.registry().snapshot();
         assert_eq!(
@@ -799,7 +826,6 @@ mod tests {
 
     #[test]
     fn worker_utilization_series_cover_the_pool() {
-        use serscale_core::session::ExecutionPlan;
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
         let point = OperatingPoint::vmin_2400();
@@ -809,9 +835,10 @@ mod tests {
             Flux::per_cm2_s(1.5e6),
             SessionLimits::time_boxed(SimDuration::from_minutes(60.0)),
         );
-        session.run_planned(
-            &mut SimRng::seed_from(13),
-            ExecutionPlan::with_jobs(2),
+        run(
+            &mut session,
+            13,
+            CampaignRunOptions::with_jobs(2),
             &mut observer,
         );
         let snap = sink.registry().snapshot();

@@ -5,9 +5,9 @@
 //!
 //! 1. the **naive reference executor** (`run_reference`) — one trial at a
 //!    time, absorbed immediately, no speculation;
-//! 2. the **sequential wave engine** (`run`) — speculative waves merged in
-//!    canonical trial order, one worker;
-//! 3. the **parallel wave engine** (`run_parallel(jobs)`) — the same
+//! 2. the **sequential wave engine** (`try_run` at `jobs` 1) — speculative
+//!    waves merged in canonical trial order, one worker;
+//! 3. the **parallel wave engine** (`try_run` at `jobs` > 1) — the same
 //!    engine sharded over a worker pool.
 //!
 //! Because every trial's physics derives from a counter-based stream keyed
@@ -25,7 +25,7 @@ use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, Campaign
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::journal::{journal_path, start_or_resume};
 use serscale_core::session::{SessionLimits, TestSession};
-use serscale_core::trace::Logbook;
+use serscale_core::trace::{Logbook, NoopObserver};
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::{PlatformSpec, RawPlatformSpec};
 use serscale_stats::SimRng;
@@ -79,7 +79,9 @@ impl StatOracle for EngineEquivalence {
             format!("reference executor: {}", summarize(&reference)),
         )];
         for jobs in JOBS {
-            let engine = campaign.run_parallel(jobs);
+            let engine = campaign
+                .try_run(CampaignRunOptions::with_jobs(jobs), &mut NoopObserver)
+                .expect("a run with no journal and no cancel token cannot fail");
             let agree = engine == reference;
             checks.push(CheckResult::new(
                 format!("engine-jobs-{jobs}"),
@@ -136,7 +138,7 @@ impl StatOracle for TraceEquivalence {
         };
 
         let reference = trace_of(&|s, rng, log| {
-            s.run_reference_observed(rng, log);
+            s.run_reference(rng, log);
         });
         let mut checks = vec![CheckResult::new(
             "trace-nonempty",
@@ -145,7 +147,8 @@ impl StatOracle for TraceEquivalence {
         )];
         for jobs in JOBS {
             let engine = trace_of(&|s, rng, log| {
-                s.run_observed_with(rng, jobs, log);
+                s.try_run(rng, 0, &mut CampaignRunOptions::with_jobs(jobs), log)
+                    .expect("a run with no journal and no cancel token cannot fail");
             });
             let agree = engine == reference;
             checks.push(CheckResult::new(
@@ -195,7 +198,7 @@ impl ResumeEquivalence {
             return fail("fresh directory unexpectedly recovered".into());
         }
         let mut log = Logbook::new();
-        let full = campaign.run_recoverable(
+        let full = campaign.try_run(
             CampaignRunOptions {
                 journal: Some(&mut writer),
                 ..CampaignRunOptions::with_jobs(jobs)
@@ -203,6 +206,10 @@ impl ResumeEquivalence {
             &mut log,
         );
         drop(writer);
+        let full = match full {
+            Ok(report) => report,
+            Err(e) => return fail(format!("journaled run failed: {e}")),
+        };
         if &full != golden || &log != golden_log {
             return fail("journaled run diverged from uninterrupted run".into());
         }
@@ -233,7 +240,7 @@ impl ResumeEquivalence {
             Err(e) => return fail(format!("resume open failed: {e}")),
         };
         let mut resumed_log = Logbook::new();
-        let resumed = campaign.run_recoverable(
+        let resumed = campaign.try_run(
             CampaignRunOptions {
                 journal: Some(&mut writer),
                 recovered: recovered.as_ref(),
@@ -242,6 +249,10 @@ impl ResumeEquivalence {
             &mut resumed_log,
         );
         drop(writer);
+        let resumed = match resumed {
+            Ok(report) => report,
+            Err(e) => return fail(format!("resumed run failed: {e}")),
+        };
         let report_ok = &resumed == golden;
         let trace_ok = &resumed_log == golden_log;
         let replayed = recovered.as_ref().map_or(0, |r| r.trials_recovered());
@@ -289,7 +300,9 @@ impl StatOracle for PlatformEquivalence {
         };
         let run = |config: CampaignConfig, jobs: usize| {
             let mut log = Logbook::new();
-            let report = Campaign::new(config).run_observed(jobs, &mut log);
+            let report = Campaign::new(config)
+                .try_run(CampaignRunOptions::with_jobs(jobs), &mut log)
+                .expect("a run with no journal and no cancel token cannot fail");
             (report, log)
         };
 
@@ -461,7 +474,9 @@ impl StatOracle for ResumeEquivalence {
     fn run(&self, ctx: &OracleContext) -> OracleReport {
         let campaign = Campaign::new(campaign_config(ctx, self.name()));
         let mut golden_log = Logbook::new();
-        let golden = campaign.run_observed(1, &mut golden_log);
+        let golden = campaign
+            .try_run(CampaignRunOptions::with_jobs(1), &mut golden_log)
+            .expect("a run with no journal and no cancel token cannot fail");
         let mut checks = vec![CheckResult::new(
             "golden-baseline",
             golden.sessions.iter().any(|s| s.runs > 0),

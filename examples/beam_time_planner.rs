@@ -13,9 +13,11 @@
 //! cargo run --release -p serscale-bench --example beam_time_planner
 //! ```
 
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::classify::FailureClass;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, TestSession};
+use serscale_core::trace::NoopObserver;
 use serscale_soc::platform::OperatingPoint;
 use serscale_stats::ci::poisson_relative_uncertainty;
 use serscale_stats::SimRng;
@@ -53,7 +55,14 @@ fn main() {
             flux,
             SessionLimits::time_boxed(SimDuration::from_minutes(90.0)),
         );
-        let report = pilot.run(&mut SimRng::seed_from(31_415));
+        let report = pilot
+            .try_run(
+                &mut SimRng::seed_from(31_415),
+                0,
+                &mut CampaignRunOptions::with_jobs(1),
+                &mut NoopObserver,
+            )
+            .expect("a run with no journal and no cancel token cannot fail");
         let event_rate_per_hour = report.error_events() as f64 / report.duration.as_hours();
         let costs: Vec<String> = TARGETS
             .iter()

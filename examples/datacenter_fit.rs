@@ -21,7 +21,7 @@ const HOURS_PER_YEAR: f64 = 24.0 * 365.25;
 
 fn main() {
     println!("simulating beam campaign (4 sessions, scaled)…");
-    let report = serscale_bench::run_campaign(0.25, 7);
+    let report = serscale_bench::run_campaign(0.25, 7, 1);
     let power_model = PowerModel::xgene2();
     let baseline_power = power_model.total_power(OperatingPoint::nominal());
 

@@ -76,7 +76,7 @@ fn main() {
     // --- 3. recovery economics -------------------------------------------
     println!("== checkpoint/restart economics (harsh environment: 1e6 x NYC) ==");
     println!("   running a short beam campaign to measure per-point FIT…");
-    let report = serscale_bench::run_campaign(0.2, 4242);
+    let report = serscale_bench::run_campaign(0.2, 4242, 1);
     let scheme = CheckpointScheme::typical();
     let scale = 1.0e6; // avionics/space-adjacent flux, where recovery bites
     let ledgers: Vec<_> = report

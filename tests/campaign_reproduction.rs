@@ -5,7 +5,8 @@
 //! ratios and crossovers, with tolerances sized for the scaled exposure's
 //! Poisson noise.
 
-use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport};
+use serscale_bench::run_campaign;
+use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
 use serscale_core::classify::FailureClass;
 use serscale_core::fit::{class_fit, fit_breakdown, sdc_notification_split, total_fit};
 use serscale_core::tradeoff::{power_vs_upsets, savings_vs_susceptibility};
@@ -29,7 +30,12 @@ fn campaign() -> &'static CampaignReport {
                 serscale_types::SimDuration::from_minutes(800.0),
             );
         }
-        Campaign::new(config).run()
+        Campaign::new(config)
+            .try_run(
+                CampaignRunOptions::with_jobs(1),
+                &mut serscale_core::trace::NoopObserver,
+            )
+            .expect("a run with no journal and no cancel token cannot fail")
     })
 }
 
@@ -127,9 +133,7 @@ fn full_campaign_shape() {
 
 #[test]
 fn table2_fluence_and_nyc_equivalents_scale() {
-    let mut config = CampaignConfig::paper_scaled(0.1);
-    config.seed = 3;
-    let report = Campaign::new(config).run();
+    let report = run_campaign(0.1, 3, 1);
     for session in &report.sessions {
         // Fluence = working flux × duration.
         let expected = 1.5e6 * session.duration.as_secs();
@@ -180,9 +184,7 @@ fn memory_ser_stays_in_paper_band() {
 
 #[test]
 fn campaign_replays_bit_identically() {
-    let mut config = CampaignConfig::paper_scaled(0.02);
-    config.seed = 17;
-    let a = Campaign::new(config.clone()).run();
-    let b = Campaign::new(config).run();
+    let a = run_campaign(0.02, 17, 1);
+    let b = run_campaign(0.02, 17, 1);
     assert_eq!(a, b);
 }

@@ -6,7 +6,7 @@
 //! 1. **Isolation under concurrency** — N campaigns submitted by M
 //!    concurrent HTTP clients, interleaved on a shared worker pool, each
 //!    produce a report byte-identical to the same spec run solo through
-//!    the CLI path ([`run_campaign_jobs`]), at `jobs: 1` and `jobs: 8`.
+//!    the CLI path ([`run_campaign`]), at `jobs: 1` and `jobs: 8`.
 //! 2. **The resume oracle** — `DELETE` mid-run cancels at a wave
 //!    boundary with the journal resumable; resubmitting the spec with
 //!    `"resume": <id>` replays the absorbed prefix and finishes to the
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serscale_bench::{golden_summary, run_campaign_jobs};
+use serscale_bench::{golden_summary, run_campaign};
 use serscale_core::campaign::Campaign;
 use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec};
 use serscale_telemetry::json::{self, JsonValue};
@@ -122,7 +122,7 @@ fn concurrent_http_submissions_match_solo_cli_runs_bit_for_bit() {
 
     for client in clients {
         let (seed, jobs, service_report) = client.join().expect("client thread");
-        let solo = golden_summary(&run_campaign_jobs(SCALE, seed, jobs as usize));
+        let solo = golden_summary(&run_campaign(SCALE, seed, jobs as usize));
         assert_eq!(
             service_report, solo,
             "seed {seed} jobs {jobs}: service report differs from the solo CLI run"

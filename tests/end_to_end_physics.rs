@@ -2,6 +2,7 @@
 //! paper identifies, checked through the assembled stack rather than in
 //! isolation.
 
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, TestSession};
 use serscale_soc::edac::EdacSeverity;
@@ -22,7 +23,14 @@ fn run_session(
         Flux::per_cm2_s(WORKING_FLUX),
         SessionLimits::time_boxed(SimDuration::from_minutes(minutes)),
     );
-    session.run(&mut SimRng::seed_from(seed))
+    session
+        .try_run(
+            &mut SimRng::seed_from(seed),
+            0,
+            &mut CampaignRunOptions::with_jobs(1),
+            &mut serscale_core::trace::NoopObserver,
+        )
+        .expect("a run with no journal and no cancel token cannot fail")
 }
 
 #[test]

@@ -11,13 +11,13 @@
 //!     > tests/golden/campaign_smoke.txt
 //! ```
 
-use serscale_bench::{golden_summary, run_campaign_jobs, GOLDEN_SCALE, REPRO_SEED};
+use serscale_bench::{golden_summary, run_campaign, GOLDEN_SCALE, REPRO_SEED};
 
 const GOLDEN: &str = include_str!("golden/campaign_smoke.txt");
 
 #[test]
 fn scaled_campaign_matches_the_golden_artifact() {
-    let fresh = golden_summary(&run_campaign_jobs(GOLDEN_SCALE, REPRO_SEED, 2));
+    let fresh = golden_summary(&run_campaign(GOLDEN_SCALE, REPRO_SEED, 2));
     assert_eq!(
         fresh, GOLDEN,
         "campaign drifted from the golden artifact; if intentional, regenerate it \
@@ -27,9 +27,9 @@ fn scaled_campaign_matches_the_golden_artifact() {
 
 #[test]
 fn golden_summary_is_jobs_invariant() {
-    let sequential = golden_summary(&run_campaign_jobs(GOLDEN_SCALE, REPRO_SEED, 1));
+    let sequential = golden_summary(&run_campaign(GOLDEN_SCALE, REPRO_SEED, 1));
     for jobs in [3, 8] {
-        let parallel = golden_summary(&run_campaign_jobs(GOLDEN_SCALE, REPRO_SEED, jobs));
+        let parallel = golden_summary(&run_campaign(GOLDEN_SCALE, REPRO_SEED, jobs));
         assert_eq!(parallel, sequential, "jobs = {jobs}");
     }
 }

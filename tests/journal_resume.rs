@@ -6,7 +6,9 @@
 //! The golden run, its trace and its complete journal are computed once
 //! and shared across cases; each case then truncates a private copy of the
 //! journal and resumes from it. The same journal feeds the reader's fuzz
-//! property: hostile lines must be refused, never panicked on.
+//! property: hostile lines must be refused, never panicked on. A journal
+//! write that fails mid-run must end `repro` with an error, not a panic,
+//! and leave a journal that resumes to the golden output.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,20 +35,24 @@ fn golden() -> &'static (CampaignReport, Logbook, String) {
     GOLDEN.get_or_init(|| {
         let campaign = campaign();
         let mut golden_log = Logbook::new();
-        let golden = campaign.run_observed(2, &mut golden_log);
+        let golden = campaign
+            .try_run(CampaignRunOptions::with_jobs(2), &mut golden_log)
+            .expect("a run with no journal and no cancel token cannot fail");
 
         let dir = case_dir("golden");
         let (mut writer, recovered) =
             start_or_resume(&dir, campaign.config()).expect("journal opens");
         assert!(recovered.is_none(), "fresh directory must not recover");
         let mut log = Logbook::new();
-        let journaled = campaign.run_recoverable(
-            CampaignRunOptions {
-                journal: Some(&mut writer),
-                ..CampaignRunOptions::with_jobs(2)
-            },
-            &mut log,
-        );
+        let journaled = campaign
+            .try_run(
+                CampaignRunOptions {
+                    journal: Some(&mut writer),
+                    ..CampaignRunOptions::with_jobs(2)
+                },
+                &mut log,
+            )
+            .expect("journal writes succeed");
         drop(writer);
         assert_eq!(journaled, golden, "journaling must not perturb the run");
         assert_eq!(log, golden_log, "journaling must not perturb the trace");
@@ -79,14 +85,16 @@ fn resume_and_check(tag: &str, text: &str, jobs: usize) {
     let (mut writer, recovered) =
         start_or_resume(&dir, campaign.config()).expect("truncated journal reopens");
     let mut resumed_log = Logbook::new();
-    let resumed = campaign.run_recoverable(
-        CampaignRunOptions {
-            journal: Some(&mut writer),
-            recovered: recovered.as_ref(),
-            ..CampaignRunOptions::with_jobs(jobs)
-        },
-        &mut resumed_log,
-    );
+    let resumed = campaign
+        .try_run(
+            CampaignRunOptions {
+                journal: Some(&mut writer),
+                recovered: recovered.as_ref(),
+                ..CampaignRunOptions::with_jobs(jobs)
+            },
+            &mut resumed_log,
+        )
+        .expect("journal writes succeed");
     drop(writer);
     assert_eq!(
         &resumed, golden_report,
@@ -143,6 +151,46 @@ fn resume_of_a_complete_journal_is_a_pure_replay() {
     for jobs in [1, 8] {
         resume_and_check("complete", text, jobs);
     }
+}
+
+/// A journal write that fails mid-run is an error, not a panic: `repro`
+/// names the journal on stderr and exits 1, and the journal it leaves
+/// behind (torn at the failed write) resumes to the golden output at
+/// another worker count.
+#[cfg(target_os = "linux")]
+#[test]
+fn journal_write_failure_exits_cleanly_and_resumes() {
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let dir = case_dir("file-size-limit");
+    // `ulimit -f 32` caps files far below the golden run's journal, and
+    // ignoring SIGXFSZ turns the write past the cap into an EFBIG error.
+    let limited = std::process::Command::new("sh")
+        .arg("-c")
+        .arg("trap '' XFSZ; ulimit -f 32; exec \"$0\" --golden --jobs 2 --journal \"$1\"")
+        .arg(repro)
+        .arg(&dir)
+        .output()
+        .expect("sh runs");
+    let stderr = String::from_utf8_lossy(&limited.stderr);
+    assert_eq!(limited.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("journal"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    let resumed = std::process::Command::new(repro)
+        .args(["--golden", "--jobs", "8", "--resume"])
+        .arg(&dir)
+        .output()
+        .expect("repro runs");
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout),
+        include_str!("golden/campaign_smoke.txt")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -4,25 +4,33 @@
 
 use proptest::prelude::*;
 
-use serscale_core::campaign::{Campaign, CampaignConfig};
+use serscale_bench::run_campaign;
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::dut::DeviceUnderTest;
-use serscale_core::session::{SessionLimits, TestSession};
-use serscale_core::trace::Logbook;
+use serscale_core::session::{SessionLimits, SessionReport, TestSession};
+use serscale_core::trace::{Logbook, NoopObserver, SessionObserver};
 use serscale_soc::platform::OperatingPoint;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, SimDuration};
 
-fn scaled_campaign(seed: u64) -> CampaignConfig {
-    let mut config = CampaignConfig::paper_scaled(0.01);
-    config.seed = seed;
-    config
+/// Runs `session` on `jobs` workers with no journal, drawing its seed from
+/// `rng` and reporting to `observer`.
+fn run(
+    session: &mut TestSession,
+    rng: &mut SimRng,
+    jobs: usize,
+    observer: &mut dyn SessionObserver,
+) -> SessionReport {
+    session
+        .try_run(rng, 0, &mut CampaignRunOptions::with_jobs(jobs), observer)
+        .expect("a run with no journal and no cancel token cannot fail")
 }
 
 #[test]
 fn campaign_is_bit_identical_across_worker_counts() {
-    let reference = Campaign::new(scaled_campaign(0xD00D)).run();
+    let reference = run_campaign(0.01, 0xD00D, 1);
     for jobs in [1, 2, 8] {
-        let parallel = Campaign::new(scaled_campaign(0xD00D)).run_parallel(jobs);
+        let parallel = run_campaign(0.01, 0xD00D, jobs);
         assert_eq!(parallel, reference, "jobs = {jobs}");
     }
 }
@@ -33,7 +41,12 @@ fn session_parallel_matches_sequential_for_every_stop_rule() {
         let point = OperatingPoint::vmin_2400();
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut s = TestSession::new(dut, Flux::per_cm2_s(1.5e6), limits);
-        s.run_parallel(&mut SimRng::seed_from(0xF00), jobs)
+        run(
+            &mut s,
+            &mut SimRng::seed_from(0xF00),
+            jobs,
+            &mut NoopObserver,
+        )
     };
     let rules = [
         SessionLimits::time_boxed(SimDuration::from_minutes(30.0)),
@@ -69,7 +82,7 @@ fn observer_trace_is_identical_across_worker_counts() {
             SessionLimits::time_boxed(SimDuration::from_minutes(25.0)),
         );
         let mut logbook = Logbook::new();
-        let report = s.run_observed_with(&mut SimRng::seed_from(0xCAFE), jobs, &mut logbook);
+        let report = run(&mut s, &mut SimRng::seed_from(0xCAFE), jobs, &mut logbook);
         (report, logbook)
     };
     let (ref_report, ref_logbook) = trace(1);
@@ -96,8 +109,8 @@ fn worker_count_does_not_leak_into_successive_sessions() {
         let mut first = TestSession::new(dut.clone(), Flux::per_cm2_s(1.5e6), limits);
         let mut second = TestSession::new(dut, Flux::per_cm2_s(1.5e6), limits);
         (
-            first.run_parallel(&mut rng, jobs),
-            second.run_parallel(&mut rng, jobs),
+            run(&mut first, &mut rng, jobs, &mut NoopObserver),
+            run(&mut second, &mut rng, jobs, &mut NoopObserver),
         )
     };
     let (a1, a2) = pair(1);

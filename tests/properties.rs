@@ -154,10 +154,8 @@ proptest! {
 #[test]
 fn campaign_determinism_over_seeds() {
     for seed in [1u64, 999, 0xDEAD_BEEF] {
-        let mut config = serscale_core::campaign::CampaignConfig::paper_scaled(0.004);
-        config.seed = seed;
-        let a = serscale_core::campaign::Campaign::new(config.clone()).run();
-        let b = serscale_core::campaign::Campaign::new(config).run();
+        let a = serscale_bench::run_campaign(0.004, seed, 1);
+        let b = serscale_bench::run_campaign(0.004, seed, 1);
         assert_eq!(a, b, "seed {seed}");
     }
 }

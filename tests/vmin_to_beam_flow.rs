@@ -9,7 +9,7 @@
 //! This file walks that exact chain: characterize → validate the operating
 //! points → verify fault-free execution without beam → campaign with beam.
 
-use serscale_core::campaign::{Campaign, CampaignConfig, VminSource};
+use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions, VminSource};
 use serscale_core::classify::RunVerdict;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::runner::BenchmarkRunner;
@@ -75,7 +75,12 @@ fn step4_campaign_driven_by_characterized_vmins() {
     let mut config = CampaignConfig::paper_scaled(0.01);
     config.seed = 23;
     config.vmin_source = VminSource::Characterized { trials: 80 };
-    let report = Campaign::new(config).run();
+    let report = Campaign::new(config)
+        .try_run(
+            CampaignRunOptions::with_jobs(1),
+            &mut serscale_core::trace::NoopObserver,
+        )
+        .expect("a run with no journal and no cancel token cannot fail");
     assert_eq!(report.sessions.len(), 4);
     for (f, v) in &report.vmins {
         let paper = DeviceUnderTest::paper_vmin(*f);
