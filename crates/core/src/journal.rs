@@ -38,14 +38,16 @@
 //! to the last verified line. A digest failure *before* the final line is
 //! not a torn write — it is corruption, and recovery refuses it loudly.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use serscale_soc::edac::{EdacRecord, EdacSeverity};
 use serscale_soc::platform::OperatingPoint;
-use serscale_types::json::{self, JsonValue};
-use serscale_types::{ArrayKind, SimDuration, SimInstant};
+use serscale_types::json::{self, Reader, Token};
+use serscale_types::{ArrayKind, Megahertz, Millivolts, SimDuration, SimInstant};
 use serscale_workload::Benchmark;
 
 use crate::campaign::CampaignConfig;
@@ -70,12 +72,22 @@ pub fn journal_path(dir: &Path) -> PathBuf {
 /// fingerprint hash. Stable, dependency-free, and plenty for detecting
 /// torn writes (this is not an integrity MAC).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The digest a journal line carries: FNV-1a over the record's JSON
+/// body, which is the line up to its `,"crc":"` field followed by `}`.
+fn line_digest(prefix: &str) -> u64 {
+    fnv1a64_extend(fnv1a64(prefix.as_bytes()), b"}")
 }
 
 /// A fingerprint of the full campaign configuration (sessions, limits,
@@ -137,62 +149,80 @@ impl Record {
     /// Serializes the record as one digest-carrying JSONL line (without
     /// the trailing newline).
     pub fn to_line(&self) -> String {
-        let body = self.body_json();
-        let crc = fnv1a64(body.as_bytes());
-        format!("{},\"crc\":\"{crc:016x}\"}}", &body[..body.len() - 1])
+        let mut line = String::new();
+        self.write_line(&mut line);
+        line
     }
 
-    /// The record as a JSON object *without* the digest field — the exact
-    /// bytes the digest covers (with the closing brace).
-    fn body_json(&self) -> String {
+    /// Appends the record to `out` as [`to_line`](Self::to_line) writes
+    /// it, digesting the appended bytes where they landed.
+    fn write_line(&self, out: &mut String) {
+        let start = out.len();
+        self.write_body(out);
+        let crc = line_digest(&out[start..]);
+        let _ = write!(out, ",\"crc\":\"{crc:016x}\"}}");
+    }
+
+    /// Appends the record as a JSON object *without* the digest field or
+    /// the closing brace: the bytes the digest covers, up to its `}`.
+    fn write_body(&self, out: &mut String) {
         match self {
             Record::Campaign {
                 version,
                 seed,
                 fingerprint,
                 sessions,
-            } => format!(
-                "{{\"rec\":\"campaign\",\"version\":{version},\"seed\":\"{seed:016x}\",\
-                 \"fingerprint\":\"{fingerprint:016x}\",\"sessions\":{sessions}}}"
-            ),
-            Record::SessionStart { session, point } => format!(
-                "{{\"rec\":\"session\",\"session\":{session},\"pmd_mv\":{},\"soc_mv\":{},\
-                 \"freq_mhz\":{}}}",
-                point.pmd.get(),
-                point.soc.get(),
-                point.frequency.get()
-            ),
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"rec\":\"campaign\",\"version\":{version},\"seed\":\"{seed:016x}\",\
+                     \"fingerprint\":\"{fingerprint:016x}\",\"sessions\":{sessions}"
+                );
+            }
+            Record::SessionStart { session, point } => {
+                let _ = write!(
+                    out,
+                    "{{\"rec\":\"session\",\"session\":{session},\"pmd_mv\":{},\"soc_mv\":{},\
+                     \"freq_mhz\":{}",
+                    point.pmd.get(),
+                    point.soc.get(),
+                    point.frequency.get()
+                );
+            }
             Record::Trial { session, execution } => {
                 let outcome = &execution.outcome;
                 let (kind, notified) = verdict_to_parts(outcome.verdict);
-                let mut edac = String::from("[");
+                let _ = write!(
+                    out,
+                    "{{\"rec\":\"trial\",\"session\":{session},\"trial\":{},\"benchmark\":",
+                    execution.trial
+                );
+                json::write_escaped(out, outcome.benchmark.name());
+                let _ = write!(
+                    out,
+                    ",\"verdict\":\"{kind}\",\"ce_notified\":{notified},\"wall_s\":"
+                );
+                json::write_number(out, outcome.wall_time.as_secs());
+                let _ = write!(
+                    out,
+                    ",\"strikes\":{},\"retries\":{},\"quarantined\":{},\"edac\":[",
+                    outcome.sram_strikes, execution.retries, execution.quarantined
+                );
                 for (i, r) in outcome.edac.iter().enumerate() {
-                    if i > 0 {
-                        edac.push(',');
-                    }
-                    edac.push_str(&format!(
-                        "[{},{},\"{}\"]",
-                        json::number(r.time.as_secs()),
-                        json::escape(&r.array.to_string()),
-                        r.severity
-                    ));
+                    out.push_str(if i == 0 { "[" } else { ",[" });
+                    json::write_number(out, r.time.as_secs());
+                    out.push(',');
+                    json::write_escaped(out, r.array.name());
+                    let _ = write!(out, ",\"{}\"]", r.severity);
                 }
-                edac.push(']');
-                format!(
-                    "{{\"rec\":\"trial\",\"session\":{session},\"trial\":{},\"benchmark\":{},\
-                     \"verdict\":\"{kind}\",\"ce_notified\":{notified},\"wall_s\":{},\
-                     \"strikes\":{},\"retries\":{},\"quarantined\":{},\"edac\":{edac}}}",
-                    execution.trial,
-                    json::escape(&outcome.benchmark.to_string()),
-                    json::number(outcome.wall_time.as_secs()),
-                    outcome.sram_strikes,
-                    execution.retries,
-                    execution.quarantined,
-                )
+                out.push(']');
             }
-            Record::SessionEnd { session, reason } => format!(
-                "{{\"rec\":\"session_end\",\"session\":{session},\"reason\":\"{reason:?}\"}}"
-            ),
+            Record::SessionEnd { session, reason } => {
+                let _ = write!(
+                    out,
+                    "{{\"rec\":\"session_end\",\"session\":{session},\"reason\":\"{reason:?}\""
+                );
+            }
         }
     }
 
@@ -201,143 +231,233 @@ impl Record {
         let crc_at = line
             .rfind(",\"crc\":\"")
             .ok_or_else(|| "line has no crc field".to_string())?;
-        let body = format!("{}}}", &line[..crc_at]);
-        let doc = json::parse(line)?;
-        let claimed = doc
-            .get("crc")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "crc is not a string".to_string())?;
-        // Compared as the exact text `to_line` writes, so a flipped byte
-        // anywhere in the line — even one that changes only the case of a
-        // hex digit — fails the digest.
-        if claimed != format!("{:016x}", fnv1a64(body.as_bytes())) {
+        let not_a_string = || "crc is not a string".to_string();
+        let members = Members::read(line)?.ok_or_else(not_a_string)?;
+        let claimed = text(members.crc).ok_or_else(not_a_string)?;
+        // Compared as the exact text `to_line` writes, 16 lowercase hex
+        // digits, so a flipped byte anywhere in the line — even one that
+        // changes only the case of a hex digit — fails the digest.
+        let lowercase_hex = claimed.len() == 16
+            && claimed
+                .bytes()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        if !lowercase_hex || u64::from_str_radix(&claimed, 16) != Ok(line_digest(&line[..crc_at])) {
             return Err("crc mismatch".to_string());
         }
-        Self::from_json(&doc)
+        members.decode()
+    }
+}
+
+/// The members of one journal line the decoder reads, each holding the
+/// last value its key carried (duplicate keys keep the last, as a JSON
+/// object does). `edac` also keeps its source text to descend into.
+#[derive(Default)]
+struct Members<'a> {
+    rec: Option<Token<'a>>,
+    version: Option<Token<'a>>,
+    seed: Option<Token<'a>>,
+    fingerprint: Option<Token<'a>>,
+    sessions: Option<Token<'a>>,
+    session: Option<Token<'a>>,
+    pmd_mv: Option<Token<'a>>,
+    soc_mv: Option<Token<'a>>,
+    freq_mhz: Option<Token<'a>>,
+    trial: Option<Token<'a>>,
+    benchmark: Option<Token<'a>>,
+    verdict: Option<Token<'a>>,
+    ce_notified: Option<Token<'a>>,
+    wall_s: Option<Token<'a>>,
+    strikes: Option<Token<'a>>,
+    retries: Option<Token<'a>>,
+    quarantined: Option<Token<'a>>,
+    edac: Option<(Token<'a>, &'a str)>,
+    reason: Option<Token<'a>>,
+    crc: Option<Token<'a>>,
+}
+
+impl<'a> Members<'a> {
+    /// Reads a whole line, or `None` when it is valid JSON but not an
+    /// object. Unknown keys are checked and skipped.
+    fn read(line: &'a str) -> Result<Option<Self>, String> {
+        let mut members = Members::default();
+        let object = json::members(line, |key, value, source| {
+            let slot = match &*key.get() {
+                "rec" => &mut members.rec,
+                "version" => &mut members.version,
+                "seed" => &mut members.seed,
+                "fingerprint" => &mut members.fingerprint,
+                "sessions" => &mut members.sessions,
+                "session" => &mut members.session,
+                "pmd_mv" => &mut members.pmd_mv,
+                "soc_mv" => &mut members.soc_mv,
+                "freq_mhz" => &mut members.freq_mhz,
+                "trial" => &mut members.trial,
+                "benchmark" => &mut members.benchmark,
+                "verdict" => &mut members.verdict,
+                "ce_notified" => &mut members.ce_notified,
+                "wall_s" => &mut members.wall_s,
+                "strikes" => &mut members.strikes,
+                "retries" => &mut members.retries,
+                "quarantined" => &mut members.quarantined,
+                "reason" => &mut members.reason,
+                "crc" => &mut members.crc,
+                "edac" => {
+                    members.edac = Some((value, source));
+                    return;
+                }
+                _ => return,
+            };
+            *slot = Some(value);
+        })?;
+        Ok(object.then_some(members))
     }
 
-    fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        let rec = doc
-            .get("rec")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "missing rec tag".to_string())?;
-        let field_u64 = |name: &str| {
-            doc.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing or non-integer {name}"))
-        };
-        let field_hex = |name: &str| {
-            doc.get(name)
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("missing {name}"))
-                .and_then(|s| {
-                    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex {name}: {e}"))
-                })
-        };
-        match rec {
+    /// The record these members describe, with every field's type and
+    /// range checked.
+    fn decode(self) -> Result<Record, String> {
+        let rec = text(self.rec).ok_or_else(|| "missing rec tag".to_string())?;
+        match &*rec {
             "campaign" => Ok(Record::Campaign {
-                version: u32::try_from(field_u64("version")?)
+                version: u32::try_from(int(self.version, "version")?)
                     .map_err(|_| "version out of range".to_string())?,
-                seed: field_hex("seed")?,
-                fingerprint: field_hex("fingerprint")?,
-                sessions: u32::try_from(field_u64("sessions")?)
+                seed: hex(self.seed, "seed")?,
+                fingerprint: hex(self.fingerprint, "fingerprint")?,
+                sessions: u32::try_from(int(self.sessions, "sessions")?)
                     .map_err(|_| "session count out of range".to_string())?,
             }),
             "session" => {
-                let mv = |name: &str| {
-                    field_u64(name)
+                let mv = |slot, name: &str| {
+                    int(slot, name)
                         .and_then(|v| u32::try_from(v).map_err(|_| format!("{name} out of range")))
                 };
                 Ok(Record::SessionStart {
-                    session: field_u64("session")?,
+                    session: int(self.session, "session")?,
                     point: OperatingPoint {
-                        pmd: serscale_types::Millivolts::new(mv("pmd_mv")?),
-                        soc: serscale_types::Millivolts::new(mv("soc_mv")?),
-                        frequency: serscale_types::Megahertz::new(mv("freq_mhz")?),
+                        pmd: Millivolts::new(mv(self.pmd_mv, "pmd_mv")?),
+                        soc: Millivolts::new(mv(self.soc_mv, "soc_mv")?),
+                        frequency: Megahertz::new(mv(self.freq_mhz, "freq_mhz")?),
                     },
                 })
             }
             "trial" => {
-                let benchmark = doc
-                    .get("benchmark")
-                    .and_then(JsonValue::as_str)
+                let benchmark = text(self.benchmark)
                     .ok_or_else(|| "missing benchmark".to_string())
-                    .and_then(benchmark_from_name)?;
-                let kind = doc
-                    .get("verdict")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| "missing verdict".to_string())?;
-                let notified = doc
-                    .get("ce_notified")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or_else(|| "missing ce_notified".to_string())?;
-                let verdict = verdict_from_parts(kind, notified)?;
-                let wall_s = doc
-                    .get("wall_s")
-                    .and_then(JsonValue::as_f64)
+                    .and_then(|name| benchmark_from_name(&name))?;
+                let kind = text(self.verdict).ok_or_else(|| "missing verdict".to_string())?;
+                let notified =
+                    flag(self.ce_notified).ok_or_else(|| "missing ce_notified".to_string())?;
+                let verdict = verdict_from_parts(&kind, notified)?;
+                let wall_s = number(self.wall_s)
                     .filter(|w| w.is_finite() && *w >= 0.0)
                     .ok_or_else(|| "missing or invalid wall_s".to_string())?;
-                let mut edac = Vec::new();
-                for entry in doc
-                    .get("edac")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| "missing edac array".to_string())?
-                {
-                    let triple = entry
-                        .as_array()
-                        .filter(|t| t.len() == 3)
-                        .ok_or_else(|| "edac entry is not a triple".to_string())?;
-                    let t_s = triple[0]
-                        .as_f64()
-                        .filter(|t| t.is_finite() && *t >= 0.0)
-                        .ok_or_else(|| "bad edac time".to_string())?;
-                    let array = triple[1]
-                        .as_str()
-                        .ok_or_else(|| "bad edac array name".to_string())
-                        .and_then(array_from_name)?;
-                    let severity = triple[2]
-                        .as_str()
-                        .ok_or_else(|| "bad edac severity".to_string())
-                        .and_then(severity_from_name)?;
-                    edac.push(EdacRecord {
-                        time: SimInstant::EPOCH + SimDuration::from_secs(t_s),
-                        array,
-                        severity,
-                    });
-                }
+                let edac = match self.edac {
+                    Some((Token::BeginArray, source)) => decode_edac(source)?,
+                    _ => return Err("missing edac array".to_string()),
+                };
                 Ok(Record::Trial {
-                    session: field_u64("session")?,
+                    session: int(self.session, "session")?,
                     execution: TrialExecution {
-                        trial: field_u64("trial")?,
+                        trial: int(self.trial, "trial")?,
                         outcome: RunOutcome {
                             benchmark,
                             verdict,
                             edac,
                             wall_time: SimDuration::from_secs(wall_s),
-                            sram_strikes: field_u64("strikes")?,
+                            sram_strikes: int(self.strikes, "strikes")?,
                         },
-                        retries: u32::try_from(field_u64("retries")?)
+                        retries: u32::try_from(int(self.retries, "retries")?)
                             .map_err(|_| "retries out of range".to_string())?,
-                        quarantined: doc
-                            .get("quarantined")
-                            .and_then(JsonValue::as_bool)
+                        quarantined: flag(self.quarantined)
                             .ok_or_else(|| "missing quarantined".to_string())?,
                     },
                 })
             }
             "session_end" => {
-                let reason = doc
-                    .get("reason")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| "missing reason".to_string())?;
+                let reason = text(self.reason).ok_or_else(|| "missing reason".to_string())?;
                 Ok(Record::SessionEnd {
-                    session: field_u64("session")?,
-                    reason: reason_from_name(reason)?,
+                    session: int(self.session, "session")?,
+                    reason: reason_from_name(&reason)?,
                 })
             }
             other => Err(format!("unknown record type {other:?}")),
         }
     }
+}
+
+/// Decodes a trial's `edac` array — `[time, array, severity]` triples —
+/// from its source text, which the line's read already checked.
+fn decode_edac(source: &str) -> Result<Vec<EdacRecord>, String> {
+    let not_a_triple = || "edac entry is not a triple".to_string();
+    let mut reader = Reader::new(source);
+    reader.next_value()?;
+    let mut edac = Vec::new();
+    while let Some(entry) = reader.item()? {
+        if entry != Token::BeginArray {
+            return Err(not_a_triple());
+        }
+        let mut triple = [None; 3];
+        let mut len = 0;
+        while let Some(item) = reader.item()? {
+            reader.skip(item)?;
+            if let Some(slot) = triple.get_mut(len) {
+                *slot = Some(item);
+            }
+            len += 1;
+        }
+        if len != 3 {
+            return Err(not_a_triple());
+        }
+        let [time, array, severity] = triple;
+        let t_s = number(time)
+            .filter(|t| t.is_finite() && *t >= 0.0)
+            .ok_or_else(|| "bad edac time".to_string())?;
+        let array = text(array)
+            .ok_or_else(|| "bad edac array name".to_string())
+            .and_then(|name| array_from_name(&name))?;
+        let severity = text(severity)
+            .ok_or_else(|| "bad edac severity".to_string())
+            .and_then(|name| severity_from_name(&name))?;
+        edac.push(EdacRecord {
+            time: SimInstant::EPOCH + SimDuration::from_secs(t_s),
+            array,
+            severity,
+        });
+    }
+    Ok(edac)
+}
+
+fn text(token: Option<Token<'_>>) -> Option<Cow<'_, str>> {
+    match token {
+        Some(Token::Str(s)) => Some(s.get()),
+        _ => None,
+    }
+}
+
+fn number(token: Option<Token<'_>>) -> Option<f64> {
+    match token {
+        Some(Token::Number(n)) => Some(n),
+        _ => None,
+    }
+}
+
+fn flag(token: Option<Token<'_>>) -> Option<bool> {
+    match token {
+        Some(Token::Bool(b)) => Some(b),
+        _ => None,
+    }
+}
+
+/// An exact unsigned integer field (see [`json::exact_u64`]).
+fn int(token: Option<Token<'_>>, name: &str) -> Result<u64, String> {
+    number(token)
+        .and_then(json::exact_u64)
+        .ok_or_else(|| format!("missing or non-integer {name}"))
+}
+
+/// A `u64` written as a hex string (the seed and fingerprint).
+fn hex(token: Option<Token<'_>>, name: &str) -> Result<u64, String> {
+    let text = text(token).ok_or_else(|| format!("missing {name}"))?;
+    u64::from_str_radix(&text, 16).map_err(|e| format!("bad hex {name}: {e}"))
 }
 
 fn verdict_to_parts(verdict: RunVerdict) -> (&'static str, bool) {
@@ -366,14 +486,14 @@ fn verdict_from_parts(kind: &str, notified: bool) -> Result<RunVerdict, String> 
 fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
     Benchmark::ALL
         .into_iter()
-        .find(|b| b.to_string() == name)
+        .find(|b| b.name() == name)
         .ok_or_else(|| format!("unknown benchmark {name:?}"))
 }
 
 fn array_from_name(name: &str) -> Result<ArrayKind, String> {
     ArrayKind::ALL
         .into_iter()
-        .find(|a| a.to_string() == name)
+        .find(|a| a.name() == name)
         .ok_or_else(|| format!("unknown array {name:?}"))
 }
 
@@ -509,7 +629,7 @@ impl JournalWriter {
     /// Buffers one record. Nothing reaches the OS until
     /// [`sync`](Self::sync).
     pub fn append(&mut self, record: &Record) {
-        self.pending.push_str(&record.to_line());
+        record.write_line(&mut self.pending);
         self.pending.push('\n');
     }
 
@@ -626,36 +746,53 @@ fn invalid_data(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
 
-/// Parses raw journal bytes into records, returning the records of the
-/// verified prefix and its byte length. An unterminated or
-/// digest-failing *final* line is a torn tail and is dropped; an invalid
-/// line anywhere before that is corruption and errors.
-fn parse_journal(bytes: &[u8]) -> Result<(Vec<Record>, usize), String> {
-    let mut records = Vec::new();
-    let mut valid = 0usize;
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            break; // Unterminated tail: torn write, drop it.
-        };
-        let line_end = offset + nl + 1;
-        let line = std::str::from_utf8(&bytes[offset..offset + nl])
-            .map_err(|_| "journal line is not UTF-8".to_string());
-        match line.and_then(Record::parse_line) {
+/// The verified records of raw journal bytes, decoded one line at a
+/// time. An unterminated or invalid *final* line is a torn tail and ends
+/// the stream quietly; an invalid line anywhere before that is
+/// corruption, yielded once as an `Err` that ends the stream.
+struct Records<'a> {
+    bytes: &'a [u8],
+    /// Where the next line starts.
+    offset: usize,
+    /// Byte length of the verified prefix yielded so far.
+    valid: usize,
+}
+
+impl<'a> Records<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Records {
+            bytes,
+            offset: 0,
+            valid: 0,
+        }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Result<Record, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.bytes[self.offset..];
+        // No newline left: an unterminated tail is a torn write, drop it.
+        let nl = rest.iter().position(|&b| b == b'\n')?;
+        let line_end = self.offset + nl + 1;
+        let record = std::str::from_utf8(&rest[..nl])
+            .map_err(|_| "journal line is not UTF-8".to_string())
+            .and_then(Record::parse_line);
+        match record {
             Ok(record) => {
-                records.push(record);
-                valid = line_end;
-                offset = line_end;
+                self.offset = line_end;
+                self.valid = line_end;
+                Some(Ok(record))
             }
             Err(e) => {
-                if line_end >= bytes.len() {
-                    break; // Invalid final line: torn flush, drop it.
-                }
-                return Err(format!("journal corrupted before the tail: {e}"));
+                self.offset = self.bytes.len();
+                // An invalid final line is a torn flush: drop it too.
+                (line_end < self.bytes.len())
+                    .then(|| Err(format!("journal corrupted before the tail: {e}")))
             }
         }
     }
-    Ok((records, valid))
 }
 
 /// Reads a journal file into its verified records without opening it for
@@ -668,25 +805,41 @@ fn parse_journal(bytes: &[u8]) -> Result<(Vec<Record>, usize), String> {
 ///
 /// I/O errors reading the file, or a mid-file digest/parse failure.
 pub fn read_journal(path: &Path) -> std::io::Result<Vec<Record>> {
-    let bytes = std::fs::read(path)?;
-    let (records, _valid) = parse_journal(&bytes).map_err(invalid_data)?;
+    let mut records = Vec::new();
+    for_each_record(path, |record| records.push(record))?;
     Ok(records)
+}
+
+/// Streams a journal file's verified records through `each`, in order,
+/// holding one record at a time: [`read_journal`] as a fold, for readers
+/// that summarize a journal rather than keep it.
+///
+/// # Errors
+///
+/// As [`read_journal`]. Records before a mid-file failure have already
+/// reached `each`.
+pub fn for_each_record(path: &Path, mut each: impl FnMut(Record)) -> std::io::Result<()> {
+    let bytes = std::fs::read(path)?;
+    for record in Records::new(&bytes) {
+        each(record.map_err(invalid_data)?);
+    }
+    Ok(())
 }
 
 /// Folds the post-header records into per-session histories, validating
 /// ordering against the configuration.
 fn build_recovered(
-    records: &[Record],
+    records: impl Iterator<Item = Result<Record, String>>,
     config: &CampaignConfig,
 ) -> Result<RecoveredCampaign, String> {
     let mut sessions: Vec<RecoveredSession> = Vec::new();
     for record in records {
-        match record {
+        match record? {
             Record::Campaign { .. } => {
                 return Err("duplicate campaign header".to_string());
             }
             Record::SessionStart { session, point } => {
-                if *session != sessions.len() as u64 {
+                if session != sessions.len() as u64 {
                     return Err(format!(
                         "session {session} started out of order (expected {})",
                         sessions.len()
@@ -697,13 +850,13 @@ fn build_recovered(
                     .get(sessions.len())
                     .map(|(p, _)| *p)
                     .ok_or_else(|| format!("session {session} beyond configuration"))?;
-                if *point != configured {
+                if point != configured {
                     return Err(format!(
                         "session {session} ran at {point:?}, configuration says {configured:?}"
                     ));
                 }
                 sessions.push(RecoveredSession {
-                    index: *session,
+                    index: session,
                     trials: Vec::new(),
                     ended: None,
                 });
@@ -711,7 +864,7 @@ fn build_recovered(
             Record::Trial { session, execution } => {
                 let current = sessions
                     .last_mut()
-                    .filter(|s| s.index == *session)
+                    .filter(|s| s.index == session)
                     .ok_or_else(|| format!("trial for session {session} before its start"))?;
                 if current.ended.is_some() {
                     return Err(format!("trial after session {session} ended"));
@@ -723,17 +876,17 @@ fn build_recovered(
                         current.trials.len()
                     ));
                 }
-                current.trials.push(execution.clone());
+                current.trials.push(execution);
             }
             Record::SessionEnd { session, reason } => {
                 let current = sessions
                     .last_mut()
-                    .filter(|s| s.index == *session)
+                    .filter(|s| s.index == session)
                     .ok_or_else(|| format!("end for session {session} before its start"))?;
                 if current.ended.is_some() {
                     return Err(format!("session {session} ended twice"));
                 }
-                current.ended = Some(*reason);
+                current.ended = Some(reason);
             }
         }
     }
@@ -771,8 +924,8 @@ pub fn start_or_resume(
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
 
-    let (records, valid) = parse_journal(&bytes).map_err(invalid_data)?;
-    if records.is_empty() {
+    let mut records = Records::new(&bytes);
+    let Some(header) = records.next() else {
         // Fresh journal (or one whose very first flush tore).
         file.set_len(0)?;
         file.seek(SeekFrom::Start(0))?;
@@ -780,19 +933,20 @@ pub fn start_or_resume(
         writer.append(&Record::campaign_header(config));
         writer.sync_durable()?;
         return Ok((writer, None));
-    }
+    };
 
+    let header = header.map_err(invalid_data)?;
     let expected = Record::campaign_header(config);
-    if records[0] != expected {
+    if header != expected {
         return Err(invalid_data(format!(
-            "journal header {:?} does not match this campaign {expected:?}",
-            records[0]
+            "journal header {header:?} does not match this campaign {expected:?}"
         )));
     }
-    let recovered = build_recovered(&records[1..], config).map_err(invalid_data)?;
+    let recovered = build_recovered(&mut records, config).map_err(invalid_data)?;
 
-    file.set_len(valid as u64)?;
-    file.seek(SeekFrom::Start(valid as u64))?;
+    let valid = records.valid as u64;
+    file.set_len(valid)?;
+    file.seek(SeekFrom::Start(valid))?;
     Ok((JournalWriter::from_file(file), Some(recovered)))
 }
 
@@ -878,6 +1032,56 @@ mod tests {
             let line = record.to_line();
             let parsed = Record::parse_line(&line).expect("round trip");
             assert_eq!(parsed, record, "line: {line}");
+        }
+    }
+
+    /// The journal's bytes are a format. These lines were captured from
+    /// the encoder that built each line with `format!`; the in-place
+    /// encoder must write them byte for byte and the decoder read them
+    /// back.
+    #[test]
+    fn record_lines_are_pinned() {
+        let point = OperatingPoint {
+            pmd: Millivolts::new(920),
+            soc: Millivolts::new(950),
+            frequency: Megahertz::new(2400),
+        };
+        let pins = [
+            (
+                Record::Campaign {
+                    version: JOURNAL_VERSION,
+                    seed: 0x0010_57ed,
+                    fingerprint: 0x0123_4567_89ab_cdef,
+                    sessions: 5,
+                },
+                r#"{"rec":"campaign","version":1,"seed":"00000000001057ed","fingerprint":"0123456789abcdef","sessions":5,"crc":"a635572256cb0c7d"}"#,
+            ),
+            (
+                Record::SessionStart { session: 1, point },
+                r#"{"rec":"session","session":1,"pmd_mv":920,"soc_mv":950,"freq_mhz":2400,"crc":"03b1a7d54c789f49"}"#,
+            ),
+            (
+                Record::Trial {
+                    session: 1,
+                    execution: sample_execution(3),
+                },
+                r#"{"rec":"trial","session":1,"trial":3,"benchmark":"IS","verdict":"sdc","ce_notified":true,"wall_s":3.0999999999999996,"strikes":11,"retries":1,"quarantined":false,"edac":[[0.125,"L2","CE"],[2.8400000000000003,"L3","UE"]],"crc":"af869f3096da90c5"}"#,
+            ),
+            (
+                Record::SessionEnd {
+                    session: 1,
+                    reason: StopReason::ErrorEvents,
+                },
+                r#"{"rec":"session_end","session":1,"reason":"ErrorEvents","crc":"ade6345035042847"}"#,
+            ),
+        ];
+        let mut pending = String::from("earlier bytes\n");
+        for (record, line) in &pins {
+            assert_eq!(record.to_line(), *line);
+            assert_eq!(Record::parse_line(line).as_ref(), Ok(record), "{line}");
+            // Appended behind other bytes, the digest covers only the line.
+            record.write_line(&mut pending);
+            assert!(pending.ends_with(line), "{pending}");
         }
     }
 

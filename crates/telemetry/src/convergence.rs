@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use serscale_core::classify::RunVerdict;
-use serscale_core::journal::{journal_path, read_journal, Record};
+use serscale_core::journal::{for_each_record, journal_path, Record};
 use serscale_soc::edac::EdacSeverity;
 use serscale_soc::platform::OperatingPoint;
 use serscale_stats::ci::{poisson_ci, poisson_relative_uncertainty};
@@ -191,28 +191,26 @@ impl ConvergenceTracker {
     pub fn replay(dir: &Path) -> std::io::Result<Self> {
         let mut tracker = ConvergenceTracker::new();
         let mut clock = SimInstant::EPOCH;
-        for record in read_journal(&journal_path(dir))? {
-            match record {
-                Record::Campaign { .. } => {}
-                Record::SessionStart { point, .. } => {
-                    clock = SimInstant::EPOCH;
-                    tracker.session_start(point);
-                }
-                Record::Trial { execution, .. } => {
-                    clock += execution.outcome.wall_time;
-                    if !execution.quarantined {
-                        tracker.run(execution.outcome.verdict);
-                        for record in &execution.outcome.edac {
-                            tracker.edac(record.array, record.severity);
-                        }
+        for_each_record(&journal_path(dir), |record| match record {
+            Record::Campaign { .. } => {}
+            Record::SessionStart { point, .. } => {
+                clock = SimInstant::EPOCH;
+                tracker.session_start(point);
+            }
+            Record::Trial { execution, .. } => {
+                clock += execution.outcome.wall_time;
+                if !execution.quarantined {
+                    tracker.run(execution.outcome.verdict);
+                    for record in &execution.outcome.edac {
+                        tracker.edac(record.array, record.severity);
                     }
                 }
-                Record::SessionEnd { .. } => {
-                    tracker.session_end(clock);
-                    clock = SimInstant::EPOCH;
-                }
             }
-        }
+            Record::SessionEnd { .. } => {
+                tracker.session_end(clock);
+                clock = SimInstant::EPOCH;
+            }
+        })?;
         Ok(tracker)
     }
 

@@ -11,9 +11,9 @@
 //! | `metrics.prom`| Prometheus text exposition snapshot of all series   |
 //! | `summary.txt` | the human summary table also printed at end of run  |
 //!
-//! The JSONL stream is re-parsed with the crate's own [`crate::json`]
-//! parser before anything touches disk, so a malformed line fails the
-//! run loudly instead of poisoning downstream tooling. The
+//! Both JSONL streams are checked with [`crate::json::validate_lines`]
+//! before anything touches disk, so a malformed line fails the run loudly
+//! instead of poisoning downstream tooling. The
 //! [`TelemetrySink::crosscheck_campaign`] method closes the loop the
 //! other way: it proves the exported `edac_events` counters agree with
 //! the simulation's own [`CampaignReport`] per voltage domain.
@@ -330,7 +330,7 @@ impl TelemetrySink {
 
     /// Writes `events.jsonl`, `spans.jsonl`, `metrics.prom` and
     /// `summary.txt` into the sink's directory and returns their paths.
-    /// The event and span streams are re-parsed first; a malformed line
+    /// The event and span streams are validated first; a malformed line
     /// is an error and nothing is written.
     pub fn write(&self) -> std::io::Result<Vec<PathBuf>> {
         let dir = self.dir.clone().ok_or_else(|| {
@@ -339,18 +339,23 @@ impl TelemetrySink {
         self.tracer.exit(self.campaign_span);
         self.progress.lock().expect("progress poisoned").finish();
 
-        let events = self.events_jsonl();
-        json::parse_lines(&events)
+        // The event buffer is checked and written under its lock rather
+        // than copied out first.
+        let events = self.events.lock().expect("event buffer poisoned");
+        json::validate_lines(&events)
             .map_err(|e| std::io::Error::other(format!("events.jsonl self-check failed: {e}")))?;
         let spans = self.tracer.to_jsonl();
-        json::parse_lines(&spans)
+        json::validate_lines(&spans)
             .map_err(|e| std::io::Error::other(format!("spans.jsonl self-check failed: {e}")))?;
 
         let artifacts = [
-            ("events.jsonl", events),
-            ("spans.jsonl", spans),
-            ("metrics.prom", self.registry.snapshot().render_prometheus()),
-            ("summary.txt", self.summary()),
+            ("events.jsonl", events.as_str()),
+            ("spans.jsonl", &spans),
+            (
+                "metrics.prom",
+                &self.registry.snapshot().render_prometheus(),
+            ),
+            ("summary.txt", &self.summary()),
         ];
         let mut paths = Vec::new();
         for (name, contents) in artifacts {

@@ -37,9 +37,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use serscale_core::journal::{journal_path, read_journal, Record};
+use serscale_core::classify::RunVerdict;
+use serscale_core::journal::{for_each_record, journal_path, Record};
+use serscale_soc::edac::EdacSeverity;
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, Token};
 
 /// One span parsed back from `spans.jsonl`.
 #[derive(Debug, Clone, PartialEq)]
@@ -341,44 +343,60 @@ fn read_spans(path: &Path) -> Result<Vec<InspectSpan>, String> {
         return Ok(Vec::new());
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let docs = json::parse_lines(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut spans = Vec::with_capacity(docs.len());
-    for (i, doc) in docs.iter().enumerate() {
-        let field_u64 = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("{}: line {}: missing {key}", path.display(), i + 1))
-        };
-        let field_str = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{}: line {}: missing {key}", path.display(), i + 1))
-        };
-        let mut attrs = BTreeMap::new();
-        if let JsonValue::Object(map) = doc {
-            for (key, value) in map {
-                if matches!(key.as_str(), "span" | "name") {
-                    continue;
-                }
-                if let Some(s) = value.as_str() {
-                    attrs.insert(key.clone(), s.to_string());
-                }
-            }
-        }
-        spans.push(InspectSpan {
-            level: field_str("span")?,
-            id: field_u64("id")?,
-            parent: field_u64("parent")?,
-            name: field_str("name")?,
-            enter_ns: field_u64("enter_ns")?,
-            exit_ns: field_u64("exit_ns")?,
-            attrs,
-        });
+    let mut spans = Vec::new();
+    for (line, doc) in json::lines(&text) {
+        spans.push(read_span(doc).map_err(|e| format!("{}: line {line}: {e}", path.display()))?);
     }
     spans.sort_by_key(|s| (s.enter_ns, s.id));
     Ok(spans)
+}
+
+/// One `spans.jsonl` line. Every member but `span` and `name` whose value
+/// is a string is an attribute; the ids and timestamps must be exact
+/// unsigned integers.
+fn read_span(doc: &str) -> Result<InspectSpan, String> {
+    let (mut level, mut name) = (None, None);
+    let (mut id, mut parent, mut enter_ns, mut exit_ns) = (None, None, None, None);
+    let mut attrs = BTreeMap::new();
+    json::members(doc, |key, value, _| {
+        let key = key.get();
+        match &*key {
+            "span" => level = Some(value),
+            "name" => name = Some(value),
+            other => {
+                match other {
+                    "id" => id = Some(value),
+                    "parent" => parent = Some(value),
+                    "enter_ns" => enter_ns = Some(value),
+                    "exit_ns" => exit_ns = Some(value),
+                    _ => {}
+                }
+                match value {
+                    Token::Str(s) => attrs.insert(key.into_owned(), s.get().into_owned()),
+                    _ => attrs.remove(other),
+                };
+            }
+        }
+    })?;
+    let text = |token: Option<Token<'_>>, key: &str| match token {
+        Some(Token::Str(s)) => Ok(s.get().into_owned()),
+        _ => Err(format!("missing {key}")),
+    };
+    let int = |token: Option<Token<'_>>, key: &str| match token {
+        Some(Token::Number(n)) => {
+            json::exact_u64(n).ok_or_else(|| format!("{key} is {n}, not an unsigned integer"))
+        }
+        _ => Err(format!("missing {key}")),
+    };
+    Ok(InspectSpan {
+        level: text(level, "span")?,
+        id: int(id, "id")?,
+        parent: int(parent, "parent")?,
+        name: text(name, "name")?,
+        enter_ns: int(enter_ns, "enter_ns")?,
+        exit_ns: int(exit_ns, "exit_ns")?,
+        attrs,
+    })
 }
 
 type EventEdac = (Vec<EdacAttribution>, usize);
@@ -388,23 +406,34 @@ fn read_events(path: &Path) -> Result<EventEdac, String> {
         return Ok((Vec::new(), 0));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let docs = json::parse_lines(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut counts: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
-    for doc in &docs {
-        if doc.get("event").and_then(JsonValue::as_str) != Some("edac") {
+    let mut docs = 0;
+    for (line, doc) in json::lines(&text) {
+        docs += 1;
+        let (mut event, mut domain, mut array, mut severity) = (None, None, None, None);
+        json::members(doc, |key, value, _| {
+            let Token::Str(value) = value else { return };
+            match &*key.get() {
+                "event" => event = Some(value.get()),
+                "domain" => domain = Some(value.get()),
+                "array" => array = Some(value.get()),
+                "severity" => severity = Some(value.get()),
+                _ => {}
+            }
+        })
+        .map_err(|e| format!("{}: line {line}: {e}", path.display()))?;
+        if event.as_deref() != Some("edac") {
             continue;
         }
-        let domain = doc.get("domain").and_then(JsonValue::as_str).unwrap_or("?");
-        let array = doc.get("array").and_then(JsonValue::as_str).unwrap_or("?");
-        let slot = counts
-            .entry((domain.to_string(), array.to_string()))
-            .or_default();
-        match doc.get("severity").and_then(JsonValue::as_str) {
+        let domain = domain.as_deref().unwrap_or("?").to_string();
+        let array = array.as_deref().unwrap_or("?").to_string();
+        let slot = counts.entry((domain, array)).or_default();
+        match severity.as_deref() {
             Some("UE") => slot.1 += 1,
             _ => slot.0 += 1,
         }
     }
-    Ok((collect_edac(counts), docs.len()))
+    Ok((collect_edac(counts), docs))
 }
 
 type JournalRead = Option<(JournalForensics, Vec<f64>, Vec<EdacAttribution>)>;
@@ -415,7 +444,6 @@ fn read_journal_forensics(dir: &Path) -> Result<JournalRead, String> {
         return Ok(None);
     }
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    let records = read_journal(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut forensics = JournalForensics {
         sessions: 0,
         trials: 0,
@@ -426,38 +454,42 @@ fn read_journal_forensics(dir: &Path) -> Result<JournalRead, String> {
     };
     let mut walls = Vec::new();
     let mut counts: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
-    for record in &records {
-        match record {
-            Record::Campaign { .. } | Record::SessionEnd { .. } => {}
-            Record::SessionStart { .. } => forensics.sessions += 1,
-            Record::Trial { execution, .. } => {
-                forensics.trials += 1;
-                forensics.retries += u64::from(execution.retries);
-                forensics.quarantined += u64::from(execution.quarantined);
-                let verdict = format!("{:?}", execution.outcome.verdict);
-                let verdict = verdict
-                    .split(|c: char| !c.is_ascii_alphanumeric())
-                    .next()
-                    .unwrap_or("?")
-                    .to_string();
-                *forensics.verdicts.entry(verdict).or_default() += 1;
-                walls.push(execution.outcome.wall_time.as_secs());
-                for edac in &execution.outcome.edac {
-                    let slot = counts
-                        .entry((
-                            edac.array.voltage_domain().to_string(),
-                            edac.array.to_string(),
-                        ))
-                        .or_default();
-                    match edac.severity {
-                        serscale_soc::edac::EdacSeverity::Uncorrected => slot.1 += 1,
-                        serscale_soc::edac::EdacSeverity::Corrected => slot.0 += 1,
-                    }
+    for_each_record(&path, |record| match record {
+        Record::Campaign { .. } | Record::SessionEnd { .. } => {}
+        Record::SessionStart { .. } => forensics.sessions += 1,
+        Record::Trial { execution, .. } => {
+            forensics.trials += 1;
+            forensics.retries += u64::from(execution.retries);
+            forensics.quarantined += u64::from(execution.quarantined);
+            let verdict = verdict_name(execution.outcome.verdict).to_string();
+            *forensics.verdicts.entry(verdict).or_default() += 1;
+            walls.push(execution.outcome.wall_time.as_secs());
+            for edac in &execution.outcome.edac {
+                let slot = counts
+                    .entry((
+                        edac.array.voltage_domain().to_string(),
+                        edac.array.to_string(),
+                    ))
+                    .or_default();
+                match edac.severity {
+                    EdacSeverity::Uncorrected => slot.1 += 1,
+                    EdacSeverity::Corrected => slot.0 += 1,
                 }
             }
         }
-    }
+    })
+    .map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(Some((forensics, walls, collect_edac(counts))))
+}
+
+/// A verdict's variant name, as the journal section counts it.
+fn verdict_name(verdict: RunVerdict) -> &'static str {
+    match verdict {
+        RunVerdict::Correct => "Correct",
+        RunVerdict::Sdc { .. } => "Sdc",
+        RunVerdict::AppCrash => "AppCrash",
+        RunVerdict::SysCrash => "SysCrash",
+    }
 }
 
 fn collect_edac(counts: BTreeMap<(String, String), (u64, u64)>) -> Vec<EdacAttribution> {

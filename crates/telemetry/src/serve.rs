@@ -117,7 +117,7 @@ struct ServiceTelemetry {
     /// the request series ride the existing `/metrics` renderer.
     shard: Arc<Shard>,
     /// One wide JSONL event per request, newest last. Every line is
-    /// verified against the in-repo RFC-8259 parser before it lands.
+    /// checked by the in-repo JSON reader before it lands.
     log: Mutex<String>,
     /// Wall-clock seconds of the most recently finished request.
     last_accept: Mutex<Option<f64>>,
@@ -156,7 +156,7 @@ impl ServiceTelemetry {
             None => line.push_str(",\"campaign\":null"),
         }
         line.push('}');
-        json::parse(&line).expect("access-log line must be valid JSON");
+        json::validate(&line).expect("access-log line must be valid JSON");
         let class = format!("{}xx", rec.status / 100);
         self.shard
             .counter(

@@ -179,11 +179,10 @@ impl ArrayKind {
             _ => VoltageDomain::Pmd,
         }
     }
-}
 
-impl fmt::Display for ArrayKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The array's short name, as reports and the run journal print it.
+    pub const fn name(self) -> &'static str {
+        match self {
             ArrayKind::L1Instruction => "L1I",
             ArrayKind::L1Data => "L1D",
             ArrayKind::DataTlb => "DTLB",
@@ -191,8 +190,13 @@ impl fmt::Display for ArrayKind {
             ArrayKind::UnifiedL2Tlb => "L2TLB",
             ArrayKind::L2Unified => "L2",
             ArrayKind::L3Shared => "L3",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ArrayKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -1,8 +1,14 @@
-//! Property tests over the unit newtypes: conversions round-trip,
-//! arithmetic respects dimensional identities.
+//! Property tests over the unit newtypes — conversions round-trip,
+//! arithmetic respects dimensional identities — and over the JSON codec:
+//! the reader never panics, `validate` agrees with `parse`, and rendered
+//! trees parse back equal.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
+use serscale_types::json::{self, JsonValue, Reader};
 use serscale_types::{
     Bits, Bytes, CoreId, CrossSection, Fit, Fluence, Flux, Megahertz, Millivolts, SimDuration,
     SimInstant, NYC_SEA_LEVEL_FLUX,
@@ -136,5 +142,189 @@ proptest! {
         let natural_equiv =
             (NYC_SEA_LEVEL_FLUX * SimDuration::from_secs(acc)).as_per_cm2();
         prop_assert!((beam_second - natural_equiv).abs() / beam_second < 1e-9);
+    }
+}
+
+/// Arbitrary JSON trees up to `depth` levels of nesting, with finite
+/// numbers of every magnitude and strings full of the characters a writer
+/// must escape.
+struct JsonTree {
+    depth: u32,
+}
+
+impl Strategy for JsonTree {
+    type Value = JsonValue;
+
+    fn generate(&self, rng: &mut TestRng) -> JsonValue {
+        tree(rng, self.depth)
+    }
+}
+
+fn tree(rng: &mut TestRng, depth: u32) -> JsonValue {
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match rng.below(kinds) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.below(2) == 1),
+        2 => JsonValue::Number(finite_f64(rng)),
+        3 => JsonValue::String(nasty_string(rng)),
+        4 => JsonValue::Array((0..rng.below(4)).map(|_| tree(rng, depth - 1)).collect()),
+        _ => JsonValue::Object(
+            (0..rng.below(4))
+                .map(|_| (nasty_string(rng), tree(rng, depth - 1)))
+                .collect::<BTreeMap<_, _>>(),
+        ),
+    }
+}
+
+fn finite_f64(rng: &mut TestRng) -> f64 {
+    match rng.below(3) {
+        0 => rng.below(1 << 20) as f64 - (1 << 19) as f64,
+        1 => (rng.unit_f64() - 0.5) * 1e6,
+        _ => loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                break x;
+            }
+        },
+    }
+}
+
+fn nasty_string(rng: &mut TestRng) -> String {
+    const PIECES: [&str; 14] = [
+        "a", "Z", "0", " ", "\"", "\\", "/", "\n", "\t", "\u{0}", "\u{1f}", "é", "π", "😀",
+    ];
+    (0..rng.below(8))
+        .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+        .collect()
+}
+
+/// Renders a tree with the codec's writers.
+fn render(value: &JsonValue, out: &mut String) {
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Number(n) => json::write_number(out, *n),
+        JsonValue::String(s) => json::write_escaped(out, s),
+        JsonValue::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render(item, out);
+            }
+            out.push(']');
+        }
+        JsonValue::Object(map) => {
+            out.push('{');
+            for (i, (key, item)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&json::escape(key));
+                out.push(':');
+                render(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// Pulls every token out of `input`, returning the reader's verdict.
+fn drain(input: &str) -> Result<usize, String> {
+    let mut reader = Reader::new(input);
+    let mut tokens = 0;
+    while reader.next_token()?.is_some() {
+        tokens += 1;
+    }
+    Ok(tokens)
+}
+
+/// The reader, `validate` and `parse` all give one verdict, error text
+/// included, and none of them panics.
+fn one_verdict(input: &str) -> Result<(), String> {
+    let parsed = json::parse(input).map(|_| ());
+    let drained = drain(input).map(|_| ());
+    if json::validate(input) != parsed || drained != parsed {
+        return Err(format!(
+            "verdicts differ on {input:?}: parse {parsed:?}, drain {drained:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// A document nested `levels` deep through a random mix of arrays and
+/// objects, closed again only when `close` is set.
+fn deep_document(rng: &mut TestRng, levels: usize, close: bool) -> String {
+    let mut open = String::new();
+    let mut closers = Vec::with_capacity(levels);
+    for _ in 0..levels {
+        if rng.below(2) == 0 {
+            open.push('[');
+            closers.push(']');
+        } else {
+            open.push_str("{\"k\":");
+            closers.push('}');
+        }
+    }
+    open.push('1');
+    if close {
+        open.extend(closers.into_iter().rev());
+    }
+    open
+}
+
+/// A random deep document, as a strategy.
+struct Deep;
+
+impl Strategy for Deep {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        let close = rng.below(2) == 0;
+        deep_document(rng, 60_000, close)
+    }
+}
+
+proptest! {
+    /// Arbitrary bytes (decoded lossily, as the journal and HTTP readers
+    /// receive them) never panic the codec, and every entry point agrees.
+    #[test]
+    fn codec_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+        let input = String::from_utf8_lossy(&bytes);
+        prop_assert_eq!(one_verdict(&input), Ok(()));
+    }
+
+    /// Every truncated prefix of a valid document is refused the same way
+    /// by every entry point, and never panics.
+    #[test]
+    fn codec_survives_truncated_documents(value in JsonTree { depth: 5 }, cut in any::<u64>()) {
+        let mut text = String::new();
+        render(&value, &mut text);
+        let mut at = (cut % (text.len() as u64 + 1)) as usize;
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        prop_assert_eq!(one_verdict(&text[..at]), Ok(()));
+        prop_assert_eq!(one_verdict(&text), Ok(()));
+    }
+
+    /// Nesting 60,000 levels deep is an error, not a stack overflow.
+    #[test]
+    fn codec_refuses_deep_nesting_without_recursing(deep in Deep) {
+        prop_assert_eq!(one_verdict(&deep), Ok(()));
+        let err = json::validate(&deep).expect_err("far past MAX_DEPTH");
+        prop_assert!(err.contains("nesting deeper than"), "{}", err);
+    }
+
+    /// Trees rendered with `escape` / `number` parse back equal: strings
+    /// keep their quotes, backslashes, control characters and non-ASCII,
+    /// and finite numbers keep their bits.
+    #[test]
+    fn rendered_trees_parse_back_equal(value in JsonTree { depth: 5 }) {
+        let mut text = String::new();
+        render(&value, &mut text);
+        prop_assert_eq!(json::parse(&text), Ok(value.clone()), "{}", text);
+        prop_assert_eq!(json::validate(&text), Ok(()));
     }
 }

@@ -14,6 +14,9 @@ agreement:
                                            (own Wilson-Hilferty here)
   * `convergence_events` gauges in the Prometheus text == snapshot counts
   * `convergence_cells_total` / `convergence_resolved_cells` == snapshot
+  * every journal line's `crc` == FNV-1a-64 over the line's bytes before
+    `,"crc":"`, followed by `}` — recomputed here, independently of the
+    Rust writer that stamped it and the Rust reader that checks it
 
 The count checks are exact because both sides stream the same integer
 events; the interval checks carry a tolerance only because this script
@@ -33,6 +36,10 @@ SERIES_RE = re.compile(
     r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(?P<labels>.*)\})? (?P<value>\S+)$'
 )
 LABEL_RE = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>[^"]*)"')
+
+CRC_MARKER = b',"crc":"'
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
 
 CI_LEVEL = 0.95
 TARGET_REL_HALFWIDTH = 0.10
@@ -108,14 +115,38 @@ def point_label(pmd_mv, freq_mhz):
     return f"{pmd_mv}mV@{freq_mhz} MHz"
 
 
-def replay_journal(path):
+def fnv1a64(data):
+    h = FNV_OFFSET
+    for b in data:
+        h = ((h ^ b) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def journal_lines(path):
+    """The journal's newline-terminated lines, as bytes."""
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+def digest_problem(raw):
+    """Why a journal line's digest does not verify, or None if it does."""
+    at = raw.rfind(CRC_MARKER)
+    if at < 0:
+        return "no crc field"
+    want = f"{fnv1a64(raw[:at] + b'}'):016x}"
+    got = json.loads(raw).get("crc")
+    if got != want:
+        return f"crc {got!r}, recomputed {want}"
+    return None
+
+
+def replay_journal(lines):
     """Replays journal.jsonl with the tracker's exact arithmetic: the
     session clock advances by every trial's wall_s (quarantined trials
     included); only non-quarantined trials contribute runs and events."""
     points = {}  # (pmd, soc, freq) -> {"label", "trials", "live", "cells"}
     current = None
     clock = 0.0
-    for raw in path.read_text().splitlines():
+    for raw in lines:
         rec = json.loads(raw)
         kind = rec["rec"]
         if kind == "campaign":
@@ -175,16 +206,21 @@ def parse_prom(text):
 def main():
     if len(sys.argv) != 4:
         sys.exit(__doc__)
-    journal = Path(sys.argv[1]) / "journal.jsonl"
+    journal = journal_lines(Path(sys.argv[1]) / "journal.jsonl")
     snapshot = json.loads(Path(sys.argv[2]).read_text())
     prom_text = Path(sys.argv[3]).read_text()
 
-    replayed = replay_journal(journal)
     failures = []
 
     def fail(msg):
         failures.append(msg)
         print(f"MISMATCH {msg}")
+
+    for number, raw in enumerate(journal, 1):
+        problem = digest_problem(raw)
+        if problem:
+            fail(f"journal line {number}: {problem}")
+    replayed = replay_journal(journal)
 
     snap_points = {
         (p["pmd_mv"], p["soc_mv"], p["freq_mhz"]): p for p in snapshot["points"]
@@ -279,7 +315,8 @@ def main():
     print(
         f"reconciled {cells_checked} cells across {len(replayed)} operating points: "
         f"counts integer-exact, live time exact, intervals within {REL_TOL:g}, "
-        f"{resolved} resolved at +-{TARGET_REL_HALFWIDTH:.0%}"
+        f"{resolved} resolved at +-{TARGET_REL_HALFWIDTH:.0%}, "
+        f"{len(journal)} journal digests recomputed"
     )
 
 

@@ -269,6 +269,41 @@ fn service_job_directories_are_inspectable_and_match_live_attribution() {
 /// A counting-based nearest-rank reference: the smallest sample `v` with
 /// `#{x ≤ v} ≥ ⌈q·n⌉` — formulated independently of the index arithmetic
 /// the engine uses.
+/// A damaged `spans.jsonl` is refused with its line number rather than
+/// re-read into a different span tree: ids and timestamps must be exact
+/// unsigned integers.
+#[test]
+fn damaged_span_integers_are_refused_with_their_line() {
+    let good = r#"{"span":"campaign","id":1,"parent":0,"name":"run","enter_ns":0,"exit_ns":9}"#;
+    let cases = [
+        (
+            r#"{"span":"wave","id":-1,"parent":0,"name":"w","enter_ns":1,"exit_ns":2}"#,
+            1,
+        ),
+        (
+            r#"{"span":"wave","id":2,"parent":1,"name":"w","enter_ns":1.5,"exit_ns":2}"#,
+            2,
+        ),
+        (
+            r#"{"span":"wave","id":2,"parent":1,"name":"w","enter_ns":1,"exit_ns":1e300}"#,
+            2,
+        ),
+    ];
+    for (bad, line) in cases {
+        let dir = case_dir("damaged-span");
+        let text = if line == 1 {
+            format!("{bad}\n{good}\n")
+        } else {
+            format!("{good}\n{bad}\n")
+        };
+        std::fs::write(dir.join("spans.jsonl"), text).expect("spans writable");
+        let err = inspect_dir(&dir).expect_err("a damaged span must not inspect");
+        assert!(err.contains(&format!("spans.jsonl: line {line}:")), "{err}");
+        assert!(err.contains("not an unsigned integer"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 fn naive_nearest_rank(values: &[f64], q: f64) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);

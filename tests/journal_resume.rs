@@ -193,6 +193,40 @@ fn journal_write_failure_exits_cleanly_and_resumes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The decoder and the encoder are inverses on real data: every line of
+/// the golden journal decodes and re-encodes to itself, byte for byte.
+#[test]
+fn golden_journal_lines_re_encode_to_themselves() {
+    let (_, _, text) = golden();
+    for line in text.lines() {
+        let record = Record::parse_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(record.to_line(), line);
+    }
+}
+
+/// The exhaustive form of the sampled flip property below, on the record
+/// with the most structure: flipping any one byte of an EDAC-carrying
+/// trial line, at every offset, with masks 0x01, 0x20 and 0x80, is
+/// refused.
+#[test]
+fn every_single_byte_flip_of_a_trial_line_is_refused() {
+    let (_, _, text) = golden();
+    let line = text
+        .lines()
+        .find(|l| l.contains("\"rec\":\"trial\"") && !l.contains("\"edac\":[]"))
+        .expect("the golden run journals EDAC records");
+    for at in 0..line.len() {
+        for mask in [0x01u8, 0x20, 0x80] {
+            let mut flipped = line.as_bytes().to_vec();
+            flipped[at] ^= mask;
+            assert!(
+                Record::parse_line(&String::from_utf8_lossy(&flipped)).is_err(),
+                "flip {mask:#04x} at byte {at} of {line} was accepted"
+            );
+        }
+    }
+}
+
 proptest! {
     /// The journal reader parses untrusted bytes. Arbitrary bytes, a real
     /// record with one byte flipped, and a line nested far past the JSON
