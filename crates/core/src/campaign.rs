@@ -11,7 +11,7 @@ use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel
 use crate::dut::DeviceUnderTest;
 use crate::journal::{JournalWriter, RecoveredCampaign};
 use crate::scheduler::CancelToken;
-use crate::session::{RetryPolicy, SessionLimits, SessionReport, TestSession};
+use crate::session::{RetryPolicy, SessionLimits, SessionReport, TestSession, TrialPool};
 use crate::trace::{NoopObserver, SessionObserver};
 
 /// Where the per-frequency safe Vmin anchoring the logic amplification
@@ -245,10 +245,13 @@ impl Campaign {
     /// via [`SessionObserver::on_session_start`] in configuration order,
     /// so one observer can attribute the merged stream.
     ///
-    /// Sessions' trial grids are sharded across the pool, and every trial
-    /// draws from a counter-derived stream, so the report is bit-identical
-    /// for any `jobs` — the determinism contract the regression suite
-    /// enforces. Observation and journaling are one-way: with a fresh
+    /// Sessions' trial grids are sharded across one worker pool that
+    /// lives for the whole call: it starts on the first live wave (never
+    /// at one effective worker, so a pure journal replay spawns no thread)
+    /// and is joined before this returns, or while a panic unwinds out of
+    /// it. Every trial draws from a counter-derived stream, so the report
+    /// is bit-identical for any `jobs` — the determinism contract the
+    /// regression suite enforces. Observation and journaling are one-way: with a fresh
     /// journal and [`RetryPolicy::standard`] the report equals the
     /// journal-less run's. With a recovered prefix, the replayed trials
     /// drive the observer exactly as the original run did, so report *and*
@@ -276,11 +279,12 @@ impl Campaign {
         mut options: CampaignRunOptions<'_>,
         observer: &mut dyn SessionObserver,
     ) -> Result<CampaignReport, RunError> {
+        let mut pool = TrialPool::new(options.jobs);
         self.run_sessions(|index, session, rng| {
             if options.cancelled() {
                 return Err(RunError::Cancelled);
             }
-            session.try_run(rng, index, &mut options, &mut *observer)
+            session.try_run_on(&mut pool, rng, index, &mut options, &mut *observer)
         })
     }
 

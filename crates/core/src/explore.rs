@@ -13,6 +13,7 @@ use serscale_soc::PowerModel;
 use serscale_types::{Fit, Flux, Millivolts, Watts, NYC_SEA_LEVEL_FLUX};
 
 use crate::dut::DeviceUnderTest;
+use crate::parallel::{effective_workers, WorkerPool};
 
 /// One voltage step of a sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,9 +47,10 @@ pub fn sweep_voltage(
     sweep_voltage_jobs(from, to, template, power_model, beam_flux, 1)
 }
 
-/// [`sweep_voltage`] with the grid points sharded over `jobs` worker
-/// threads. Each point is an independent analytic evaluation, so the
-/// result is identical to the sequential sweep at any `jobs`.
+/// [`sweep_voltage`] with the grid points sharded over
+/// [`effective_workers`]`(jobs)` pool threads (none when that is 1). Each
+/// point is an independent analytic evaluation, so the result is
+/// identical to the sequential sweep at any `jobs`.
 ///
 /// # Panics
 ///
@@ -62,6 +64,7 @@ pub fn sweep_voltage_jobs(
     jobs: usize,
 ) -> Vec<SweepPoint> {
     assert!(from >= to, "sweep runs downward: {from} → {to}");
+    assert!(jobs > 0, "a sweep needs at least one worker");
     let mut grid = Vec::new();
     let mut v = from;
     loop {
@@ -71,9 +74,19 @@ pub fn sweep_voltage_jobs(
         }
         v = v.stepped_down(1);
     }
-    crate::parallel::par_map(jobs, grid, |v| {
-        sweep_point(v, template, power_model, beam_flux)
-    })
+    let workers = effective_workers(jobs);
+    if workers < 2 {
+        return grid
+            .into_iter()
+            .map(|v| sweep_point(v, template, power_model, beam_flux))
+            .collect();
+    }
+    let (template, power_model) = (template.clone(), *power_model);
+    WorkerPool::new(workers)
+        .map(grid, move |(), v| {
+            sweep_point(v, &template, &power_model, beam_flux)
+        })
+        .0
 }
 
 /// Evaluates one grid point of the sweep.

@@ -155,12 +155,9 @@ impl Record {
     }
 
     /// Appends the record to `out` as [`to_line`](Self::to_line) writes
-    /// it, digesting the appended bytes where they landed.
+    /// it.
     fn write_line(&self, out: &mut String) {
-        let start = out.len();
-        self.write_body(out);
-        let crc = line_digest(&out[start..]);
-        let _ = write!(out, ",\"crc\":\"{crc:016x}\"}}");
+        write_digested(out, |out| self.write_body(out));
     }
 
     /// Appends the record as a JSON object *without* the digest field or
@@ -189,34 +186,7 @@ impl Record {
                     point.frequency.get()
                 );
             }
-            Record::Trial { session, execution } => {
-                let outcome = &execution.outcome;
-                let (kind, notified) = verdict_to_parts(outcome.verdict);
-                let _ = write!(
-                    out,
-                    "{{\"rec\":\"trial\",\"session\":{session},\"trial\":{},\"benchmark\":",
-                    execution.trial
-                );
-                json::write_escaped(out, outcome.benchmark.name());
-                let _ = write!(
-                    out,
-                    ",\"verdict\":\"{kind}\",\"ce_notified\":{notified},\"wall_s\":"
-                );
-                json::write_number(out, outcome.wall_time.as_secs());
-                let _ = write!(
-                    out,
-                    ",\"strikes\":{},\"retries\":{},\"quarantined\":{},\"edac\":[",
-                    outcome.sram_strikes, execution.retries, execution.quarantined
-                );
-                for (i, r) in outcome.edac.iter().enumerate() {
-                    out.push_str(if i == 0 { "[" } else { ",[" });
-                    json::write_number(out, r.time.as_secs());
-                    out.push(',');
-                    json::write_escaped(out, r.array.name());
-                    let _ = write!(out, ",\"{}\"]", r.severity);
-                }
-                out.push(']');
-            }
+            Record::Trial { session, execution } => write_trial_body(out, *session, execution),
             Record::SessionEnd { session, reason } => {
                 let _ = write!(
                     out,
@@ -426,6 +396,45 @@ fn decode_edac(source: &str) -> Result<Vec<EdacRecord>, String> {
     Ok(edac)
 }
 
+/// Appends one digest-carrying line to `out`: the body `write_body`
+/// appends, then the digest of exactly those bytes and the closing brace.
+fn write_digested(out: &mut String, write_body: impl FnOnce(&mut String)) {
+    let start = out.len();
+    write_body(out);
+    let crc = line_digest(&out[start..]);
+    let _ = write!(out, ",\"crc\":\"{crc:016x}\"}}");
+}
+
+/// The body of a `Trial` record, written from a borrowed execution.
+fn write_trial_body(out: &mut String, session: u64, execution: &TrialExecution) {
+    let outcome = &execution.outcome;
+    let (kind, notified) = verdict_to_parts(outcome.verdict);
+    let _ = write!(
+        out,
+        "{{\"rec\":\"trial\",\"session\":{session},\"trial\":{},\"benchmark\":",
+        execution.trial
+    );
+    json::write_escaped(out, outcome.benchmark.name());
+    let _ = write!(
+        out,
+        ",\"verdict\":\"{kind}\",\"ce_notified\":{notified},\"wall_s\":"
+    );
+    json::write_number(out, outcome.wall_time.as_secs());
+    let _ = write!(
+        out,
+        ",\"strikes\":{},\"retries\":{},\"quarantined\":{},\"edac\":[",
+        outcome.sram_strikes, execution.retries, execution.quarantined
+    );
+    for (i, r) in outcome.edac.iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        json::write_number(out, r.time.as_secs());
+        out.push(',');
+        json::write_escaped(out, r.array.name());
+        let _ = write!(out, ",\"{}\"]", r.severity);
+    }
+    out.push(']');
+}
+
 fn text(token: Option<Token<'_>>) -> Option<Cow<'_, str>> {
     match token {
         Some(Token::Str(s)) => Some(s.get()),
@@ -630,6 +639,16 @@ impl JournalWriter {
     /// [`sync`](Self::sync).
     pub fn append(&mut self, record: &Record) {
         record.write_line(&mut self.pending);
+        self.pending.push('\n');
+    }
+
+    /// Buffers the `Trial` record of one absorbed execution, byte for
+    /// byte what [`append`](Self::append) writes for
+    /// [`Record::Trial`], without copying the execution into a record.
+    pub fn append_trial(&mut self, session: u64, execution: &TrialExecution) {
+        write_digested(&mut self.pending, |out| {
+            write_trial_body(out, session, execution);
+        });
         self.pending.push('\n');
     }
 
@@ -1009,6 +1028,29 @@ mod tests {
         writer.append(&Record::campaign_header(&config()));
         assert!(writer.sync().is_err(), "a write to /dev/full must fail");
         assert!(writer.pending.is_empty(), "failed batch still queued");
+    }
+
+    /// The merge journals each absorbed execution through the borrowing
+    /// append; its bytes must be exactly the `Trial` record's.
+    #[test]
+    fn borrowed_trial_append_writes_the_record_bytes() {
+        let dir = temp_dir("append-trial");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str| std::fs::File::create(dir.join(name)).unwrap();
+        let (mut borrowed, mut owned) = (
+            JournalWriter::from_file(file("a")),
+            JournalWriter::from_file(file("b")),
+        );
+        for trial in [0, 3, 17] {
+            let execution = sample_execution(trial);
+            borrowed.append_trial(2, &execution);
+            owned.append(&Record::Trial {
+                session: 2,
+                execution,
+            });
+        }
+        assert_eq!(borrowed.pending, owned.pending);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -45,8 +45,9 @@
 //!   every absorbed trial, replayed by `repro --resume` into a report
 //!   bit-identical to an uninterrupted run;
 //! * [`parallel`] — the deterministic worker pool behind
-//!   `--jobs N`: order-canonicalized work stealing with panic isolation,
-//!   yielding bit-identical campaign reports at any thread count;
+//!   `--jobs N`: one campaign-lived set of threads running pipelined,
+//!   order-canonicalized batches with panic isolation, yielding
+//!   bit-identical campaign reports at any thread count;
 //! * [`trace`] — the campaign logbook: an ordered, renderable event trace
 //!   of every run, EDAC report and recovery;
 //! * [`report`] — neutral plain-text campaign summaries with 95 %

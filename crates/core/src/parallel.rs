@@ -1,26 +1,41 @@
-//! A deterministic worker pool for embarrassingly parallel shards.
+//! The worker pool behind `--jobs N`, and the supervision primitives
+//! behind trial retries.
 //!
-//! The campaign engine splits a session into independent trials and a
-//! voltage sweep into independent grid points; this module provides the
-//! pool that executes such shards across threads while keeping the
-//! *results* exactly what the sequential code would have produced:
+//! [`WorkerPool`] is a fixed set of threads that lives as long as its
+//! owner — a whole campaign inside
+//! [`Campaign::try_run`](crate::campaign::Campaign::try_run), one sweep
+//! inside [`sweep_voltage_jobs`](crate::explore::sweep_voltage_jobs) — and
+//! runs *batches*: independent items plus the closure that maps them. It
+//! keeps the *results* exactly what the sequential loop would have
+//! produced:
 //!
-//! * **Order canonicalization** — work is dispatched as contiguous
-//!   *chunks* of input items, each tagged with its queue index, and the
-//!   output vector is reassembled in input order, so callers can reduce
-//!   left-to-right exactly as the sequential loop does. Workers claim
-//!   chunks through one shared atomic index, and chunking keeps that
-//!   claim negligible per item even for microsecond shards.
-//! * **No shared mutable state** — each worker builds its own scratch
-//!   state (e.g. a [`BenchmarkRunner`](crate::runner::BenchmarkRunner)
-//!   with its strike buffers and envelope caches) via a factory closure,
-//!   and hands its outputs back only when it is joined.
-//! * **Panic isolation** — a panicking shard does not tear down the pool
-//!   mid-flight. Workers stop claiming new chunks, the in-flight chunks
-//!   finish, every worker is joined, and only then is the panic of the
-//!   earliest failing chunk resumed on the caller's thread, so the
+//! * **Order canonicalization** — a batch is cut into contiguous *chunks*
+//!   of items, each tagged with its position, and [`Batch::collect`]
+//!   reassembles the outputs in input order, so callers can reduce
+//!   left-to-right exactly as the sequential loop does. Workers take
+//!   chunks off one FIFO queue; chunking keeps that claim negligible per
+//!   item even for microsecond shards.
+//! * **Pipelining** — [`WorkerPool::submit`] returns at once, so a caller
+//!   can submit batch k+1 and then merge batch k while the workers run
+//!   it. A [`Batch`] dropped without being collected is discarded: its
+//!   queued chunks are never run and its outputs never reach the caller.
+//! * **Per-worker state** — each worker builds one `S` with `Default` on
+//!   its own thread and threads it through every item of every batch it
+//!   runs, so caches survive across batches without any cross-thread
+//!   sharing. The wave engine keeps one
+//!   [`BenchmarkRunner`](crate::runner::BenchmarkRunner) per worker this
+//!   way (with its strike arenas and rate envelopes), keyed by session.
+//! * **Panic isolation** — a panicking item does not tear down the pool.
+//!   The batch's queued chunks are dropped, its in-flight chunks finish,
+//!   and only then does [`Batch::collect`] resume the panic of the
+//!   earliest failing chunk on the caller's thread, so the
 //!   process-visible behavior matches the sequential loop panicking at
-//!   that shard.
+//!   that item. The worker resets its state and serves later batches.
+//!
+//! Dropping the pool stops and joins its threads: each worker finishes
+//! the chunk in hand, and queued chunks are dropped unrun. A caller that
+//! unwinds with batches in flight therefore still leaves no thread
+//! behind.
 //!
 //! Determinism across thread counts is *not* the pool's job alone: shards
 //! must not read ambient state that depends on scheduling. The campaign
@@ -28,13 +43,14 @@
 //! [`SimRng::stream`](serscale_stats::SimRng::stream), which is a pure
 //! function of (seed, session, trial).
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What one pool worker did during a [`par_map_with_profile`] call:
-/// observe-only utilization accounting for the live monitoring plane.
+/// What one pool worker did for one batch: observe-only utilization
+/// accounting for the live monitoring plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerReport {
     /// Host nanoseconds this worker spent inside the work closure.
@@ -45,15 +61,18 @@ pub struct WorkerReport {
     pub shards: u64,
 }
 
-/// Per-worker utilization for one pool invocation. Produced alongside the
-/// outputs by [`par_map_with_profile`]; purely host-clock telemetry, so it
-/// varies run to run and must never feed back into the simulation.
+/// Per-worker utilization for one batch. Produced alongside the outputs
+/// by [`Batch::collect`]; purely host-clock telemetry, so it varies run
+/// to run and must never feed back into the simulation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PoolProfile {
     /// One report per worker, in worker-index order (a single entry for
     /// the inline `jobs == 1` path).
     pub workers: Vec<WorkerReport>,
-    /// Host wall nanoseconds of the whole invocation (split → drain).
+    /// Host wall nanoseconds from the batch's dispatch to its last chunk
+    /// finishing. Time the caller spends elsewhere before collecting the
+    /// batch (merging the previous wave, say) is not in it, so it never
+    /// counts as worker idle time.
     pub wall_nanos: u64,
 }
 
@@ -69,9 +88,8 @@ impl PoolProfile {
         }
     }
 
-    /// The longest single-worker busy time — the invocation's critical
-    /// path. Wall time below this bound is unreachable at any worker
-    /// count.
+    /// The longest single-worker busy time — the batch's critical path.
+    /// Wall time below this bound is unreachable at any worker count.
     pub fn critical_path_nanos(&self) -> u64 {
         self.workers.iter().map(|w| w.busy_nanos).max().unwrap_or(0)
     }
@@ -82,7 +100,7 @@ impl PoolProfile {
     }
 
     /// Total idle nanoseconds: wall time not spent in the work closure,
-    /// summed across workers (thread start-up, claims, merge stalls).
+    /// summed across workers (wake-ups, claims, end-of-batch imbalance).
     pub fn idle_nanos(&self) -> u64 {
         let span = self.wall_nanos.saturating_mul(self.workers.len() as u64);
         span.saturating_sub(self.busy_nanos())
@@ -193,7 +211,8 @@ fn host_parallelism() -> usize {
 }
 
 /// How many worker threads a `jobs` request actually spawns: `jobs`
-/// capped at the host's hardware threads.
+/// capped at the host's hardware threads. Callers run inline, with no
+/// pool at all, when this is 1.
 ///
 /// The engine's work is CPU-bound, so threads beyond the core count only
 /// add context-switch overhead — and the determinism contract
@@ -204,249 +223,366 @@ pub fn effective_workers(jobs: usize) -> usize {
     jobs.min(host_parallelism())
 }
 
-/// Maps `work` over `items` on up to `jobs` worker threads, returning
-/// outputs in input order.
+/// The closure a batch maps over its items: shared by every chunk of the
+/// batch, handed each worker's state.
+pub type Work<S, I, O> = Arc<dyn Fn(&mut S, I) -> O + Send + Sync>;
+
+/// A panic payload caught on a worker.
+type Panic = Box<dyn std::any::Any + Send>;
+
+/// A fixed set of worker threads that runs batches of independent items
+/// and hands their outputs back in input order (see the module docs).
 ///
-/// Each worker calls `make_state()` once and threads the resulting scratch
-/// value through every shard it claims. This is how the session driver
-/// gives each worker its own [`BenchmarkRunner`](crate::runner) — and with
-/// it the runner's per-worker scratch arenas (strike buffers, cached rate
-/// envelopes), which amortize across every trial the worker executes
-/// without any cross-thread sharing.
-///
-/// The thread count actually spawned is [`effective_workers`]`(jobs)`:
-/// oversubscribing a CPU-bound pool past the core count only adds
-/// overhead, and the determinism contract guarantees the outputs don't
-/// depend on the worker count. When that leaves a single worker (or there
-/// are fewer than two items) everything runs inline on the calling
-/// thread — the reference path the determinism tests compare against.
-///
-/// Work is dispatched in contiguous *chunks* of several shards, not one
-/// shard at a time, so the per-claim cost amortizes away for the
-/// microsecond-scale trials the campaign engine feeds through here.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, and re-raises the first shard panic after the
-/// pool has drained (see module docs).
-pub fn par_map_with<S, I, O, M, F>(jobs: usize, items: Vec<I>, make_state: M, work: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, I) -> O + Sync,
-{
-    par_map_with_profile(jobs, items, make_state, work).0
+/// `S` is each worker's private state, built with `Default` on the
+/// worker's own thread; `I` and `O` are the item and output types.
+pub struct WorkerPool<S, I, O> {
+    shared: Arc<Shared<S, I, O>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// [`par_map_with`] that also reports per-worker utilization: the outputs
-/// (identical, bit for bit, to the unprofiled call) plus a
-/// [`PoolProfile`] of busy/claim accounting per worker. Profiling is
-/// observe-only — timestamps are taken around the work closure and never
-/// influence scheduling, ordering or the outputs.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, and re-raises shard panics like
-/// [`par_map_with`].
-pub fn par_map_with_profile<S, I, O, M, F>(
-    jobs: usize,
-    items: Vec<I>,
-    make_state: M,
-    work: F,
-) -> (Vec<O>, PoolProfile)
-where
-    I: Send,
-    O: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, I) -> O + Sync,
-{
-    assert!(jobs > 0, "a pool needs at least one worker");
-    let workers = effective_workers(jobs).min(items.len());
-    if workers <= 1 || items.len() < 2 {
-        let clock = Instant::now();
-        let mut state = make_state();
-        let shards = items.len() as u64;
-        let outputs: Vec<O> = items
-            .into_iter()
-            .map(|item| work(&mut state, item))
-            .collect();
-        let wall = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        return (outputs, PoolProfile::inline(wall, shards));
+/// What the caller and the workers share.
+struct Shared<S, I, O> {
+    board: Mutex<Board<S, I, O>>,
+    /// Signalled when chunks are queued or the pool shuts down.
+    work_ready: Condvar,
+    /// Signalled when a batch's last chunk reports.
+    batch_done: Condvar,
+}
+
+impl<S, I, O> Shared<S, I, O> {
+    /// Locks the board. The pool never runs a work closure under this
+    /// lock, only bookkeeping (and the destructors of dropped chunks), so
+    /// a lock poisoned by a panicking destructor is taken over rather
+    /// than passed on.
+    fn lock(&self) -> MutexGuard<'_, Board<S, I, O>> {
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    pooled_map(workers, items, make_state, work)
 }
 
-/// What one pool worker hands back when the pool drains: the outputs
-/// of the chunks it claimed (tagged with their chunk index), its
-/// utilization report, and the panic of the chunk it died on, if any.
-struct WorkerHaul<O> {
-    chunks: Vec<(usize, Vec<O>)>,
-    report: WorkerReport,
-    panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
+/// The queue of chunks waiting for a worker and the batches they belong
+/// to.
+struct Board<S, I, O> {
+    queue: VecDeque<Chunk<S, I, O>>,
+    batches: Vec<BatchState<O>>,
+    next_id: u64,
+    shutdown: bool,
 }
 
-/// The threaded pool behind [`par_map_with_profile`], with an exact
-/// worker count (no host-parallelism clamp — tests use this to exercise
-/// the threaded path regardless of the machine they run on).
-fn pooled_map<S, I, O, M, F>(
-    workers: usize,
+/// A contiguous run of one batch's items.
+struct Chunk<S, I, O> {
+    batch: u64,
+    /// Position of the chunk within its batch.
+    index: usize,
     items: Vec<I>,
-    make_state: M,
-    work: F,
-) -> (Vec<O>, PoolProfile)
+    work: Work<S, I, O>,
+}
+
+/// One submitted batch: its outputs as they arrive and its accounting.
+struct BatchState<O> {
+    id: u64,
+    dispatched: Instant,
+    /// Dispatch to the last chunk reporting; set when `unreported` hits 0.
+    wall_nanos: u64,
+    /// Chunks queued or running.
+    unreported: usize,
+    outputs: Vec<Option<Vec<O>>>,
+    workers: Vec<WorkerReport>,
+    /// The earliest failing chunk and its panic.
+    panic: Option<(usize, Panic)>,
+    /// Dropped by its owner: forget it as soon as it drains.
+    abandoned: bool,
+}
+
+impl<S, I, O> Board<S, I, O> {
+    fn position(&self, id: u64) -> usize {
+        self.batches
+            .iter()
+            .position(|b| b.id == id)
+            .expect("a batch stays on the board until it is collected or drains abandoned")
+    }
+
+    /// Drops the queued chunks of the batch at `pos`, so only its
+    /// running chunks are still to report.
+    fn unqueue(&mut self, pos: usize) {
+        let id = self.batches[pos].id;
+        let queued = self.queue.len();
+        self.queue.retain(|chunk| chunk.batch != id);
+        self.batches[pos].unreported -= queued - self.queue.len();
+    }
+
+    /// Settles the batch at `pos` once it has drained: stamps its wall
+    /// time and wakes the collector, or forgets it if it was abandoned.
+    fn settle(&mut self, pos: usize, batch_done: &Condvar) {
+        let batch = &mut self.batches[pos];
+        if batch.unreported > 0 {
+            return;
+        }
+        batch.wall_nanos = nanos_since(batch.dispatched);
+        if batch.abandoned {
+            self.batches.swap_remove(pos);
+        } else {
+            batch_done.notify_all();
+        }
+    }
+}
+
+/// Host nanoseconds since `start`, saturating.
+pub(crate) fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl<S, I, O> WorkerPool<S, I, O>
 where
-    I: Send,
-    O: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, I) -> O + Sync,
+    S: Default + 'static,
+    I: Send + 'static,
+    O: Send + 'static,
 {
-    let clock = Instant::now();
-    let total = items.len();
-    let workers = workers.min(total).max(1);
-    // Contiguous chunks, roughly four per worker: large enough that the
-    // per-chunk claim amortizes across many shards, small enough that the
-    // end-of-queue imbalance stays a fraction of one worker's share.
-    let chunk_size = total.div_ceil(workers * 4).max(1);
-    let chunks: Vec<Mutex<Option<Vec<I>>>> = {
-        let mut iter = items.into_iter();
-        let mut chunks = Vec::with_capacity(total.div_ceil(chunk_size));
+    /// Starts exactly `workers` threads. Callers that size the pool from
+    /// a `jobs` request use [`effective_workers`] and run inline instead
+    /// when that is 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0` or a thread cannot be spawned.
+    pub fn new(workers: usize) -> Self {
+        assert!(workers > 0, "a pool needs at least one worker");
+        let shared = Arc::new(Shared {
+            board: Mutex::new(Board {
+                queue: VecDeque::new(),
+                batches: Vec::new(),
+                next_id: 0,
+                shutdown: false,
+            }),
+            work_ready: Condvar::new(),
+            batch_done: Condvar::new(),
+        });
+        let threads = (0..workers)
+            .map(|worker| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("serscale-worker-{worker}"))
+                    .spawn(move || serve(&shared, worker))
+                    .expect("spawn a pool worker")
+            })
+            .collect();
+        WorkerPool { shared, threads }
+    }
+
+    /// Queues `items` for the workers and returns at once. The batch is
+    /// cut into contiguous chunks of roughly `len / (workers × 4)` items:
+    /// large enough that the per-chunk claim amortizes across many
+    /// shards, small enough that the end-of-batch imbalance stays a
+    /// fraction of one worker's share.
+    pub fn submit(&self, items: Vec<I>, work: &Work<S, I, O>) -> Batch<'_, S, I, O> {
+        let dispatched = Instant::now();
+        let workers = self.threads.len();
+        let chunk_size = items.len().div_ceil(workers * 4).max(1);
+        let mut items = items.into_iter();
+        let mut chunks = Vec::new();
         loop {
-            let chunk: Vec<I> = iter.by_ref().take(chunk_size).collect();
+            let chunk: Vec<I> = items.by_ref().take(chunk_size).collect();
             if chunk.is_empty() {
                 break;
             }
-            chunks.push(Mutex::new(Some(chunk)));
+            chunks.push(chunk);
         }
-        chunks
-    };
-    // Workers claim chunks in queue order through one shared index; each
-    // index is claimed exactly once, so every chunk's lock is uncontended.
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-
-    let hauls: Vec<std::thread::Result<WorkerHaul<O>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (chunks, next, abort) = (&chunks, &next, &abort);
-                let (make_state, work) = (&make_state, &work);
-                scope.spawn(move || {
-                    let mut state = make_state();
-                    let mut haul = WorkerHaul {
-                        chunks: Vec::new(),
-                        report: WorkerReport::default(),
-                        panic: None,
-                    };
-                    while !abort.load(Ordering::Relaxed) {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = chunks.get(index) else {
-                            break;
-                        };
-                        let chunk = slot
-                            .lock()
-                            .expect("only the claiming worker ever locks a chunk")
-                            .take()
-                            .expect("each chunk index is claimed once");
-                        let shards = chunk.len() as u64;
-                        let chunk_clock = Instant::now();
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            chunk
-                                .into_iter()
-                                .map(|item| work(&mut state, item))
-                                .collect::<Vec<O>>()
-                        }));
-                        haul.report.busy_nanos = haul.report.busy_nanos.saturating_add(
-                            u64::try_from(chunk_clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                        haul.report.shards += shards;
-                        match outcome {
-                            Ok(outputs) => haul.chunks.push((index, outputs)),
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                haul.panic = Some((index, payload));
-                                break;
-                            }
-                        }
-                    }
-                    haul
-                })
-            })
-            .collect();
-        handles.into_iter().map(|handle| handle.join()).collect()
-    });
-
-    // Every worker has exited, so the pool has drained. Re-raise the
-    // panic of the earliest failing chunk (a worker that died outside a
-    // chunk, e.g. in `make_state`, counts as failing first).
-    let mut slots: Vec<Option<Vec<O>>> = (0..chunks.len()).map(|_| None).collect();
-    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    let mut reports = Vec::with_capacity(workers);
-    for haul in hauls {
-        let (report, panic) = match haul {
-            Ok(haul) => {
-                for (index, outputs) in haul.chunks {
-                    slots[index] = Some(outputs);
-                }
-                (haul.report, haul.panic)
-            }
-            Err(payload) => (WorkerReport::default(), Some((0, payload))),
-        };
-        reports.push(report);
-        if let Some((index, payload)) = panic {
-            if first_panic.as_ref().is_none_or(|(first, _)| index < *first) {
-                first_panic = Some((index, payload));
-            }
+        let mut board = self.shared.lock();
+        let id = board.next_id;
+        board.next_id += 1;
+        board.batches.push(BatchState {
+            id,
+            dispatched,
+            wall_nanos: 0,
+            unreported: chunks.len(),
+            outputs: (0..chunks.len()).map(|_| None).collect(),
+            workers: vec![WorkerReport::default(); workers],
+            panic: None,
+            abandoned: false,
+        });
+        for (index, items) in chunks.into_iter().enumerate() {
+            board.queue.push_back(Chunk {
+                batch: id,
+                index,
+                items,
+                work: Arc::clone(work),
+            });
         }
+        drop(board);
+        self.shared.work_ready.notify_all();
+        Batch { pool: self, id }
     }
-    if let Some((_, payload)) = first_panic {
-        resume_unwind(payload);
+
+    /// [`submit`](Self::submit) then [`Batch::collect`]: one batch, start
+    /// to finish.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first item panic, like [`Batch::collect`].
+    pub fn map(
+        &self,
+        items: Vec<I>,
+        work: impl Fn(&mut S, I) -> O + Send + Sync + 'static,
+    ) -> (Vec<O>, PoolProfile) {
+        let work: Work<S, I, O> = Arc::new(work);
+        self.submit(items, &work).collect()
     }
-    let outputs = slots
-        .into_iter()
-        .flat_map(|slot| slot.expect("pool drained without a panic, so every chunk reported"))
-        .collect();
-    let profile = PoolProfile {
-        workers: reports,
-        wall_nanos: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    };
-    (outputs, profile)
 }
 
-/// [`par_map_with`] for stateless shards.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, and re-raises shard panics like
-/// [`par_map_with`].
-pub fn par_map<I, O, F>(jobs: usize, items: Vec<I>, work: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    par_map_with(jobs, items, || (), |(), item| work(item))
+impl<S, I, O> Drop for WorkerPool<S, I, O> {
+    /// Stops the workers and joins them: each finishes the chunk in hand,
+    /// and whatever is still queued is dropped unrun.
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.work_ready.notify_all();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One worker's loop: take the next chunk, run it outside the lock,
+/// report it, until the pool shuts down.
+fn serve<S: Default, I, O>(shared: &Shared<S, I, O>, worker: usize) {
+    let mut state = S::default();
+    let mut board = shared.lock();
+    loop {
+        if board.shutdown {
+            return;
+        }
+        let Some(chunk) = board.queue.pop_front() else {
+            board = shared
+                .work_ready
+                .wait(board)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        };
+        drop(board);
+        let Chunk {
+            batch: id,
+            index,
+            items,
+            work,
+        } = chunk;
+        let shards = items.len() as u64;
+        let clock = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            items
+                .into_iter()
+                .map(|item| work(&mut state, item))
+                .collect::<Vec<O>>()
+        }));
+        let busy = nanos_since(clock);
+        drop(work);
+        if outcome.is_err() {
+            // The panic may have left the state half-updated.
+            state = S::default();
+        }
+        board = shared.lock();
+        let pos = board.position(id);
+        let batch = &mut board.batches[pos];
+        batch.workers[worker].busy_nanos += busy;
+        batch.workers[worker].shards += shards;
+        batch.unreported -= 1;
+        match outcome {
+            Ok(outputs) => batch.outputs[index] = Some(outputs),
+            Err(payload) => {
+                if batch.panic.as_ref().is_none_or(|(first, _)| index < *first) {
+                    batch.panic = Some((index, payload));
+                }
+                board.unqueue(pos);
+            }
+        }
+        board.settle(pos, &shared.batch_done);
+    }
+}
+
+/// A submitted batch, running on its pool. [`collect`](Self::collect) it
+/// for the outputs; dropping it instead discards the batch — its queued
+/// chunks never run and its outputs are thrown away.
+#[must_use = "dropping a batch discards its outputs"]
+pub struct Batch<'p, S, I, O> {
+    pool: &'p WorkerPool<S, I, O>,
+    id: u64,
+}
+
+impl<S, I, O> Batch<'_, S, I, O> {
+    /// Waits for the batch to drain and returns its outputs in input
+    /// order, with the pool's utilization while it ran.
+    ///
+    /// # Panics
+    ///
+    /// If an item panicked, resumes the panic of the earliest failing
+    /// chunk once the batch has drained.
+    pub fn collect(self) -> (Vec<O>, PoolProfile) {
+        let (pool, id) = (self.pool, self.id);
+        std::mem::forget(self);
+        let shared = &*pool.shared;
+        let mut board = shared.lock();
+        let state = loop {
+            let pos = board.position(id);
+            if board.batches[pos].unreported == 0 {
+                break board.batches.swap_remove(pos);
+            }
+            board = shared
+                .batch_done
+                .wait(board)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(board);
+        if let Some((_, payload)) = state.panic {
+            resume_unwind(payload);
+        }
+        let outputs = state
+            .outputs
+            .into_iter()
+            .flat_map(|slot| slot.expect("a batch that drained without a panic has every chunk"))
+            .collect();
+        let profile = PoolProfile {
+            workers: state.workers,
+            wall_nanos: state.wall_nanos,
+        };
+        (outputs, profile)
+    }
+}
+
+impl<S, I, O> Drop for Batch<'_, S, I, O> {
+    fn drop(&mut self) {
+        let shared = &self.pool.shared;
+        let mut board = shared.lock();
+        let pos = board.position(self.id);
+        board.batches[pos].abandoned = true;
+        board.unqueue(pos);
+        board.settle(pos, &shared.batch_done);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    fn square(_: &mut (), x: u64) -> u64 {
+        x * x
+    }
 
     #[test]
     fn outputs_come_back_in_input_order() {
-        for jobs in [1, 2, 3, 8] {
-            let got = par_map(jobs, (0..257u64).collect(), |x| x * x);
+        for workers in [1, 2, 3, 8] {
+            let pool = WorkerPool::new(workers);
+            let (got, _) = pool.map((0..257u64).collect(), square);
             let want: Vec<u64> = (0..257).map(|x| x * x).collect();
-            assert_eq!(got, want, "jobs = {jobs}");
+            assert_eq!(got, want, "workers = {workers}");
         }
     }
 
     #[test]
     fn threaded_pool_preserves_order_for_awkward_chunk_splits() {
-        // Force the threaded path (the public API may inline on small
-        // hosts) with totals that don't divide evenly into chunks.
+        // Totals that don't divide evenly into chunks, on one pool that
+        // serves every batch in turn.
         for workers in [2usize, 3, 8] {
+            let pool = WorkerPool::new(workers);
             for total in [2u64, 7, 257, 1000] {
-                let (got, _) = pooled_map(workers, (0..total).collect(), || (), |(), x| x * x);
+                let (got, _) = pool.map((0..total).collect(), square);
                 let want: Vec<u64> = (0..total).map(|x| x * x).collect();
                 assert_eq!(got, want, "workers = {workers}, total = {total}");
             }
@@ -463,28 +599,41 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert_eq!(par_map(4, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(par_map(4, vec![9], |x| x + 1), vec![10]);
+        let pool = WorkerPool::new(4);
+        let (empty, profile) = pool.map(Vec::<u32>::new(), |(), x| x);
+        assert_eq!(empty, Vec::<u32>::new());
+        assert_eq!(profile.busy_nanos(), 0);
+        assert_eq!(pool.map(vec![9], |(), x: u32| x + 1).0, vec![10]);
     }
 
     #[test]
     fn worker_state_is_built_per_worker_and_reused() {
-        let factories = AtomicUsize::new(0);
+        // Each worker builds its state once and keeps it across batches.
+        static BUILT: AtomicUsize = AtomicUsize::new(0);
+        struct Calls(u64);
+        impl Default for Calls {
+            fn default() -> Self {
+                BUILT.fetch_add(1, Ordering::Relaxed);
+                Calls(0)
+            }
+        }
         let workers = 3;
-        let (out, _) = pooled_map(
-            workers,
-            (0..100u64).collect(),
-            || {
-                factories.fetch_add(1, Ordering::Relaxed);
-                0u64
-            },
-            |calls, item| {
-                *calls += 1;
-                item
-            },
-        );
-        assert_eq!(out.len(), 100);
-        let built = factories.load(Ordering::Relaxed);
+        let pool = WorkerPool::new(workers);
+        let work: Work<Calls, u64, u64> = Arc::new(|calls: &mut Calls, _| {
+            calls.0 += 1;
+            calls.0
+        });
+        let mut most = 0;
+        for _ in 0..5 {
+            let (out, profile) = pool.submit((0..100u64).collect(), &work).collect();
+            assert_eq!(out.len(), 100);
+            assert_eq!(profile.workers.len(), workers);
+            most = most.max(out.into_iter().max().unwrap_or(0));
+        }
+        // 500 items over 3 workers: one worker ran at least 167 of them,
+        // a count only a state kept across batches reaches.
+        assert!(most > 100, "worker state was rebuilt per batch");
+        let built = BUILT.load(Ordering::Relaxed);
         assert!(
             built <= workers,
             "at most one state per worker, got {built}"
@@ -493,19 +642,15 @@ mod tests {
 
     #[test]
     fn shard_panic_propagates_after_drain() {
-        let caught = catch_unwind(|| {
-            pooled_map(
-                4,
-                (0..64u32).collect(),
-                || (),
-                |(), x| {
-                    if x == 13 {
-                        panic!("shard 13 exploded");
-                    }
-                    x
-                },
-            )
-        });
+        let pool = WorkerPool::new(4);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.map((0..64u32).collect(), |(), x| {
+                if x == 13 {
+                    panic!("shard 13 exploded");
+                }
+                x
+            })
+        }));
         let payload = caught.expect_err("panic must propagate");
         let message = payload
             .downcast_ref::<&str>()
@@ -514,6 +659,8 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(message.contains("shard 13"), "got: {message}");
+        // The workers caught the panic and keep serving.
+        assert_eq!(pool.map(vec![1u32, 2, 3], |(), x| x * 2).0, vec![2, 4, 6]);
     }
 
     #[test]
@@ -573,53 +720,126 @@ mod tests {
             // A little real work so busy time is nonzero.
             (0..50u64).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
         };
-        for jobs in [1usize, 3, 8] {
-            let (out, profile) = par_map_with_profile(jobs, (0..200u64).collect(), || (), work);
-            assert_eq!(out.len(), 200);
-            let shards: u64 = profile.workers.iter().map(|w| w.shards).sum();
-            assert_eq!(shards, 200, "jobs = {jobs}");
-            assert!(!profile.workers.is_empty() && profile.workers.len() <= jobs);
-            assert!(profile.critical_path_nanos() <= profile.busy_nanos());
-            assert!((0.0..=1.0).contains(&profile.utilization()));
-        }
-        for workers in [3usize, 8] {
-            let (out, profile) = pooled_map(workers, (0..200u64).collect(), || (), work);
+        for workers in [2usize, 3, 8] {
+            let (out, profile) = WorkerPool::new(workers).map((0..200u64).collect(), work);
             assert_eq!(out.len(), 200);
             let shards: u64 = profile.workers.iter().map(|w| w.shards).sum();
             assert_eq!(shards, 200, "workers = {workers}");
             assert_eq!(profile.workers.len(), workers);
             assert!(profile.critical_path_nanos() <= profile.busy_nanos());
+            assert!(profile.critical_path_nanos() <= profile.wall_nanos);
+            assert!((0.0..=1.0).contains(&profile.utilization()));
         }
     }
 
     #[test]
     fn inline_profile_is_one_fully_busy_worker() {
-        let (_, profile) = par_map_with_profile(1, vec![1u8, 2, 3], || (), |(), x| x);
+        let profile = PoolProfile::inline(1_000, 3);
         assert_eq!(profile.workers.len(), 1);
         assert_eq!(profile.workers[0].shards, 3);
         assert_eq!(profile.workers[0].busy_nanos, profile.wall_nanos);
         assert_eq!(profile.idle_nanos(), 0);
+        assert_eq!(profile.utilization(), 1.0);
     }
 
     #[test]
     fn profiled_outputs_match_unprofiled() {
-        let plain = par_map(4, (0..300u32).collect(), |x| x ^ 0x5a5a);
-        let (profiled, _) =
-            par_map_with_profile(4, (0..300u32).collect(), || (), |(), x| x ^ 0x5a5a);
+        // The profile is observe-only: the pool's outputs are exactly the
+        // sequential map's.
+        let plain: Vec<u32> = (0..300u32).map(|x| x ^ 0x5a5a).collect();
+        let (profiled, _) = WorkerPool::new(4).map((0..300u32).collect(), |(), x| x ^ 0x5a5a);
         assert_eq!(plain, profiled);
     }
 
     #[test]
     fn results_identical_across_thread_counts() {
-        let reference = par_map(1, (0..500u64).collect(), |x| x.wrapping_mul(0x9e37));
+        let reference: Vec<u64> = (0..500u64).map(|x| x.wrapping_mul(0x9e37)).collect();
         for workers in [2, 5, 16] {
-            let (got, _) = pooled_map(
-                workers,
-                (0..500u64).collect(),
-                || (),
-                |(), x| x.wrapping_mul(0x9e37),
-            );
+            let (got, _) =
+                WorkerPool::new(workers).map((0..500u64).collect(), |(), x| x.wrapping_mul(0x9e37));
             assert_eq!(got, reference, "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn batches_pipeline_and_collect_in_submission_order() {
+        // Batch k+1 is queued before batch k is collected; each comes back
+        // whole and in its own input order.
+        let pool = WorkerPool::new(3);
+        let work: Work<(), u64, u64> = Arc::new(square);
+        let first = pool.submit((0..100).collect(), &work);
+        let second = pool.submit((100..300).collect(), &work);
+        let (a, _) = first.collect();
+        let (b, _) = second.collect();
+        assert_eq!(a, (0..100).map(|x| x * x).collect::<Vec<_>>());
+        assert_eq!(b, (100..300).map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dropped_batch_is_discarded_and_the_pool_keeps_serving() {
+        let pool = WorkerPool::new(2);
+        let released = Arc::new(AtomicBool::new(false));
+        let ran = Arc::new(AtomicUsize::new(0));
+        let work: Work<(), u64, u64> = {
+            let (released, ran) = (Arc::clone(&released), Arc::clone(&ran));
+            Arc::new(move |(), x| {
+                // Hold the workers inside their first chunks until the
+                // batch is dropped.
+                while !released.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                x
+            })
+        };
+        // 400 items on 2 workers make 8 chunks of 50.
+        drop(pool.submit((0..400).collect(), &work));
+        released.store(true, Ordering::Release);
+        let (kept, _) = pool.submit((0..10).collect(), &work).collect();
+        assert_eq!(kept, (0..10).collect::<Vec<_>>());
+        // Only the chunks already running when the batch was dropped, at
+        // most one per worker, ran.
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran <= 2 * 50 + 10, "{ran} items ran: dropped chunks ran");
+    }
+
+    #[test]
+    fn wall_time_stops_when_the_last_chunk_finishes() {
+        // The caller collects long after the workers finish; the profile
+        // must not count that wait as pool time.
+        let pool = WorkerPool::new(2);
+        let work: Work<(), u64, u64> = Arc::new(square);
+        let batch = pool.submit((0..64).collect(), &work);
+        let wait = Duration::from_millis(300);
+        std::thread::sleep(wait);
+        let (_, profile) = batch.collect();
+        assert!(
+            profile.wall_nanos < wait.as_nanos() as u64,
+            "wall {} ns includes the caller's wait",
+            profile.wall_nanos
+        );
+        assert!(profile.critical_path_nanos() <= profile.wall_nanos);
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_workers() {
+        // Every worker holds the shared board, and the board holds the
+        // queued chunks' closures: once the drop returns, the last
+        // reference to the closure is the test's own.
+        let token = Arc::new(());
+        let pool = WorkerPool::new(8);
+        let work: Work<(), u64, u64> = {
+            let token = Arc::clone(&token);
+            Arc::new(move |(), x| {
+                let _held = &token;
+                std::thread::sleep(Duration::from_millis(1));
+                x
+            })
+        };
+        let batch = pool.submit((0..1000).collect(), &work);
+        std::mem::forget(batch);
+        drop(work);
+        drop(pool);
+        assert_eq!(Arc::strong_count(&token), 1, "a worker outlived the pool");
     }
 }

@@ -14,8 +14,18 @@
 //! observer callback are applied by the single-threaded merge exactly as
 //! the sequential loop would, and outcomes past the stopping trial are
 //! discarded. The report is therefore bit-identical for any `jobs`.
+//!
+//! On the pool the driver pipelines: it collects wave k, submits wave
+//! k+1, and merges wave k while the workers run k+1. Wave k+1 is sized
+//! from the accumulator as it stood before wave k's merge, minus wave k's
+//! still-unmerged trials, and is skipped when those already cover the
+//! stopping estimate. When the merge stops the session — or a cancel or
+//! a journal error stops the run — wave k+1 is dropped unmerged, so
+//! nothing of it reaches the journal, an observer or the report.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Instant;
 
 use serscale_beam::FluenceLedger;
 use serscale_soc::edac::{EdacSeverity, LevelCounts};
@@ -27,8 +37,10 @@ use serscale_workload::Benchmark;
 use crate::campaign::{CampaignRunOptions, RunError};
 use crate::classify::{FailureClass, RunVerdict};
 use crate::dut::DeviceUnderTest;
-use crate::journal::Record;
+use crate::journal::{JournalWriter, Record};
+use crate::parallel::{effective_workers, nanos_since, Batch, PoolProfile, Work, WorkerPool};
 use crate::runner::{BenchmarkRunner, RunOutcome};
+use crate::trace::{SessionObserver, WaveStats};
 
 /// When a session ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -312,7 +324,9 @@ impl TestSession {
     /// under `options.retry`, every absorbed trial appended to
     /// `options.journal` (tagged with `session_index`), and the session's
     /// journaled history in `options.recovered` replayed before going
-    /// live.
+    /// live. Called directly, the session starts its own pool on its first
+    /// live wave and joins it before returning; [`Campaign::try_run`]
+    /// shares one pool across its sessions instead.
     ///
     /// The merge that drives `observer` is single-threaded and in trial
     /// order, so observers need no synchronization and see the same trace
@@ -322,7 +336,7 @@ impl TestSession {
     /// caller's generator, so an interrupted-and-resumed session produces
     /// a report and observer trace bit-identical to an uninterrupted one
     /// at any `jobs` count (wave boundaries restart on resume, but
-    /// [`WaveStats`](crate::trace::WaveStats) is engine telemetry that
+    /// [`WaveStats`] is engine telemetry that
     /// trace observers ignore).
     ///
     /// [`Campaign::try_run`]: crate::campaign::Campaign::try_run
@@ -348,7 +362,22 @@ impl TestSession {
         rng: &mut SimRng,
         session_index: u64,
         options: &mut CampaignRunOptions<'_>,
-        observer: &mut dyn crate::trace::SessionObserver,
+        observer: &mut dyn SessionObserver,
+    ) -> Result<SessionReport, RunError> {
+        let mut pool = TrialPool::new(options.jobs);
+        self.try_run_on(&mut pool, rng, session_index, options, observer)
+    }
+
+    /// [`try_run`](Self::try_run) on a caller-owned [`TrialPool`], which
+    /// is how [`Campaign::try_run`](crate::campaign::Campaign::try_run)
+    /// keeps one pool for all of its sessions.
+    pub(crate) fn try_run_on(
+        &mut self,
+        pool: &mut TrialPool,
+        rng: &mut SimRng,
+        session_index: u64,
+        options: &mut CampaignRunOptions<'_>,
+        observer: &mut dyn SessionObserver,
     ) -> Result<SessionReport, RunError> {
         assert!(options.jobs > 0, "a session needs at least one worker");
         let recovered = options.recovered.and_then(|r| r.session(session_index));
@@ -409,89 +438,14 @@ impl TestSession {
 
         let stop_reason = match replayed_stop {
             Some(reason) => reason,
-            None => loop {
-                // Wave boundary: the only place a cancel can land. The
-                // previous wave's trials are journaled and synced, so
-                // bailing here leaves the journal resumable.
-                if options.cancelled() {
-                    return Err(RunError::Cancelled);
-                }
-                let wave_clock = std::time::Instant::now();
-                let wave = self.wave_size(&acc, options.jobs, next_trial);
-                let trials: Vec<u64> = (next_trial..next_trial + wave as u64).collect();
-                let retry = options.retry;
-                // One effective worker means no pool: run on the calling
-                // thread with the session's persistent runner, whose scratch
-                // and envelope caches then survive across waves. The pool
-                // branch would reach the same trials (determinism contract),
-                // just slower.
-                let inline =
-                    options.jobs == 1 || crate::parallel::effective_workers(options.jobs) == 1;
-                let (executions, pool): (Vec<TrialExecution>, _) = if inline {
-                    let runner = &mut self.runner;
-                    let shards = trials.len() as u64;
-                    let executions: Vec<TrialExecution> = trials
-                        .into_iter()
-                        .map(|t| run_trial_robust(runner, &session_rng, t, retry))
-                        .collect();
-                    let wall = u64::try_from(wave_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    (
-                        executions,
-                        crate::parallel::PoolProfile::inline(wall, shards),
-                    )
-                } else {
-                    let dut = self.runner.dut().clone();
-                    let root = &session_rng;
-                    crate::parallel::par_map_with_profile(
-                        options.jobs,
-                        trials,
-                        move || BenchmarkRunner::new(dut.clone(), flux),
-                        |runner, trial| run_trial_robust(runner, root, trial, retry),
-                    )
-                };
-                // Canonical merge: trial order, stop rules exact; outcomes
-                // past the stopping trial are speculation and fall on the
-                // floor. Absorbed trials are journaled (buffered) and the
-                // journal is fsync'd once per wave below.
-                let mut absorbed = 0usize;
-                let mut wave_retries = 0u64;
-                let mut wave_quarantined = 0u64;
-                let mut stopped = None;
-                for execution in executions {
-                    let run_only = self.runner.run_duration(execution.outcome.benchmark);
-                    absorbed += 1;
-                    wave_retries += u64::from(execution.retries);
-                    wave_quarantined += u64::from(execution.quarantined);
-                    if let Some(journal) = options.journal.as_deref_mut() {
-                        journal.append(&Record::Trial {
-                            session: session_index,
-                            execution: execution.clone(),
-                        });
-                    }
-                    if let Some(reason) = acc.absorb_execution(execution, run_only, observer) {
-                        stopped = Some(reason);
-                        break;
-                    }
-                }
-                if let Some(journal) = options.journal.as_deref_mut() {
-                    journal.sync().map_err(RunError::Journal)?;
-                }
-                // Engine telemetry only — the host clock has no business in
-                // the simulation, and trace observers ignore this callback.
-                observer.on_wave(crate::trace::WaveStats {
-                    first_trial: next_trial,
-                    planned: wave,
-                    absorbed,
-                    host_nanos: u64::try_from(wave_clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    retries: wave_retries,
-                    quarantined: wave_quarantined,
-                    pool,
-                });
-                if let Some(reason) = stopped {
-                    break reason;
-                }
-                next_trial += wave as u64;
-            },
+            None => self.run_waves(
+                pool,
+                &mut acc,
+                &session_rng,
+                session_index,
+                options,
+                observer,
+            )?,
         };
 
         if let Some(journal) = options.journal.as_deref_mut() {
@@ -509,6 +463,149 @@ impl TestSession {
 
         observer.on_session_end(acc.clock, stop_reason);
         Ok(acc.into_report(point, stop_reason))
+    }
+
+    /// Runs live waves, from the first trial `acc` has not absorbed, until
+    /// a stopping rule fires.
+    ///
+    /// The pool starts on the first live wave, so a pure replay never
+    /// spawns a thread. No pool means one effective worker: the waves then
+    /// run on the calling thread with the session's own runner — the
+    /// reference path, which the pool reaches bit for bit (determinism
+    /// contract).
+    fn run_waves(
+        &mut self,
+        pool: &mut TrialPool,
+        acc: &mut Accumulator,
+        session_rng: &SimRng,
+        session_index: u64,
+        options: &mut CampaignRunOptions<'_>,
+        observer: &mut dyn SessionObserver,
+    ) -> Result<StopReason, RunError> {
+        let workers = pool
+            .start()
+            .map(|(workers, key)| (workers, self.pool_work(key, session_rng, options)));
+        // The wave submitted ahead of the merge, if any. Every exit below
+        // drops it unmerged.
+        let mut ahead: Option<InFlight<'_>> = None;
+        let mut next_trial = acc.trials();
+        loop {
+            // Wave boundary: the only place a cancel can land. Every merged
+            // wave is journaled and synced, so bailing here leaves the
+            // journal resumable.
+            if options.cancelled() {
+                return Err(RunError::Cancelled);
+            }
+            let (wave, executions, profile) = match &workers {
+                None => {
+                    let dispatched = Instant::now();
+                    let planned = self.wave_size(acc, options.jobs, next_trial, 0);
+                    let (runner, retry) = (&mut self.runner, options.retry);
+                    let executions: Vec<TrialExecution> = (next_trial..next_trial + planned as u64)
+                        .map(|t| run_trial_robust(runner, session_rng, t, retry))
+                        .collect();
+                    let profile = PoolProfile::inline(nanos_since(dispatched), planned as u64);
+                    let wave = Wave {
+                        first: next_trial,
+                        planned,
+                        dispatched,
+                    };
+                    (wave, executions, profile)
+                }
+                Some((workers, work)) => {
+                    let current = ahead.take().unwrap_or_else(|| {
+                        let planned = self.wave_size(acc, options.jobs, next_trial, 0);
+                        InFlight::submit(workers, work, next_trial, planned)
+                    });
+                    let (executions, profile) = current.batch.collect();
+                    // Submit the next wave before merging this one, whose
+                    // trials are still ahead of `acc`.
+                    let wave = current.wave;
+                    let next = wave.first + wave.planned as u64;
+                    let planned = self.wave_size(acc, options.jobs, next, wave.planned);
+                    ahead = (planned > 0).then(|| InFlight::submit(workers, work, next, planned));
+                    (wave, executions, profile)
+                }
+            };
+            let merged = self.merge(
+                acc,
+                executions,
+                session_index,
+                options.journal.as_deref_mut(),
+                observer,
+            )?;
+            // Engine telemetry only — the host clock has no business in the
+            // simulation, and trace observers ignore this callback.
+            observer.on_wave(WaveStats {
+                first_trial: wave.first,
+                planned: wave.planned,
+                absorbed: merged.absorbed,
+                host_nanos: nanos_since(wave.dispatched),
+                retries: merged.retries,
+                quarantined: merged.quarantined,
+                pool: profile,
+            });
+            if let Some(reason) = merged.stopped {
+                return Ok(reason);
+            }
+            next_trial = wave.first + wave.planned as u64;
+        }
+    }
+
+    /// The pool's work for this session: trial `t` on the worker's own
+    /// runner, which the worker rebuilds from this session's DUT the first
+    /// time it meets the session's `key`.
+    fn pool_work(
+        &self,
+        key: u64,
+        session_rng: &SimRng,
+        options: &CampaignRunOptions<'_>,
+    ) -> Work<WorkerRunner, u64, TrialExecution> {
+        let (dut, flux) = (self.runner.dut().clone(), self.runner.flux());
+        let (root, retry) = (session_rng.clone(), options.retry);
+        Arc::new(move |slot: &mut WorkerRunner, trial| {
+            let runner = match slot {
+                Some((serving, runner)) if *serving == key => runner,
+                _ => {
+                    &mut slot
+                        .insert((key, BenchmarkRunner::new(dut.clone(), flux)))
+                        .1
+                }
+            };
+            run_trial_robust(runner, &root, trial, retry)
+        })
+    }
+
+    /// The canonical merge of one wave: in trial order, each execution is
+    /// journaled (buffered) and then absorbed, up to the trial that fires
+    /// a stopping rule; outcomes past it are speculation and fall on the
+    /// floor. The journal is synced once per wave.
+    fn merge(
+        &self,
+        acc: &mut Accumulator,
+        executions: Vec<TrialExecution>,
+        session_index: u64,
+        mut journal: Option<&mut JournalWriter>,
+        observer: &mut dyn SessionObserver,
+    ) -> Result<Merged, RunError> {
+        let mut merged = Merged::default();
+        for execution in executions {
+            let run_only = self.runner.run_duration(execution.outcome.benchmark);
+            merged.absorbed += 1;
+            merged.retries += u64::from(execution.retries);
+            merged.quarantined += u64::from(execution.quarantined);
+            if let Some(journal) = journal.as_deref_mut() {
+                journal.append_trial(session_index, &execution);
+            }
+            if let Some(reason) = acc.absorb_execution(execution, run_only, observer) {
+                merged.stopped = Some(reason);
+                break;
+            }
+        }
+        if let Some(journal) = journal {
+            journal.sync().map_err(RunError::Journal)?;
+        }
+        Ok(merged)
     }
 
     /// Runs the session through the *naive reference executor*: one trial
@@ -567,12 +664,22 @@ impl TestSession {
         acc.into_report(point, stop_reason)
     }
 
-    /// How many trials to launch speculatively before the next merge.
+    /// How many trials to launch speculatively before the next merge,
+    /// when `trials_done` trials are launched in all and the last
+    /// `in_flight` of them are not merged into `acc` yet.
     ///
     /// Purely a throughput knob: any positive value yields the same
     /// report. Estimates the trials left from whichever stopping rule will
-    /// fire first, so overshoot past the stopping trial stays small.
-    fn wave_size(&self, acc: &Accumulator, jobs: usize, trials_done: u64) -> usize {
+    /// fire first, so overshoot past the stopping trial stays small, and
+    /// subtracts the in-flight trials: 0 when they already cover the
+    /// estimate (never when nothing is in flight).
+    fn wave_size(
+        &self,
+        acc: &Accumulator,
+        jobs: usize,
+        trials_done: u64,
+        in_flight: usize,
+    ) -> usize {
         const MAX_WAVE: usize = 4096;
         let min_wave = 32.max(jobs * 4).min(MAX_WAVE);
 
@@ -604,17 +711,108 @@ impl TestSession {
             }
         }
 
-        let estimate = if remaining_secs.is_finite() {
-            // Clamp in f64: a far-off fluence rule can put the estimate
-            // beyond usize range.
-            ((remaining_secs / mean_trial_secs).ceil() + 1.0).min(MAX_WAVE as f64) as usize
-        } else {
+        if !remaining_secs.is_finite() {
             // No rule is predictable yet (e.g. an event-limited session
             // before its first event): grow geometrically.
-            trials_done.min(MAX_WAVE as u64) as usize
-        };
-        estimate.clamp(min_wave, MAX_WAVE)
+            return (trials_done.min(MAX_WAVE as u64) as usize).clamp(min_wave, MAX_WAVE);
+        }
+        // The cast saturates: a far-off fluence rule can put the estimate
+        // beyond usize range.
+        let estimate = ((remaining_secs / mean_trial_secs).ceil() + 1.0) as usize;
+        match estimate.checked_sub(in_flight) {
+            Some(left) if left > 0 => left.clamp(min_wave, MAX_WAVE),
+            _ => 0,
+        }
     }
+}
+
+/// One pool worker's runner, tagged with the key of the session it was
+/// built for.
+type WorkerRunner = Option<(u64, BenchmarkRunner)>;
+
+/// The wave engine's pool: trial indices in, executions out.
+type TrialWorkers = WorkerPool<WorkerRunner, u64, TrialExecution>;
+
+/// The worker pool behind one campaign's sessions, or one standalone
+/// session's: [`effective_workers`] threads, started on the first live
+/// wave that needs them — never when that count is 1 — and joined when
+/// this value drops, unwinding included.
+pub(crate) struct TrialPool {
+    workers: usize,
+    pool: Option<TrialWorkers>,
+    /// Sessions served so far; the count keys each worker's runner.
+    sessions: u64,
+}
+
+impl TrialPool {
+    /// The pool for a `jobs` request.
+    pub(crate) fn new(jobs: usize) -> Self {
+        Self::with_workers(effective_workers(jobs))
+    }
+
+    /// A pool of exactly `workers` threads, whatever the host's core
+    /// count; below 2 the sessions run inline.
+    pub(crate) fn with_workers(workers: usize) -> Self {
+        TrialPool {
+            workers,
+            pool: None,
+            sessions: 0,
+        }
+    }
+
+    /// The running pool, started on first use, and a fresh session key;
+    /// `None` when sessions run inline.
+    fn start(&mut self) -> Option<(&TrialWorkers, u64)> {
+        if self.workers < 2 {
+            return None;
+        }
+        self.sessions += 1;
+        let workers = self.workers;
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
+        Some((pool, self.sessions))
+    }
+}
+
+/// One wave's place in the trial sequence and its dispatch time.
+struct Wave {
+    first: u64,
+    planned: usize,
+    dispatched: Instant,
+}
+
+/// A wave running on the pool.
+struct InFlight<'p> {
+    wave: Wave,
+    batch: Batch<'p, WorkerRunner, u64, TrialExecution>,
+}
+
+impl<'p> InFlight<'p> {
+    fn submit(
+        pool: &'p TrialWorkers,
+        work: &Work<WorkerRunner, u64, TrialExecution>,
+        first: u64,
+        planned: usize,
+    ) -> Self {
+        let dispatched = Instant::now();
+        let batch = pool.submit((first..first + planned as u64).collect(), work);
+        InFlight {
+            wave: Wave {
+                first,
+                planned,
+                dispatched,
+            },
+            batch,
+        }
+    }
+}
+
+/// What one wave's merge absorbed, for its [`WaveStats`].
+#[derive(Default)]
+struct Merged {
+    absorbed: usize,
+    retries: u64,
+    quarantined: u64,
+    stopped: Option<StopReason>,
 }
 
 /// Runs trial `t` of a session under a [`RetryPolicy`]: benchmark
@@ -723,6 +921,11 @@ impl Accumulator {
 
     fn error_events(&self) -> u64 {
         self.failures.values().sum()
+    }
+
+    /// Trials absorbed so far, quarantined ones included.
+    fn trials(&self) -> u64 {
+        self.runs + self.quarantined.len() as u64
     }
 
     /// Folds one [`TrialExecution`] in — the unit the journal records and
@@ -1409,5 +1612,364 @@ mod tests {
         assert_eq!(report, plain);
         assert_eq!(report.trial_retries, 0);
         assert!(report.quarantined_trials.is_empty());
+    }
+
+    /// What a pipelined test run hands back for comparison.
+    struct Observed {
+        report: SessionReport,
+        log: crate::trace::Logbook,
+        waves: Vec<WaveStats>,
+        journal: Vec<u8>,
+    }
+
+    /// A test observer: the simulation trace, plus every wave's stats and
+    /// an optional trip wire on the `n`th `on_run` callback.
+    struct Probe {
+        log: crate::trace::Logbook,
+        wire: Tripwire,
+    }
+
+    struct Tripwire {
+        waves: Vec<WaveStats>,
+        runs: u64,
+        trip: Option<(u64, Trip)>,
+    }
+
+    enum Trip {
+        Cancel(crate::scheduler::CancelToken),
+        Panic,
+    }
+
+    impl Probe {
+        fn new(trip: Option<(u64, Trip)>) -> Self {
+            Probe {
+                log: crate::trace::Logbook::new(),
+                wire: Tripwire {
+                    waves: Vec::new(),
+                    runs: 0,
+                    trip,
+                },
+            }
+        }
+
+        fn observer(&mut self) -> impl SessionObserver + '_ {
+            crate::trace::tee(&mut self.log, &mut self.wire)
+        }
+    }
+
+    impl SessionObserver for Tripwire {
+        fn on_run(&mut self, _: SimInstant, _: Benchmark, _: RunVerdict) {
+            self.runs += 1;
+            match &self.trip {
+                Some((at, Trip::Cancel(token))) if *at == self.runs => token.cancel(),
+                Some((at, Trip::Panic)) if *at == self.runs => panic!("observer tripped mid-merge"),
+                _ => {}
+            }
+        }
+        fn on_wave(&mut self, stats: WaveStats) {
+            self.waves.push(stats);
+        }
+    }
+
+    /// A fresh journal directory per test case.
+    fn journal_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("serscale-session-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The campaign whose header the standalone-session journals carry:
+    /// one session at Vmin @ 2.4 GHz, where these tests run.
+    fn journal_config() -> crate::campaign::CampaignConfig {
+        let mut config = crate::campaign::CampaignConfig::paper_scaled(0.01);
+        config.sessions = vec![(OperatingPoint::vmin_2400(), SessionLimits::standard())];
+        config
+    }
+
+    fn vmin_session(limits: SessionLimits) -> TestSession {
+        TestSession::new(
+            dut(OperatingPoint::vmin_2400()),
+            Flux::per_cm2_s(WORKING_FLUX),
+            limits,
+        )
+    }
+
+    /// Runs `session` from `seed` on `pool` (planning waves for `jobs`),
+    /// journaled into `dir` and observed by `probe`.
+    fn journaled_run(
+        session: &mut TestSession,
+        pool: &mut TrialPool,
+        jobs: usize,
+        seed: u64,
+        dir: &std::path::Path,
+        probe: &mut Probe,
+        cancel: Option<crate::scheduler::CancelToken>,
+    ) -> Result<SessionReport, RunError> {
+        let (mut journal, recovered) =
+            crate::journal::start_or_resume(dir, &journal_config()).unwrap();
+        assert!(recovered.is_none(), "fresh journal directory");
+        let mut options = CampaignRunOptions {
+            journal: Some(&mut journal),
+            cancel,
+            ..CampaignRunOptions::with_jobs(jobs)
+        };
+        session.try_run_on(
+            pool,
+            &mut SimRng::seed_from(seed),
+            0,
+            &mut options,
+            &mut probe.observer(),
+        )
+    }
+
+    /// One completed journaled run on a pool of exactly `workers` threads
+    /// (1 = the inline reference path).
+    fn observed(limits: SessionLimits, seed: u64, workers: usize, tag: &str) -> Observed {
+        let dir = journal_dir(&format!("{tag}-w{workers}"));
+        let mut probe = Probe::new(None);
+        let report = journaled_run(
+            &mut vmin_session(limits),
+            &mut TrialPool::with_workers(workers),
+            workers,
+            seed,
+            &dir,
+            &mut probe,
+            None,
+        )
+        .expect("journal writes succeed");
+        let journal = std::fs::read(crate::journal::journal_path(&dir)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        Observed {
+            report,
+            log: probe.log,
+            waves: probe.wire.waves,
+            journal,
+        }
+    }
+
+    /// The pipelined pool — wave k+1 running while wave k merges — lands
+    /// exactly where the inline loop does under every stopping rule: same
+    /// report, same trace, same journal bytes, at 2, 3 and 8 workers
+    /// whatever the host's core count.
+    #[test]
+    fn pipelined_pool_matches_inline_for_every_stop_rule() {
+        let cases = [
+            (
+                "time-box",
+                SessionLimits::time_boxed(SimDuration::from_minutes(240.0)),
+                StopReason::BeamTime,
+            ),
+            (
+                "event-limit",
+                SessionLimits {
+                    max_error_events: 7,
+                    max_fluence: Fluence::per_cm2(1e30),
+                    max_duration: None,
+                },
+                StopReason::ErrorEvents,
+            ),
+            (
+                "fluence-limit",
+                SessionLimits {
+                    max_error_events: u64::MAX,
+                    max_fluence: Fluence::per_cm2(1.0e9),
+                    max_duration: None,
+                },
+                StopReason::Fluence,
+            ),
+            // The §3.5 rule: a hundred events near Vmin take two waves,
+            // and the stopping trial lies in the second, in flight while
+            // the first merged.
+            (
+                "standard-rules",
+                SessionLimits::standard(),
+                StopReason::ErrorEvents,
+            ),
+        ];
+        for (tag, limits, reason) in cases {
+            let inline = observed(limits, 41, 1, tag);
+            assert_eq!(inline.report.stop_reason, reason, "{tag}");
+            for workers in [2, 3, 8] {
+                let piped = observed(limits, 41, workers, tag);
+                assert_eq!(
+                    piped.report, inline.report,
+                    "{tag}: report at {workers} workers"
+                );
+                assert_eq!(piped.log, inline.log, "{tag}: trace at {workers} workers");
+                assert!(
+                    piped.journal == inline.journal,
+                    "{tag}: journal bytes at {workers} workers"
+                );
+                assert!(piped.waves.iter().all(|w| w.pool.workers.len() == workers));
+                if tag == "standard-rules" {
+                    // The stop lands in the second wave, which went out
+                    // while the first merged: an empty accumulator puts
+                    // the fluence estimate far past one wave.
+                    assert_eq!(piped.waves.len(), 2, "{tag} at {workers} workers");
+                }
+            }
+        }
+    }
+
+    /// An event limit of one stops the session in its first wave (near
+    /// Vmin an event comes every hundred trials or so). When that wave is
+    /// collected nothing is merged yet and the fluence limit is
+    /// astronomically far, so the next wave is already in flight when the
+    /// limit fires; it must be dropped without a trace.
+    #[test]
+    fn stop_with_a_wave_in_flight_drops_it_unmerged() {
+        let limits = SessionLimits {
+            max_error_events: 1,
+            max_fluence: Fluence::per_cm2(1e30),
+            max_duration: None,
+        };
+        for seed in [3, 4, 5] {
+            let inline = observed(limits, seed, 1, "first-event");
+            for workers in [2, 8] {
+                let piped = observed(limits, seed, workers, "first-event");
+                assert_eq!(
+                    piped.report, inline.report,
+                    "seed {seed}, {workers} workers"
+                );
+                assert_eq!(piped.log, inline.log);
+                assert!(piped.journal == inline.journal);
+                assert_eq!(piped.waves.len(), 1, "seed {seed}: the first wave stops");
+                assert_eq!(piped.waves[0].absorbed as u64, piped.report.runs);
+            }
+        }
+    }
+
+    /// The pipelined path keeps wave telemetry meaningful: the pool's wall
+    /// time ends when its last chunk does (so the caller's merge of the
+    /// previous wave is not worker idle time), it bounds every worker's
+    /// busy time, and the wave's host time — dispatch to the end of its
+    /// merge — covers it.
+    #[test]
+    fn pipelined_wave_telemetry_stays_in_bounds() {
+        let limits = SessionLimits::time_boxed(SimDuration::from_minutes(400.0));
+        for workers in [2, 3, 8] {
+            let run = observed(limits, 43, workers, "telemetry");
+            assert!(run.waves.len() >= 2, "{} waves", run.waves.len());
+            for wave in &run.waves {
+                let pool = &wave.pool;
+                assert_eq!(pool.workers.len(), workers);
+                assert!(pool.critical_path_nanos() <= pool.wall_nanos, "{wave:?}");
+                assert!((0.0..=1.0).contains(&pool.utilization()), "{wave:?}");
+                assert!(wave.host_nanos >= pool.wall_nanos, "{wave:?}");
+                let shards: u64 = pool.workers.iter().map(|w| w.shards).sum();
+                assert_eq!(shards, wave.planned as u64, "{wave:?}");
+            }
+        }
+    }
+
+    /// A cancel fired from an observer while wave k merges lands at the
+    /// next wave boundary: wave k finishes merging and is journaled, the
+    /// wave already in flight is dropped, and the journal holds exactly
+    /// the absorbed trials. Resuming it at jobs 1 and at jobs 8 reproduces
+    /// the uninterrupted report and trace.
+    #[test]
+    fn cancel_mid_merge_journals_exactly_the_absorbed_trials() {
+        // About a hundred events take two 4096-trial waves near Vmin, so
+        // run 2000 falls in the first wave's merge, with the second in
+        // flight.
+        let limits = SessionLimits::standard();
+        let uninterrupted = observed(limits, 47, 1, "cancel-reference");
+        for workers in [2, 8] {
+            let dir = journal_dir(&format!("cancel-w{workers}"));
+            let token = crate::scheduler::CancelToken::new();
+            let mut probe = Probe::new(Some((2000, Trip::Cancel(token.clone()))));
+            let outcome = journaled_run(
+                &mut vmin_session(limits),
+                &mut TrialPool::with_workers(workers),
+                workers,
+                47,
+                &dir,
+                &mut probe,
+                Some(token),
+            );
+            assert!(
+                matches!(outcome, Err(RunError::Cancelled)),
+                "{workers} workers"
+            );
+            let absorbed: usize = probe.wire.waves.iter().map(|w| w.absorbed).sum();
+            assert_eq!(
+                probe.wire.waves.len(),
+                1,
+                "the cancel lands after the first wave"
+            );
+            assert_eq!(
+                absorbed, probe.wire.waves[0].planned,
+                "the merge in progress completes"
+            );
+            assert_eq!(probe.wire.runs, absorbed as u64);
+            let (_, recovered) = crate::journal::start_or_resume(&dir, &journal_config()).unwrap();
+            let journaled = recovered.expect("a cancelled run leaves a journal");
+            let session = journaled.session(0).expect("session 0 journaled");
+            assert_eq!(session.trials.len(), absorbed, "{workers} workers");
+            assert_eq!(session.ended, None);
+
+            let journal = std::fs::read(crate::journal::journal_path(&dir)).unwrap();
+            for jobs in [1, 8] {
+                let copy = journal_dir(&format!("cancel-w{workers}-resume{jobs}"));
+                std::fs::write(crate::journal::journal_path(&copy), &journal).unwrap();
+                let (mut writer, recovered) =
+                    crate::journal::start_or_resume(&copy, &journal_config()).unwrap();
+                let recovered = recovered.expect("prefix recovers");
+                let mut log = crate::trace::Logbook::new();
+                let resumed = vmin_session(limits)
+                    .try_run(
+                        &mut SimRng::seed_from(47),
+                        0,
+                        &mut CampaignRunOptions {
+                            journal: Some(&mut writer),
+                            recovered: Some(&recovered),
+                            ..CampaignRunOptions::with_jobs(jobs)
+                        },
+                        &mut log,
+                    )
+                    .expect("resume completes");
+                drop(writer);
+                assert_eq!(resumed, uninterrupted.report, "resume at jobs {jobs}");
+                assert_eq!(log, uninterrupted.log, "trace resumed at jobs {jobs}");
+                let _ = std::fs::remove_dir_all(&copy);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// An observer that panics while the first wave merges — with the
+    /// second in flight, as in the cancel test — unwinds to the caller
+    /// with its own message, and the pool dropped on the way out joins
+    /// its workers, so this test returns.
+    #[test]
+    fn observer_panic_mid_merge_propagates_and_joins_the_pool() {
+        let limits = SessionLimits::standard();
+        for workers in [2, 8] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut pool = TrialPool::with_workers(workers);
+                let mut probe = Probe::new(Some((2000, Trip::Panic)));
+                make_run(&mut pool, workers, limits, &mut probe)
+            }));
+            let payload = caught.expect_err("the observer's panic propagates");
+            let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(message, "observer tripped mid-merge", "{workers} workers");
+        }
+
+        fn make_run(
+            pool: &mut TrialPool,
+            workers: usize,
+            limits: SessionLimits,
+            probe: &mut Probe,
+        ) -> Result<SessionReport, RunError> {
+            vmin_session(limits).try_run_on(
+                pool,
+                &mut SimRng::seed_from(53),
+                0,
+                &mut CampaignRunOptions::with_jobs(workers),
+                &mut probe.observer(),
+            )
+        }
     }
 }

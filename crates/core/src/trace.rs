@@ -60,6 +60,13 @@ pub enum LogEvent {
 /// run to run and across `--jobs`), so simulation-facing observers like
 /// [`Logbook`] must ignore it — and the reference executor, which has no
 /// waves, never reports it at all.
+///
+/// On the pool, waves overlap: wave k+1 is dispatched before wave k is
+/// merged. Each wave's `host_nanos` runs from its own dispatch to the end
+/// of its own merge, so consecutive waves' spans overlap and their sum
+/// can exceed the session's wall time. `pool.wall_nanos` stops when the
+/// wave's last chunk finishes, so the pool's idle time never includes
+/// the caller's merge of the wave before it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WaveStats {
     /// Index of the first trial in the wave.
@@ -69,16 +76,18 @@ pub struct WaveStats {
     /// How many outcomes the canonical merge absorbed before a stopping
     /// rule fired (the rest were discarded speculation).
     pub absorbed: usize,
-    /// Host wall-clock nanoseconds spent executing and merging the wave.
+    /// Host wall-clock nanoseconds from the wave's dispatch to the end of
+    /// its merge (execution, any wait behind the previous wave's merge,
+    /// and its own merge and journal sync).
     pub host_nanos: u64,
     /// Retry attempts spent by this wave's absorbed trials (panicking or
     /// timed-out attempts re-run on their own counter-derived streams).
     pub retries: u64,
     /// Absorbed trials that exhausted every retry and were quarantined.
     pub quarantined: u64,
-    /// Per-worker busy/steal accounting for the wave's pool invocation
-    /// (host-clock telemetry like `host_nanos`; a single inline entry at
-    /// `jobs == 1`).
+    /// Per-worker busy/claim accounting for the wave's pool batch, from
+    /// dispatch to its last chunk finishing (host-clock telemetry like
+    /// `host_nanos`; a single inline entry at one effective worker).
     pub pool: crate::parallel::PoolProfile,
 }
 

@@ -684,9 +684,19 @@ fn head_end(buf: &[u8]) -> Option<usize> {
         .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2))
 }
 
-/// Reads the request head (up to [`MAX_REQUEST_BYTES`]) and, when the
-/// headers announce one, a body of up to [`MAX_BODY_BYTES`].
-fn parse_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// Reads one request: the head (request line and headers, through the
+/// blank line, at most [`MAX_REQUEST_BYTES`]) and, when the headers
+/// announce one, a body of at most [`MAX_BODY_BYTES`]. It only reads, so
+/// any byte source will do — the fuzz tests feed it hostile bytes.
+///
+/// # Errors
+///
+/// What is wrong with the request: a head that ends before its blank
+/// line or outgrows the limit, a malformed request line, a
+/// `Content-Length` that is not a number or exceeds the body limit, a
+/// body shorter than announced, bytes that are not UTF-8, or a failed
+/// read.
+fn parse_request(stream: &mut impl Read) -> Result<Request, String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     let body_start = loop {
@@ -697,13 +707,19 @@ fn parse_request(stream: &mut TcpStream) -> Result<Request, String> {
             return Err("request head too large".to_string());
         }
         match stream.read(&mut chunk) {
-            Ok(0) => break head_end(&buf).unwrap_or(buf.len()),
+            Ok(0) => return Err("connection closed mid-head".to_string()),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) => return Err(format!("read failed: {e}")),
         }
     };
-    let head = String::from_utf8_lossy(&buf[..body_start]).into_owned();
-    let line = head.lines().next().unwrap_or("");
+    // The last read may have carried the head past the limit.
+    if body_start > MAX_REQUEST_BYTES {
+        return Err("request head too large".to_string());
+    }
+    let head = std::str::from_utf8(&buf[..body_start])
+        .map_err(|_| "request head is not UTF-8".to_string())?;
+    let mut lines = head.lines();
+    let line = lines.next().unwrap_or("");
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next(), parts.next()) {
         (Some(method), Some(path), Some(version)) if version.starts_with("HTTP/1") => {
@@ -712,7 +728,7 @@ fn parse_request(stream: &mut TcpStream) -> Result<Request, String> {
         _ => return Err(format!("malformed request line {line:?}")),
     };
     let mut content_length = 0usize;
-    for header in head.lines().skip(1) {
+    for header in lines {
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
                 content_length = value
@@ -732,7 +748,8 @@ fn parse_request(stream: &mut TcpStream) -> Result<Request, String> {
             Err(e) => return Err(format!("body read failed: {e}")),
         }
     }
-    let body = String::from_utf8_lossy(&buf[body_start..body_start + content_length]).into_owned();
+    let body = String::from_utf8(buf[body_start..body_start + content_length].to_vec())
+        .map_err(|_| "request body is not UTF-8".to_string())?;
     Ok(Request { method, path, body })
 }
 
@@ -1284,6 +1301,148 @@ mod tests {
             let (status, body) = handle.join().expect("join scraper");
             assert_eq!(status, 200);
             assert!(!body.is_empty());
+        }
+    }
+
+    /// A byte source that hands out at most `step` bytes per read, the
+    /// way a slow client's packets arrive.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn parse_bytes(bytes: &[u8], step: usize) -> Result<Request, String> {
+        parse_request(&mut Trickle { bytes, step })
+    }
+
+    /// A well-formed `POST` of `body` to `path`.
+    fn request_bytes(path: &str, body: &[u8]) -> Vec<u8> {
+        let mut bytes = format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    /// Bytes that can never appear in UTF-8.
+    const NOT_UTF8: [u8; 6] = [0x80, 0xbf, 0xc0, 0xc1, 0xf5, 0xff];
+
+    mod hostile_heads {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes, split arbitrarily, never panic the parser.
+            #[test]
+            fn arbitrary_bytes_never_panic_the_head_parser(
+                bytes in prop::collection::vec(any::<u8>(), 0..2048),
+                step in 1usize..600,
+            ) {
+                let _ = parse_bytes(&bytes, step);
+            }
+
+            /// Well-formed requests parse back to their path and body.
+            #[test]
+            fn well_formed_requests_parse(
+                path in prop::collection::vec(b'a'..=b'z', 1..40),
+                body in prop::collection::vec(32u8..127, 0..300),
+                step in 1usize..600,
+            ) {
+                let path = format!("/{}", String::from_utf8(path).unwrap());
+                let request = parse_bytes(&request_bytes(&path, &body), step)
+                    .expect("a well-formed request parses");
+                prop_assert_eq!(request.method, "POST");
+                prop_assert_eq!(request.path, path);
+                prop_assert_eq!(request.body.as_bytes(), &body[..]);
+            }
+
+            /// A connection that closes before the head's blank line is
+            /// refused, wherever it closes.
+            #[test]
+            fn truncated_heads_are_refused(
+                body_len in 0usize..64,
+                cut in any::<usize>(),
+                step in 1usize..600,
+            ) {
+                let request = request_bytes("/campaigns", &vec![b'x'; body_len]);
+                let cut = cut % (request.len() - body_len);
+                prop_assert!(parse_bytes(&request[..cut], step).is_err());
+            }
+
+            /// A head over the limit is refused however the bytes arrive,
+            /// and one within it is accepted.
+            #[test]
+            fn oversized_heads_are_refused(
+                pad in 0usize..2 * MAX_REQUEST_BYTES,
+                step in 1usize..600,
+            ) {
+                let head = format!("GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad));
+                let parsed = parse_bytes(head.as_bytes(), step);
+                prop_assert_eq!(parsed.is_ok(), head.len() <= MAX_REQUEST_BYTES);
+            }
+
+            /// A `Content-Length` that is not a number, is negative,
+            /// overflows, or exceeds the body limit is refused.
+            #[test]
+            fn bad_content_lengths_are_refused(
+                kind in 0usize..4,
+                n in any::<u64>(),
+                junk in prop::collection::vec(32u8..127, 0..12),
+            ) {
+                let value = match kind {
+                    0 => format!("x{}", String::from_utf8(junk).unwrap()),
+                    1 => format!("-{}", n % 1000),
+                    2 => format!("{}{:020}", n % 9 + 1, n),
+                    _ => (MAX_BODY_BYTES as u64 + 1).saturating_add(n).to_string(),
+                };
+                let head = format!("POST /campaigns HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{{}}");
+                prop_assert!(parse_bytes(head.as_bytes(), 512).is_err(), "accepted {value:?}");
+            }
+
+            /// A body shorter than its `Content-Length` is refused.
+            #[test]
+            fn short_bodies_are_refused(
+                declared in 1usize..=MAX_BODY_BYTES,
+                short in any::<usize>(),
+                step in 1usize..600,
+            ) {
+                let body = vec![b'{'; short % declared];
+                let mut request = format!(
+                    "POST /campaigns HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n"
+                )
+                .into_bytes();
+                request.extend_from_slice(&body);
+                prop_assert!(parse_bytes(&request, step).is_err());
+            }
+
+            /// A byte that is not UTF-8 anywhere in the request line, a
+            /// header or the body is refused.
+            #[test]
+            fn non_utf8_bytes_are_refused(
+                bad in prop::sample::select(NOT_UTF8.to_vec()),
+                at in any::<usize>(),
+                step in 1usize..600,
+            ) {
+                let mut request = request_bytes("/campaigns", b"{\"seed\":7}");
+                // Anywhere but the CR LF framing, which would change the
+                // request's shape rather than its encoding.
+                let spots: Vec<usize> = (0..request.len())
+                    .filter(|&i| request[i] != b'\r' && request[i] != b'\n')
+                    .collect();
+                request.insert(spots[at % spots.len()], bad);
+                prop_assert!(parse_bytes(&request, step).is_err());
+            }
         }
     }
 }
