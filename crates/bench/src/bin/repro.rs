@@ -34,7 +34,7 @@ use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, Campaign
 use serscale_core::journal::{start_or_resume, RecoveredCampaign, SyncProbe};
 use serscale_core::session::RetryPolicy;
 use serscale_core::trace::{tee, Logbook, NoopObserver, SessionObserver};
-use serscale_soc::PlatformSpec;
+use serscale_soc::{parse_platform, PlatformSpec};
 use serscale_telemetry::{
     ControlPlane, ControlPlaneOptions, ProgressMode, TelemetryOptions, TelemetrySink,
 };
@@ -227,8 +227,7 @@ fn resolve_platform(arg: &str) -> Result<PlatformSpec, String> {
     if path.is_file() {
         let body = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read platform file {arg}: {e}"))?;
-        return serscale_telemetry::parse_platform(&body)
-            .map_err(|e| format!("platform file {arg}: {e}"));
+        return parse_platform(&body).map_err(|e| format!("platform file {arg}: {e}"));
     }
     Err(format!(
         "unknown platform {arg}: not a built-in ({}) and not a spec file",

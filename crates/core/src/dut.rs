@@ -187,7 +187,8 @@ impl DeviceUnderTest {
 
     /// The supply voltage currently feeding an array instance.
     pub fn array_voltage(&self, instance: &ArrayInstance) -> Millivolts {
-        self.point.voltage_of(instance.array().voltage_domain())
+        self.soc
+            .domain_voltage(self.point, instance.array().voltage_domain())
     }
 
     /// The *observable* cross-section of one array instance under the
@@ -252,10 +253,9 @@ mod tests {
     /// physics model anchored on the crate calibration constants — so the
     /// spec-driven path is pinned against the historical construction.
     fn constructor_built(point: OperatingPoint, vmin: Millivolts) -> DeviceUnderTest {
-        use serscale_soc::platform::XGene2;
-        let soc_nominal = XGene2::SOC_NOMINAL;
+        let soc_nominal = OperatingPoint::nominal().soc;
         DeviceUnderTest {
-            soc: XGene2::new(),
+            soc: Platform::default(),
             sram_pmd: SoftErrorModel::tech_28nm(),
             sram_soc: SoftErrorModel::new(
                 serscale_types::CrossSection::cm2(SoftErrorModel::SIGMA_28NM_NOMINAL_CM2),

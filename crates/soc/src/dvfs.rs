@@ -141,7 +141,7 @@ impl Default for DvfsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::XGene2;
+    use crate::platform::Platform;
 
     fn table() -> DvfsTable {
         DvfsTable::xgene2()
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn dvfs_points_validate_against_the_regulator() {
-        let soc = XGene2::new();
+        let soc = Platform::default();
         for s in table().states() {
             soc.validate(s.operating_point())
                 .unwrap_or_else(|e| panic!("{}: {e}", s.frequency));

@@ -5,8 +5,9 @@
 //!
 //! * [`spec`] — declarative platform descriptions: the validated
 //!   [`spec::PlatformSpec`] schema (arrays, rails, grids, campaign points,
-//!   physics calibration) with the X-Gene 2 and a Zynq UltraScale+ MPSoC
-//!   profile built in.
+//!   physics calibration) and its JSON parser, [`spec::parse_platform`].
+//!   The X-Gene 2 and a Zynq UltraScale+ MPSoC profile are built in, each
+//!   defined once by its file under `platforms/`.
 //! * [`platform`] — the die built from a spec: for the X-Gene 2, 8 Armv8
 //!   cores in 4 dual-core PMDs, per-core parity-protected L1I/L1D and
 //!   TLBs, per-pair SECDED L2, shared SECDED L3, two scalable voltage
@@ -27,10 +28,10 @@
 //! ## Example
 //!
 //! ```
-//! use serscale_soc::platform::XGene2;
-//! use serscale_types::{CacheLevel, Millivolts};
+//! use serscale_soc::{Platform, PlatformSpec};
+//! use serscale_types::CacheLevel;
 //!
-//! let soc = XGene2::new();
+//! let soc = Platform::from_spec(&PlatformSpec::xgene2());
 //! // Table 1 geometry: 8 cores, 8 MiB shared L3.
 //! assert_eq!(soc.cores(), 8);
 //! let l3_bits: u64 = soc
@@ -56,8 +57,8 @@ pub mod thermal;
 pub use dvfs::{DvfsTable, PState};
 pub use edac::{EdacLog, EdacRecord, EdacSeverity};
 pub use logic::LogicSusceptibility;
-pub use platform::{OperatingPoint, Platform, XGene2};
+pub use platform::{OperatingPoint, Platform};
 pub use power::PowerModel;
 pub use slimpro::SlimPro;
-pub use spec::{PlatformSpec, RawPlatformSpec};
+pub use spec::{parse_platform, PlatformSpec, RawPlatformSpec};
 pub use thermal::ThermalModel;

@@ -1,11 +1,9 @@
 //! The die: cores, PMDs, SRAM arrays, voltage domains and operating points.
 //!
-//! Since the platform-spec refactor the die is *data*: [`Platform`] is
-//! built from a validated [`PlatformSpec`] and owns no platform-specific
-//! constants of its own. [`XGene2`] remains as the constants-and-builder
-//! namespace for the paper's machine; `XGene2::new()` now returns a
-//! [`Platform`] built from [`PlatformSpec::xgene2`], bit-identical to the
-//! historical hand-rolled constructor.
+//! The die is *data*: [`Platform`] is built from a validated
+//! [`PlatformSpec`] and owns no platform-specific constants of its own.
+//! `Platform::default()` is the paper's X-Gene 2, built from
+//! [`PlatformSpec::xgene2`].
 
 use serscale_sram::SramArray;
 use serscale_types::{
@@ -113,25 +111,6 @@ impl OperatingPoint {
         Self::vmin_900(),
     ];
 
-    /// The supply voltage of the given domain at this operating point,
-    /// with the (never scaled) standby-rail voltage supplied by the
-    /// caller's platform spec.
-    pub const fn voltage_of_with(&self, domain: VoltageDomain, standby: Millivolts) -> Millivolts {
-        match domain {
-            VoltageDomain::Pmd => self.pmd,
-            VoltageDomain::Soc => self.soc,
-            VoltageDomain::Standby => standby,
-        }
-    }
-
-    /// The supply voltage of the given domain at this operating point.
-    /// The standby domain is never scaled and reports the X-Gene 2's
-    /// 950 mV nominal; platform-aware callers should use
-    /// [`Platform::domain_voltage`] instead.
-    pub const fn voltage_of(&self, domain: VoltageDomain) -> Millivolts {
-        self.voltage_of_with(domain, Millivolts::new(950))
-    }
-
     /// A short label like `"980mV@2.4GHz"`.
     pub fn label(&self) -> String {
         format!("{}mV@{}", self.pmd.get(), self.frequency)
@@ -229,10 +208,14 @@ impl Platform {
         self.spec.nominal_point()
     }
 
-    /// The supply voltage of a domain at an operating point, with the
-    /// standby rail read from the spec instead of hardcoded.
+    /// The supply voltage of a domain at an operating point; the
+    /// standby rail is never scaled and reads the spec's voltage.
     pub fn domain_voltage(&self, point: OperatingPoint, domain: VoltageDomain) -> Millivolts {
-        point.voltage_of_with(domain, self.spec.standby)
+        match domain {
+            VoltageDomain::Pmd => point.pmd,
+            VoltageDomain::Soc => point.soc,
+            VoltageDomain::Standby => self.spec.standby,
+        }
     }
 
     /// The platform's linear Vmin(f) rule (integer-exact grid snap).
@@ -260,36 +243,8 @@ impl Platform {
 }
 
 impl Default for Platform {
+    /// The paper's X-Gene 2 die with Table 1's array inventory.
     fn default() -> Self {
-        XGene2::new()
-    }
-}
-
-/// Constants-and-builder namespace for the paper's X-Gene 2.
-///
-/// The die itself is data now ([`PlatformSpec::xgene2`]); this type keeps
-/// the §3.1 constants callers pin against and the classic `new()`
-/// entry point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct XGene2;
-
-impl XGene2 {
-    /// Number of cores.
-    pub const CORES: u8 = 8;
-    /// Number of dual-core PMDs.
-    pub const PMDS: u8 = 4;
-    /// The PMD-domain nominal voltage.
-    pub const PMD_NOMINAL: Millivolts = Millivolts::new(980);
-    /// The SoC-domain nominal voltage.
-    pub const SOC_NOMINAL: Millivolts = Millivolts::new(950);
-    /// Lowest PLL frequency.
-    pub const FREQ_MIN: Megahertz = Megahertz::new(300);
-    /// Highest PLL frequency.
-    pub const FREQ_MAX: Megahertz = Megahertz::new(2400);
-
-    /// Builds the X-Gene 2 die with Table 1's array inventory.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Platform {
         Platform::from_spec(&PlatformSpec::xgene2())
     }
 }
@@ -302,7 +257,7 @@ mod tests {
 
     #[test]
     fn array_inventory_matches_table1() {
-        let soc = XGene2::new();
+        let soc = Platform::default();
         let count = |kind: ArrayKind| soc.arrays().filter(|a| a.kind() == kind).count();
         assert_eq!(count(ArrayKind::L1Instruction), 8);
         assert_eq!(count(ArrayKind::L1Data), 8);
@@ -316,13 +271,13 @@ mod tests {
     #[test]
     fn total_sram_is_about_10_megabytes() {
         // §3.3 assumes ~10 MB of on-chip SRAM.
-        let total_mb = XGene2::new().total_sram().get() as f64 / 8.0 / 1.0e6;
+        let total_mb = Platform::default().total_sram().get() as f64 / 8.0 / 1.0e6;
         assert!(total_mb > 9.0 && total_mb < 11.0, "total = {total_mb} MB");
     }
 
     #[test]
     fn protection_assignment() {
-        let soc = XGene2::new();
+        let soc = Platform::default();
         for inst in soc.arrays() {
             let expected = match inst.kind().cache_level() {
                 CacheLevel::L2 | CacheLevel::L3 => ProtectionScheme::Secded,
@@ -334,7 +289,7 @@ mod tests {
 
     #[test]
     fn only_l3_lacks_interleaving() {
-        let soc = XGene2::new();
+        let soc = Platform::default();
         for inst in soc.arrays() {
             if inst.kind() == ArrayKind::L3Shared {
                 assert_eq!(inst.array().interleave_degree(), 1);
@@ -346,7 +301,7 @@ mod tests {
 
     #[test]
     fn l2_owned_by_pmds_l1_by_cores() {
-        let soc = XGene2::new();
+        let soc = Platform::default();
         for inst in soc.arrays() {
             match inst.kind() {
                 ArrayKind::L2Unified => assert!(matches!(inst.owner(), ArrayOwner::Pmd(_))),
@@ -360,7 +315,7 @@ mod tests {
     fn instance_order_is_core_then_pmd_then_shared() {
         // Trace and rate bookkeeping depend on this exact layout — it is
         // the order the historical constructor produced.
-        let soc = XGene2::new();
+        let soc = Platform::default();
         let kinds: Vec<ArrayKind> = soc.arrays().map(|a| a.kind()).collect();
         let per_core = [
             ArrayKind::L1Instruction,
@@ -379,7 +334,7 @@ mod tests {
 
     #[test]
     fn campaign_operating_points_validate() {
-        let soc = XGene2::new();
+        let soc = Platform::default();
         for point in OperatingPoint::CAMPAIGN {
             soc.validate(point)
                 .unwrap_or_else(|e| panic!("{}: {e}", point.label()));
@@ -388,7 +343,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_points() {
-        let soc = XGene2::new();
+        let soc = Platform::default();
         // Above nominal.
         let mut p = OperatingPoint::nominal();
         p.pmd = Millivolts::new(1000);
@@ -478,12 +433,14 @@ mod tests {
 
     #[test]
     fn operating_point_domain_lookup() {
+        let xgene = Platform::default();
         let p = OperatingPoint::vmin_900();
-        assert_eq!(p.voltage_of(VoltageDomain::Pmd), Millivolts::new(790));
-        assert_eq!(p.voltage_of(VoltageDomain::Soc), Millivolts::new(950));
-        assert_eq!(p.voltage_of(VoltageDomain::Standby), Millivolts::new(950));
-        // The Zynq standby rail differs — the platform-aware lookup
-        // reads it from the spec.
+        let at = |domain| xgene.domain_voltage(p, domain);
+        assert_eq!(at(VoltageDomain::Pmd), Millivolts::new(790));
+        assert_eq!(at(VoltageDomain::Soc), Millivolts::new(950));
+        assert_eq!(at(VoltageDomain::Standby), Millivolts::new(950));
+        // The Zynq standby rail differs — the lookup reads it from the
+        // spec.
         let zynq = Platform::from_spec(&PlatformSpec::zynq_mpsoc());
         let zp = zynq.nominal_point();
         assert_eq!(
@@ -500,7 +457,7 @@ mod tests {
 
     #[test]
     fn spec_covers_table1() {
-        let spec = XGene2::new().table1();
+        let spec = Platform::default().table1();
         assert_eq!(spec.len(), 11);
         assert!(spec
             .iter()

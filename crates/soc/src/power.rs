@@ -19,7 +19,7 @@
 
 use serscale_types::{Megahertz, Millivolts, Watts};
 
-use crate::platform::{OperatingPoint, XGene2};
+use crate::platform::OperatingPoint;
 use crate::spec::PlatformSpec;
 
 /// The calibrated two-domain power model.
@@ -38,14 +38,15 @@ impl PowerModel {
     /// The model fitted to the paper's Figure 9 measurements (see module
     /// docs).
     pub fn xgene2() -> Self {
+        let nominal = OperatingPoint::nominal();
         PowerModel {
             pmd_dynamic: 13.00,
             pmd_static: 0.00,
             soc_dynamic: 7.25,
             soc_static: 0.15,
-            pmd_nominal: XGene2::PMD_NOMINAL,
-            soc_nominal: XGene2::SOC_NOMINAL,
-            freq_nominal: XGene2::FREQ_MAX,
+            pmd_nominal: nominal.pmd,
+            soc_nominal: nominal.soc,
+            freq_nominal: nominal.frequency,
         }
     }
 

@@ -15,7 +15,7 @@
 use serscale_types::{Celsius, Megahertz, Millivolts, VoltageDomain, Watts};
 
 use crate::edac::{EdacLog, EdacRecord};
-use crate::platform::{OperatingPoint, Platform, XGene2};
+use crate::platform::{OperatingPoint, Platform};
 use crate::power::PowerModel;
 use crate::spec::PlatformSpec;
 use crate::thermal::ThermalModel;
@@ -89,7 +89,7 @@ impl SlimPro {
     /// conditions.
     pub fn new() -> Self {
         SlimPro {
-            platform: XGene2::new(),
+            platform: Platform::default(),
             power_model: PowerModel::xgene2(),
             thermal: ThermalModel::beam_room(),
             point: OperatingPoint::nominal(),

@@ -1,23 +1,32 @@
 //! Declarative platform specifications.
 //!
-//! The die modelled by [`crate::platform`] used to be baked into a
-//! constructor; this module turns it into *data*. A platform arrives as a
+//! The die modelled by [`crate::platform`] is *data*. A platform arrives as
+//! a JSON document: [`parse_platform`] maps it field by field onto the
 //! permissive [`RawPlatformSpec`] (every field optional, every number a raw
-//! `f64` — the untrusted wire shape), and `TryFrom` narrows it into a
-//! [`PlatformSpec`] whose every field is finite, on-grid, and mutually
-//! consistent — or fails with a [`SpecError`] naming the offending field
-//! (dotted path, e.g. `arrays[3].interleave`) and how to fix it. The same
-//! two-stage pattern as `serscale-core`'s campaign specs, on the same
-//! checks from [`serscale_types::spec`].
+//! `f64` — the untrusted wire shape; unknown keys are rejected so a typo'd
+//! field cannot silently fall back to a default), and `TryFrom` narrows
+//! that into a [`PlatformSpec`] whose every field is finite, on-grid, and
+//! mutually consistent — or fails with a [`SpecError`] naming the
+//! offending field (dotted path, e.g. `arrays[3].interleave`) and how to
+//! fix it. The same two-stage pattern as `serscale-core`'s campaign specs,
+//! on the same checks from [`serscale_types::spec`].
 //!
-//! Two platforms ship built in: [`PlatformSpec::xgene2`], which reproduces
-//! the paper's X-Gene 2 constructor bit-identically, and
+//! Two platforms ship built in, each defined once as a file under the
+//! repository's `platforms/` directory and embedded at compile time:
+//! [`PlatformSpec::xgene2`], the paper's X-Gene 2, and
 //! [`PlatformSpec::zynq_mpsoc`], a Zynq UltraScale+ MPSoC profile after
 //! Agiakatsikas et al.'s atmospheric-neutron assessment of the quad
-//! Cortex-A53 APU.
+//! Cortex-A53 APU. [`PlatformSpec::builtin`] parses each file at most once
+//! per process.
+
+use std::sync::OnceLock;
 
 use serscale_ecc::ProtectionScheme;
-use serscale_types::spec::{finite_in, identifier, integer_in, label, required, SpecError};
+use serscale_types::json::{self, JsonValue};
+use serscale_types::spec::{
+    finite_in, identifier, integer_in, label, required, want_array, want_number, want_object,
+    want_string, SpecError,
+};
 use serscale_types::{ArrayKind, Bytes, Error, Megahertz, Millivolts, Result};
 
 use crate::platform::OperatingPoint;
@@ -370,302 +379,51 @@ pub struct PlatformSpec {
     pub sweep_floor: Millivolts,
 }
 
+/// The built-in platforms in preference order, each with its spec file.
+/// The files under the repository's `platforms/` directory are the only
+/// definition of the built-ins; they are embedded at compile time.
+const BUILTINS: [(&str, &str); 2] = [
+    ("xgene2", include_str!("../../../platforms/xgene2.json")),
+    (
+        "zynq-mpsoc",
+        include_str!("../../../platforms/zynq-mpsoc.json"),
+    ),
+];
+
 impl PlatformSpec {
     /// The names [`PlatformSpec::builtin`] resolves, in preference order.
-    pub const BUILTIN_NAMES: [&'static str; 2] = ["xgene2", "zynq-mpsoc"];
+    pub const BUILTIN_NAMES: [&'static str; 2] = [BUILTINS[0].0, BUILTINS[1].0];
 
-    /// Resolves a built-in platform by name.
-    pub fn builtin(name: &str) -> Option<PlatformSpec> {
-        match name {
-            "xgene2" => Some(Self::xgene2()),
-            "zynq-mpsoc" => Some(Self::zynq_mpsoc()),
-            _ => None,
-        }
-    }
-
-    /// The paper's X-Gene 2: Table 1's arrays, §3.1's regulator grid, and
-    /// the calibration constants used throughout the reproduction.
+    /// Resolves a built-in platform by name: its embedded
+    /// `platforms/<name>.json`, parsed on first use and cloned after.
     ///
-    /// [`crate::platform::Platform::from_spec`] on this spec is
-    /// bit-identical to the historical `XGene2::new()` constructor.
-    pub fn xgene2() -> PlatformSpec {
-        let tlb = |kind: ArrayKind, entries: u64| ArraySpec {
-            kind,
-            scope: ArrayScope::PerCore,
-            capacity: Bytes::new(entries * 16),
-            protection: ProtectionScheme::Parity,
-            interleave: 4,
-            note: None,
-        };
-        PlatformSpec {
-            name: "xgene2".into(),
-            description: "AppliedMicro X-Gene 2: 8-core Armv8 server SoC (the paper's DUT)".into(),
-            isa: "Armv8 (AArch64)".into(),
-            pipeline: "64-bit OoO (4-issue)".into(),
-            technology: "35 W / 28 nm".into(),
-            cores: 8,
-            cores_per_pmd: 2,
-            tlb_entry_bytes: 16,
-            arrays: vec![
-                ArraySpec {
-                    kind: ArrayKind::L1Instruction,
-                    scope: ArrayScope::PerCore,
-                    capacity: Bytes::kib(32),
-                    protection: ProtectionScheme::Parity,
-                    interleave: 4,
-                    note: None,
-                },
-                ArraySpec {
-                    kind: ArrayKind::L1Data,
-                    scope: ArrayScope::PerCore,
-                    capacity: Bytes::kib(32),
-                    protection: ProtectionScheme::Parity,
-                    interleave: 4,
-                    note: Some("Write-Through".into()),
-                },
-                tlb(ArrayKind::DataTlb, 20),
-                tlb(ArrayKind::InstructionTlb, 20),
-                tlb(ArrayKind::UnifiedL2Tlb, 1024),
-                ArraySpec {
-                    kind: ArrayKind::L2Unified,
-                    scope: ArrayScope::PerPmd,
-                    capacity: Bytes::kib(256),
-                    protection: ProtectionScheme::Secded,
-                    interleave: 4,
-                    note: Some("Write-Back".into()),
-                },
-                // The L3 is large, SECDED-protected and — per §4.3 — not
-                // interleaved, which is why it alone reports uncorrectable
-                // errors.
-                ArraySpec {
-                    kind: ArrayKind::L3Shared,
-                    scope: ArrayScope::Shared,
-                    capacity: Bytes::mib(8),
-                    protection: ProtectionScheme::Secded,
-                    interleave: 1,
-                    note: Some("Write-Back".into()),
-                },
-            ],
-            pmd_rail: RailSpec {
-                nominal: Millivolts::new(980),
-                floor: Millivolts::new(500),
-            },
-            soc_rail: RailSpec {
-                nominal: Millivolts::new(950),
-                floor: Millivolts::new(500),
-            },
-            standby: Millivolts::new(950),
-            freq_min: Megahertz::new(300),
-            freq_max: Megahertz::new(2400),
-            campaign: vec![
-                CampaignPointSpec {
-                    label: "Nominal".into(),
-                    point: OperatingPoint::nominal(),
-                    minutes: 1651.0,
-                },
-                CampaignPointSpec {
-                    label: "Safe".into(),
-                    point: OperatingPoint::safe(),
-                    minutes: 1618.0,
-                },
-                CampaignPointSpec {
-                    label: "Vmin".into(),
-                    point: OperatingPoint::vmin_2400(),
-                    minutes: 453.0,
-                },
-                CampaignPointSpec {
-                    label: "Vmin 900 MHz".into(),
-                    point: OperatingPoint::vmin_900(),
-                    minutes: 165.0,
-                },
-            ],
-            vmin: VminAnchors {
-                low_freq: Megahertz::new(900),
-                low_mv: 790,
-                high_freq: Megahertz::new(2400),
-                high_mv: 920,
-            },
-            physics: PhysicsSpec {
-                sram_sigma_bit_cm2: 1.0e-15,
-                sram_voltage_sensitivity: 3.2,
-                mbu_p_extra: 0.047,
-                mbu_max_cluster: 8,
-                logic_sigma_ctrl_cm2: 1.7e-10,
-                logic_sigma_data_cm2: 4.76e-10,
-                logic_voltage_sensitivity: 3.2,
-                logic_amplification: 13.0,
-                logic_margin_tau_mv: 3.3,
-                logic_frequency_gamma: 4.7,
-                timing_vc_at_fmax_mv: 910.0,
-                timing_slope_mv_per_mhz: 126.0 / 1500.0,
-                timing_sigma_at_fmax_mv: 2.2,
-                timing_sigma_slope_mv: 0.8,
-                detect_tlb: 0.172,
-                detect_l1: 0.078,
-                detect_l2: 0.219,
-                detect_l3: 0.140,
-            },
-            power: PowerSpec {
-                pmd_dynamic_w: 13.00,
-                pmd_static_w: 0.00,
-                soc_dynamic_w: 7.25,
-                soc_static_w: 0.15,
-            },
-            dvfs_floor: Millivolts::new(850),
-            sweep_floor: Millivolts::new(700),
-        }
+    /// # Panics
+    ///
+    /// Panics if an embedded file fails validation.
+    pub fn builtin(name: &str) -> Option<PlatformSpec> {
+        static PARSED: [OnceLock<PlatformSpec>; BUILTINS.len()] =
+            [const { OnceLock::new() }; BUILTINS.len()];
+        let at = BUILTINS.iter().position(|(builtin, _)| *builtin == name)?;
+        let spec = PARSED[at].get_or_init(|| {
+            parse_platform(BUILTINS[at].1)
+                .unwrap_or_else(|e| panic!("built-in platform file {name}.json: {e}"))
+        });
+        Some(spec.clone())
     }
 
-    /// A Zynq UltraScale+ MPSoC profile: the quad Cortex-A53 APU of
-    /// Agiakatsikas et al.'s atmospheric-neutron assessment, on a 16 nm
-    /// FinFET node, with the 256 KB on-chip memory standing in as the
-    /// shared SoC-domain array.
+    /// The paper's X-Gene 2 (`platforms/xgene2.json`): Table 1's arrays,
+    /// §3.1's regulator grid, and the calibration constants used
+    /// throughout the reproduction.
+    pub fn xgene2() -> PlatformSpec {
+        Self::builtin("xgene2").expect("xgene2 is built in")
+    }
+
+    /// A Zynq UltraScale+ MPSoC profile (`platforms/zynq-mpsoc.json`): the
+    /// quad Cortex-A53 APU of Agiakatsikas et al.'s atmospheric-neutron
+    /// assessment, on a 16 nm FinFET node, with the 256 KB on-chip memory
+    /// standing in as the shared SoC-domain array.
     pub fn zynq_mpsoc() -> PlatformSpec {
-        let tlb = |kind: ArrayKind, entries: u64| ArraySpec {
-            kind,
-            scope: ArrayScope::PerCore,
-            capacity: Bytes::new(entries * 16),
-            protection: ProtectionScheme::Parity,
-            interleave: 4,
-            note: None,
-        };
-        PlatformSpec {
-            name: "zynq-mpsoc".into(),
-            description: "Xilinx Zynq UltraScale+ MPSoC: quad Cortex-A53 APU (Agiakatsikas et al.)"
-                .into(),
-            isa: "Armv8 (AArch64)".into(),
-            pipeline: "64-bit in-order (2-issue)".into(),
-            technology: "5 W / 16 nm FinFET".into(),
-            cores: 4,
-            cores_per_pmd: 4,
-            tlb_entry_bytes: 16,
-            arrays: vec![
-                ArraySpec {
-                    kind: ArrayKind::L1Instruction,
-                    scope: ArrayScope::PerCore,
-                    capacity: Bytes::kib(32),
-                    protection: ProtectionScheme::Parity,
-                    interleave: 4,
-                    note: None,
-                },
-                ArraySpec {
-                    kind: ArrayKind::L1Data,
-                    scope: ArrayScope::PerCore,
-                    capacity: Bytes::kib(32),
-                    protection: ProtectionScheme::Parity,
-                    interleave: 4,
-                    note: Some("Write-Back".into()),
-                },
-                tlb(ArrayKind::DataTlb, 10),
-                tlb(ArrayKind::InstructionTlb, 10),
-                tlb(ArrayKind::UnifiedL2Tlb, 512),
-                ArraySpec {
-                    kind: ArrayKind::L2Unified,
-                    scope: ArrayScope::PerPmd,
-                    capacity: Bytes::mib(1),
-                    protection: ProtectionScheme::Secded,
-                    interleave: 4,
-                    note: Some("Write-Back".into()),
-                },
-                // The 256 KB on-chip memory (OCM) sits on the SoC rail and
-                // is SECDED-protected, like the X-Gene L3 it maps onto.
-                ArraySpec {
-                    kind: ArrayKind::L3Shared,
-                    scope: ArrayScope::Shared,
-                    capacity: Bytes::kib(256),
-                    protection: ProtectionScheme::Secded,
-                    interleave: 1,
-                    note: Some("OCM".into()),
-                },
-            ],
-            pmd_rail: RailSpec {
-                nominal: Millivolts::new(850),
-                floor: Millivolts::new(500),
-            },
-            soc_rail: RailSpec {
-                nominal: Millivolts::new(850),
-                floor: Millivolts::new(500),
-            },
-            standby: Millivolts::new(850),
-            freq_min: Megahertz::new(300),
-            freq_max: Megahertz::new(1500),
-            campaign: vec![
-                CampaignPointSpec {
-                    label: "Nominal".into(),
-                    point: OperatingPoint {
-                        pmd: Millivolts::new(850),
-                        soc: Millivolts::new(850),
-                        frequency: Megahertz::new(1500),
-                    },
-                    minutes: 600.0,
-                },
-                CampaignPointSpec {
-                    label: "Safe".into(),
-                    point: OperatingPoint {
-                        pmd: Millivolts::new(770),
-                        soc: Millivolts::new(850),
-                        frequency: Megahertz::new(1500),
-                    },
-                    minutes: 600.0,
-                },
-                CampaignPointSpec {
-                    label: "Vmin".into(),
-                    point: OperatingPoint {
-                        pmd: Millivolts::new(750),
-                        soc: Millivolts::new(850),
-                        frequency: Megahertz::new(1500),
-                    },
-                    minutes: 240.0,
-                },
-                CampaignPointSpec {
-                    label: "Vmin 600 MHz".into(),
-                    point: OperatingPoint {
-                        pmd: Millivolts::new(660),
-                        soc: Millivolts::new(850),
-                        frequency: Megahertz::new(600),
-                    },
-                    minutes: 120.0,
-                },
-            ],
-            vmin: VminAnchors {
-                low_freq: Megahertz::new(600),
-                low_mv: 660,
-                high_freq: Megahertz::new(1500),
-                high_mv: 750,
-            },
-            physics: PhysicsSpec {
-                // 16 nm FinFET node constants (serscale-sram's
-                // `TechnologyNode::finfet_16nm`).
-                sram_sigma_bit_cm2: 2.0e-16,
-                sram_voltage_sensitivity: 4.5,
-                mbu_p_extra: 0.12,
-                mbu_max_cluster: 8,
-                // Quad in-order A53s expose far less logic area than eight
-                // 4-issue OoO cores.
-                logic_sigma_ctrl_cm2: 4.0e-11,
-                logic_sigma_data_cm2: 1.1e-10,
-                logic_voltage_sensitivity: 4.5,
-                logic_amplification: 13.0,
-                logic_margin_tau_mv: 3.3,
-                logic_frequency_gamma: 4.7,
-                timing_vc_at_fmax_mv: 740.0,
-                timing_slope_mv_per_mhz: 90.0 / 900.0,
-                timing_sigma_at_fmax_mv: 2.0,
-                timing_sigma_slope_mv: 0.8,
-                detect_tlb: 0.160,
-                detect_l1: 0.080,
-                detect_l2: 0.200,
-                detect_l3: 0.300,
-            },
-            power: PowerSpec {
-                pmd_dynamic_w: 2.40,
-                pmd_static_w: 0.10,
-                soc_dynamic_w: 1.40,
-                soc_static_w: 0.20,
-            },
-            dvfs_floor: Millivolts::new(700),
-            sweep_floor: Millivolts::new(600),
-        }
+        Self::builtin("zynq-mpsoc").expect("zynq-mpsoc is built in")
     }
 
     /// Number of PMDs / clusters on the die.
@@ -1146,7 +904,17 @@ fn validated_physics(raw: &RawPhysicsSpec) -> Result2<PhysicsSpec> {
             0.0,
             100.0,
             "a spread in millivolts",
-        )?,
+        )
+        .and_then(|sigma| {
+            if sigma > 0.0 {
+                Ok(sigma)
+            } else {
+                Err(SpecError::new(
+                    "physics.timing_sigma_at_fmax_mv",
+                    format!("{sigma} is not above 0; the timing model needs a non-zero spread"),
+                ))
+            }
+        })?,
         timing_sigma_slope_mv: f(
             "timing_sigma_slope_mv",
             &raw.timing_sigma_slope_mv,
@@ -1429,8 +1197,8 @@ impl TryFrom<RawPlatformSpec> for PlatformSpec {
 impl From<&PlatformSpec> for RawPlatformSpec {
     /// The normalization inverse: lowering a validated spec back to the
     /// wire shape. `PlatformSpec::try_from(RawPlatformSpec::from(&spec))`
-    /// returns `spec` exactly, which is what the JSON round-trip tests
-    /// pin.
+    /// returns `spec` exactly, which the `platform-equivalence` oracle and
+    /// the schema tests pin.
     fn from(spec: &PlatformSpec) -> RawPlatformSpec {
         RawPlatformSpec {
             name: Some(spec.name.clone()),
@@ -1521,6 +1289,228 @@ impl From<&PlatformSpec> for RawPlatformSpec {
             sweep_floor_mv: Some(f64::from(spec.sweep_floor.get())),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Wire format
+// ---------------------------------------------------------------------------
+
+/// Parses and validates a JSON platform document.
+///
+/// # Errors
+///
+/// A [`SpecError`] naming the offending field: JSON syntax errors come
+/// back on the pseudo-field `body`, type errors and unknown fields on
+/// their dotted path, and range errors from `PlatformSpec::try_from`.
+pub fn parse_platform(body: &str) -> Result2<PlatformSpec> {
+    let doc =
+        json::parse(body).map_err(|e| SpecError::new("body", format!("not valid JSON: {e}")))?;
+    let raw = raw_platform_from_json(&doc)?;
+    PlatformSpec::try_from(raw)
+}
+
+fn unknown_field(field: &str, known: &str) -> SpecError {
+    SpecError::new(field, format!("unknown field; known fields are {known}"))
+}
+
+fn rail_from_json(field: &str, doc: &JsonValue) -> Result2<RawRailSpec> {
+    let mut raw = RawRailSpec::default();
+    for (key, value) in want_object(field, doc)? {
+        let path = format!("{field}.{key}");
+        match key.as_str() {
+            "nominal_mv" => raw.nominal_mv = Some(want_number(&path, value)?),
+            "floor_mv" => raw.floor_mv = Some(want_number(&path, value)?),
+            _ => return Err(unknown_field(&path, "nominal_mv, floor_mv")),
+        }
+    }
+    Ok(raw)
+}
+
+fn array_from_json(at: usize, doc: &JsonValue) -> Result2<RawArraySpec> {
+    let field = format!("arrays[{at}]");
+    let mut raw = RawArraySpec::default();
+    for (key, value) in want_object(&field, doc)? {
+        let path = format!("{field}.{key}");
+        match key.as_str() {
+            "kind" => raw.kind = Some(want_string(&path, value)?),
+            "scope" => raw.scope = Some(want_string(&path, value)?),
+            "bytes" => raw.bytes = Some(want_number(&path, value)?),
+            "entries" => raw.entries = Some(want_number(&path, value)?),
+            "protection" => raw.protection = Some(want_string(&path, value)?),
+            "interleave" => raw.interleave = Some(want_number(&path, value)?),
+            "note" => raw.note = Some(want_string(&path, value)?),
+            _ => {
+                return Err(unknown_field(
+                    &path,
+                    "kind, scope, bytes, entries, protection, interleave, note",
+                ))
+            }
+        }
+    }
+    Ok(raw)
+}
+
+fn campaign_point_from_json(at: usize, doc: &JsonValue) -> Result2<RawCampaignPointSpec> {
+    let field = format!("campaign[{at}]");
+    let mut raw = RawCampaignPointSpec::default();
+    for (key, value) in want_object(&field, doc)? {
+        let path = format!("{field}.{key}");
+        match key.as_str() {
+            "label" => raw.label = Some(want_string(&path, value)?),
+            "pmd_mv" => raw.pmd_mv = Some(want_number(&path, value)?),
+            "soc_mv" => raw.soc_mv = Some(want_number(&path, value)?),
+            "freq_mhz" => raw.freq_mhz = Some(want_number(&path, value)?),
+            "minutes" => raw.minutes = Some(want_number(&path, value)?),
+            _ => {
+                return Err(unknown_field(
+                    &path,
+                    "label, pmd_mv, soc_mv, freq_mhz, minutes",
+                ))
+            }
+        }
+    }
+    Ok(raw)
+}
+
+fn vmin_from_json(doc: &JsonValue) -> Result2<RawVminAnchors> {
+    let mut raw = RawVminAnchors::default();
+    for (key, value) in want_object("vmin", doc)? {
+        let path = format!("vmin.{key}");
+        match key.as_str() {
+            "low_freq_mhz" => raw.low_freq_mhz = Some(want_number(&path, value)?),
+            "low_mv" => raw.low_mv = Some(want_number(&path, value)?),
+            "high_freq_mhz" => raw.high_freq_mhz = Some(want_number(&path, value)?),
+            "high_mv" => raw.high_mv = Some(want_number(&path, value)?),
+            _ => {
+                return Err(unknown_field(
+                    &path,
+                    "low_freq_mhz, low_mv, high_freq_mhz, high_mv",
+                ))
+            }
+        }
+    }
+    Ok(raw)
+}
+
+fn physics_from_json(doc: &JsonValue) -> Result2<RawPhysicsSpec> {
+    let mut raw = RawPhysicsSpec::default();
+    for (key, value) in want_object("physics", doc)? {
+        let path = format!("physics.{key}");
+        let slot = match key.as_str() {
+            "sram_sigma_bit_cm2" => &mut raw.sram_sigma_bit_cm2,
+            "sram_voltage_sensitivity" => &mut raw.sram_voltage_sensitivity,
+            "mbu_p_extra" => &mut raw.mbu_p_extra,
+            "mbu_max_cluster" => &mut raw.mbu_max_cluster,
+            "logic_sigma_ctrl_cm2" => &mut raw.logic_sigma_ctrl_cm2,
+            "logic_sigma_data_cm2" => &mut raw.logic_sigma_data_cm2,
+            "logic_voltage_sensitivity" => &mut raw.logic_voltage_sensitivity,
+            "logic_amplification" => &mut raw.logic_amplification,
+            "logic_margin_tau_mv" => &mut raw.logic_margin_tau_mv,
+            "logic_frequency_gamma" => &mut raw.logic_frequency_gamma,
+            "timing_vc_at_fmax_mv" => &mut raw.timing_vc_at_fmax_mv,
+            "timing_slope_mv_per_mhz" => &mut raw.timing_slope_mv_per_mhz,
+            "timing_sigma_at_fmax_mv" => &mut raw.timing_sigma_at_fmax_mv,
+            "timing_sigma_slope_mv" => &mut raw.timing_sigma_slope_mv,
+            "detect_tlb" => &mut raw.detect_tlb,
+            "detect_l1" => &mut raw.detect_l1,
+            "detect_l2" => &mut raw.detect_l2,
+            "detect_l3" => &mut raw.detect_l3,
+            _ => {
+                return Err(unknown_field(
+                    &path,
+                    "the physics calibration constants (see RawPhysicsSpec)",
+                ))
+            }
+        };
+        *slot = Some(want_number(&path, value)?);
+    }
+    Ok(raw)
+}
+
+fn power_from_json(doc: &JsonValue) -> Result2<RawPowerSpec> {
+    let mut raw = RawPowerSpec::default();
+    for (key, value) in want_object("power", doc)? {
+        let path = format!("power.{key}");
+        let slot = match key.as_str() {
+            "pmd_dynamic_w" => &mut raw.pmd_dynamic_w,
+            "pmd_static_w" => &mut raw.pmd_static_w,
+            "soc_dynamic_w" => &mut raw.soc_dynamic_w,
+            "soc_static_w" => &mut raw.soc_static_w,
+            _ => {
+                return Err(unknown_field(
+                    &path,
+                    "pmd_dynamic_w, pmd_static_w, soc_dynamic_w, soc_static_w",
+                ))
+            }
+        };
+        *slot = Some(want_number(&path, value)?);
+    }
+    Ok(raw)
+}
+
+/// Maps a parsed JSON document onto the permissive platform carrier.
+/// Unknown fields and wrongly-typed values are rejected here; value
+/// validation happens later in `PlatformSpec::try_from`.
+fn raw_platform_from_json(doc: &JsonValue) -> Result2<RawPlatformSpec> {
+    let JsonValue::Object(map) = doc else {
+        return Err(SpecError::new(
+            "body",
+            format!("expected a JSON object, got {}", doc.kind()),
+        ));
+    };
+    let mut raw = RawPlatformSpec::default();
+    for (key, value) in map {
+        match key.as_str() {
+            "name" => raw.name = Some(want_string("name", value)?),
+            "description" => raw.description = Some(want_string("description", value)?),
+            "isa" => raw.isa = Some(want_string("isa", value)?),
+            "pipeline" => raw.pipeline = Some(want_string("pipeline", value)?),
+            "technology" => raw.technology = Some(want_string("technology", value)?),
+            "cores" => raw.cores = Some(want_number("cores", value)?),
+            "cores_per_pmd" => raw.cores_per_pmd = Some(want_number("cores_per_pmd", value)?),
+            "tlb_entry_bytes" => {
+                raw.tlb_entry_bytes = Some(want_number("tlb_entry_bytes", value)?);
+            }
+            "arrays" => {
+                let items = want_array("arrays", value)?;
+                let mut arrays = Vec::with_capacity(items.len());
+                for (at, item) in items.iter().enumerate() {
+                    arrays.push(array_from_json(at, item)?);
+                }
+                raw.arrays = Some(arrays);
+            }
+            "pmd_rail" => raw.pmd_rail = Some(rail_from_json("pmd_rail", value)?),
+            "soc_rail" => raw.soc_rail = Some(rail_from_json("soc_rail", value)?),
+            "standby_mv" => raw.standby_mv = Some(want_number("standby_mv", value)?),
+            "freq_min_mhz" => raw.freq_min_mhz = Some(want_number("freq_min_mhz", value)?),
+            "freq_max_mhz" => raw.freq_max_mhz = Some(want_number("freq_max_mhz", value)?),
+            "campaign" => {
+                let items = want_array("campaign", value)?;
+                let mut points = Vec::with_capacity(items.len());
+                for (at, item) in items.iter().enumerate() {
+                    points.push(campaign_point_from_json(at, item)?);
+                }
+                raw.campaign = Some(points);
+            }
+            "vmin" => raw.vmin = Some(vmin_from_json(value)?),
+            "physics" => raw.physics = Some(physics_from_json(value)?),
+            "power" => raw.power = Some(power_from_json(value)?),
+            "dvfs_floor_mv" => raw.dvfs_floor_mv = Some(want_number("dvfs_floor_mv", value)?),
+            "sweep_floor_mv" => raw.sweep_floor_mv = Some(want_number("sweep_floor_mv", value)?),
+            unknown => {
+                return Err(SpecError::new(
+                    if unknown.is_empty() { "body" } else { unknown },
+                    format!(
+                        "unknown field {unknown:?}; known fields are name, description, isa, \
+                         pipeline, technology, cores, cores_per_pmd, tlb_entry_bytes, arrays, \
+                         pmd_rail, soc_rail, standby_mv, freq_min_mhz, freq_max_mhz, campaign, \
+                         vmin, physics, power, dvfs_floor_mv, sweep_floor_mv"
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(raw)
 }
 
 #[cfg(test)]
@@ -1741,11 +1731,43 @@ mod tests {
                 },
                 "physics.sram_sigma_bit_cm2",
             ),
+            (
+                {
+                    let mut raw = base();
+                    raw.physics.as_mut().unwrap().timing_sigma_at_fmax_mv = Some(0.0);
+                    raw
+                },
+                "physics.timing_sigma_at_fmax_mv",
+            ),
+            (
+                {
+                    let mut raw = base();
+                    raw.physics.as_mut().unwrap().timing_sigma_at_fmax_mv = Some(-0.0);
+                    raw
+                },
+                "physics.timing_sigma_at_fmax_mv",
+            ),
         ];
         for (raw, field) in cases {
             let err = PlatformSpec::try_from(raw).expect_err(&format!("{field} must be rejected"));
             assert_eq!(err.field, field, "{err}");
             assert!(!err.reason.is_empty());
+        }
+    }
+
+    #[test]
+    fn unknown_fields_are_rejected() {
+        let err = parse_platform("{\"cpus\":8}").expect_err("typo field");
+        assert_eq!(err.field, "cpus");
+        assert!(err.reason.contains("known fields"), "{err}");
+    }
+
+    #[test]
+    fn non_json_bodies_land_on_the_body_field() {
+        let deep = "[".repeat(60_000);
+        for body in ["[1]", "7", "not json", "", &deep] {
+            let err = parse_platform(body).expect_err(body);
+            assert_eq!(err.field, "body", "{body} → {err}");
         }
     }
 }

@@ -40,10 +40,6 @@
 //! - [`json`] — the workspace's JSON codec, re-exported from
 //!   [`serscale_types::json`]; the exporters write with it and
 //!   self-verify their streams by parsing them back.
-//! - [`platform`] — the JSON wire format for
-//!   [`PlatformSpec`](serscale_soc::PlatformSpec) documents, behind
-//!   `repro --platform <file>`: strict unknown-field rejection on the way
-//!   in, a normalized round-trippable rendering on the way out.
 //!
 //! # The observe-only contract
 //!
@@ -62,7 +58,6 @@ pub mod export;
 pub mod inspect;
 pub mod metrics;
 pub mod observer;
-pub mod platform;
 pub mod progress;
 pub mod serve;
 pub mod span;
@@ -73,7 +68,6 @@ pub use export::{TelemetryOptions, TelemetrySink};
 pub use inspect::{inspect_dir, InspectReport};
 pub use metrics::{MetricsSnapshot, Registry};
 pub use observer::TelemetryObserver;
-pub use platform::{parse_platform, platform_to_json};
 pub use progress::{Progress, ProgressMode, ProgressSnapshot};
 /// The workspace's JSON codec; this path stays for existing importers.
 pub use serscale_types::json;

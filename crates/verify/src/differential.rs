@@ -270,11 +270,11 @@ impl ResumeEquivalence {
     }
 }
 
-/// The data-driven platform path is equivalent to the hardwired one: an
-/// X-Gene 2 campaign configured from a spec that round-tripped through
-/// the raw wire carrier produces reports and traces bit-identical to the
-/// constructor-built campaign, at `jobs` 1 and 8 — and the second
-/// built-in platform (Zynq MPSoC) runs the same engine deterministically.
+/// The platform schema is a faithful carrier: an X-Gene 2 campaign
+/// configured from the built-in spec after a round trip through the raw
+/// wire carrier produces reports and traces bit-identical to the
+/// built-in's campaign, at `jobs` 1 and 8 — and the second built-in
+/// platform (Zynq MPSoC) runs the same engine deterministically.
 pub struct PlatformEquivalence;
 
 impl StatOracle for PlatformEquivalence {

@@ -170,7 +170,7 @@ fn figure9_figure10_tradeoff_shape() {
 #[test]
 fn memory_ser_stays_in_paper_band() {
     let report = campaign();
-    let mbit = serscale_soc::platform::XGene2::new().total_sram().as_mbit();
+    let mbit = serscale_soc::Platform::default().total_sram().as_mbit();
     for session in &report.sessions {
         let ser = session.memory_ser_fit_per_mbit(mbit);
         // Table 2 row 10: 2.08–2.45 FIT/Mbit. Allow scaled-run noise.

@@ -91,7 +91,7 @@ fn mailbox_enforces_the_same_safety_envelope_as_the_platform() {
     // SLIMpro state still runs at a validated point.
     let point = slimpro.operating_point();
     assert_eq!(point, OperatingPoint::nominal());
-    serscale_soc::platform::XGene2::new()
+    serscale_soc::Platform::default()
         .validate(point)
         .expect("SLIMpro can never hold an invalid point");
 }

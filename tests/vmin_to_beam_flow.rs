@@ -13,7 +13,7 @@ use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions, Vmin
 use serscale_core::classify::RunVerdict;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::runner::BenchmarkRunner;
-use serscale_soc::platform::{OperatingPoint, XGene2};
+use serscale_soc::platform::{OperatingPoint, Platform};
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Megahertz, Millivolts, SimInstant};
 use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel};
@@ -40,7 +40,7 @@ fn step1_characterization_finds_the_paper_vmins() {
 
 #[test]
 fn step2_campaign_points_validate_against_the_regulator() {
-    let soc = XGene2::new();
+    let soc = Platform::default();
     for point in OperatingPoint::CAMPAIGN {
         soc.validate(point)
             .expect("campaign points are regulator-legal");
