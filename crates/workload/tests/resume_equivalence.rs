@@ -7,6 +7,13 @@
 //! step functions, so their outputs must be equal as whole
 //! `KernelOutput`s — headline values and checksum — not merely agree on
 //! whether the run matched the golden output.
+//!
+//! The sampled comparison also pins the kernels' arithmetic by value: the
+//! golden output and every full re-execution fold into one digest per
+//! benchmark, asserted against a recorded constant. Two paths through the
+//! same `step` agree even when `step` itself changes; the pin does not.
+//! Re-record a pin only for a deliberate change to a kernel's arithmetic,
+//! and name it in CHANGES.md.
 
 use serscale_stats::SimRng;
 use serscale_workload::cg::Cg;
@@ -31,12 +38,44 @@ fn draw(rng: &mut SimRng) -> Corruption {
     )
 }
 
-fn sampled_resume_matches_full_run(benchmark: Benchmark) {
+/// FNV-1a-64 over the little-endian bytes of 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Folds an output's checksum, value count and the bits of every value.
+    fn output(&mut self, output: &KernelOutput) {
+        self.word(output.checksum);
+        self.word(output.values.len() as u64);
+        for value in &output.values {
+            self.word(value.to_bits());
+        }
+    }
+}
+
+/// Checks the resume path against full re-execution over `SAMPLES`
+/// corruptions, and pins the outputs: `digest` is the [`Digest`] of the
+/// golden output followed by every full re-execution, and `masked` the
+/// number of those that matched the golden output.
+fn sampled_resume_matches_full_run(benchmark: Benchmark, digest: u64, masked: usize) {
     let reference = benchmark.kernel();
     let checkpointed = benchmark.shared_kernel();
-    assert_eq!(checkpointed.golden(), reference.golden(), "{benchmark}");
+    let golden = reference.golden();
+    assert_eq!(checkpointed.golden(), golden, "{benchmark}");
+    let mut outputs = Digest::new();
+    outputs.output(&golden);
     let mut rng = SimRng::seed_from(0x5eed_c0de).fork(benchmark.name());
-    let mut masked = 0;
+    let mut matched = 0;
     for _ in 0..SAMPLES {
         let corruption = draw(&mut rng);
         let full = reference.run_corrupted(corruption);
@@ -45,42 +84,49 @@ fn sampled_resume_matches_full_run(benchmark: Benchmark) {
             full,
             "{benchmark} {corruption:?}"
         );
-        masked += usize::from(full.matches(benchmark.shared_golden()));
+        outputs.output(&full);
+        matched += usize::from(full.matches(benchmark.shared_golden()));
     }
     assert!(
-        masked < SAMPLES,
+        matched < SAMPLES,
         "{benchmark}: every sampled flip was masked"
+    );
+    assert_eq!(
+        (outputs.0, matched),
+        (digest, masked),
+        "{benchmark}: kernel outputs moved (digest {:#018x}, {matched} masked)",
+        outputs.0
     );
 }
 
 #[test]
 fn cg_resume_matches_full_run() {
-    sampled_resume_matches_full_run(Benchmark::Cg);
+    sampled_resume_matches_full_run(Benchmark::Cg, 0x5014_f8d7_d316_288a, 6);
 }
 
 #[test]
 fn ep_resume_matches_full_run() {
-    sampled_resume_matches_full_run(Benchmark::Ep);
+    sampled_resume_matches_full_run(Benchmark::Ep, 0x4624_a39e_d46d_7c7e, 6);
 }
 
 #[test]
 fn ft_resume_matches_full_run() {
-    sampled_resume_matches_full_run(Benchmark::Ft);
+    sampled_resume_matches_full_run(Benchmark::Ft, 0x3375_4847_e684_68bc, 0);
 }
 
 #[test]
 fn is_resume_matches_full_run() {
-    sampled_resume_matches_full_run(Benchmark::Is);
+    sampled_resume_matches_full_run(Benchmark::Is, 0x5791_9e28_7ce4_0bba, 251);
 }
 
 #[test]
 fn lu_resume_matches_full_run() {
-    sampled_resume_matches_full_run(Benchmark::Lu);
+    sampled_resume_matches_full_run(Benchmark::Lu, 0xc797_4db6_85d4_e8ca, 17);
 }
 
 #[test]
 fn mg_resume_matches_full_run() {
-    sampled_resume_matches_full_run(Benchmark::Mg);
+    sampled_resume_matches_full_run(Benchmark::Mg, 0x1081_7f54_6a66_f8ba, 71);
 }
 
 /// `at_fraction` landing exactly on iteration `i` of `steps`.
