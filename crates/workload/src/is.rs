@@ -138,6 +138,12 @@ impl Stepped for Is {
         keys[word] != before
     }
 
+    fn inert(&self, corruption: Corruption) -> bool {
+        // Every key is below a power-of-two range, so a flip at or above
+        // its bits lifts the key out of range and `inject` clamps it back.
+        self.range.is_power_of_two() && u32::from(corruption.bit) >= self.range.trailing_zeros()
+    }
+
     fn finish(&self, state: IsState) -> KernelOutput {
         let IsState {
             keys,
@@ -175,6 +181,7 @@ impl Stepped for Is {
 mod tests {
     use super::*;
     use crate::kernel::Kernel;
+    use crate::stepped::Checkpointed;
 
     #[test]
     fn deterministic() {
@@ -212,6 +219,27 @@ mod tests {
         let golden = is.golden();
         let corrupted = is.run_corrupted(Corruption::new(0.5, 1234, 9));
         assert!(!corrupted.matches(&golden));
+    }
+
+    #[test]
+    fn inert_flips_return_the_full_re_execution() {
+        let is = Is::tiny();
+        let checkpointed = Checkpointed::new(is.clone());
+        for at_fraction in [0.0, 0.4, 0.9] {
+            for bit in 0..64 {
+                let corruption = Corruption::new(at_fraction, 77, bit);
+                assert_eq!(is.inert(corruption), bit >= 6, "bit {bit}");
+                assert_eq!(
+                    checkpointed.run_corrupted(corruption),
+                    is.run_corrupted(corruption),
+                    "{corruption:?}"
+                );
+            }
+        }
+        // A range that is not a power of two can wrap a high flip to
+        // another key, so no flip is inert.
+        let uneven = Is::new(256, 100, 3);
+        assert!((0..64).all(|bit| !uneven.inert(Corruption::new(0.5, 3, bit))));
     }
 
     #[test]
