@@ -6,11 +6,14 @@
 //!
 //! 1. each built-in file is pinned by value: the campaign-config
 //!    fingerprint hashes the `Debug` text of every spec field, so any edit
-//!    to a file fails here and names the platform, and
+//!    to a file fails here and names the platform;
 //! 2. platform files are untrusted input: no document — arbitrary bytes, a
-//!    truncated built-in, or a built-in with one number replaced by an
-//!    adversarial value — panics the parser, and every spec the parser
-//!    accepts builds every platform-driven model without panicking.
+//!    truncated built-in, or a built-in with one member replaced, removed
+//!    or added — panics the parser, and every spec the parser accepts
+//!    builds every platform-driven model without panicking; and
+//! 3. the parser's answer to each of those single-member mutations is
+//!    pinned by value: the accepted spec's fingerprint, or the rejected
+//!    field and reason.
 
 use proptest::prelude::*;
 use serscale_bench::REPRO_SEED;
@@ -20,8 +23,13 @@ use serscale_soc::{
     parse_platform, DvfsTable, LogicSusceptibility, Platform, PlatformSpec, PowerModel,
 };
 use serscale_stats::SimRng;
-use serscale_types::json::{self, JsonValue};
+use serscale_types::json;
 use serscale_undervolt::{Characterizer, TimingFailureModel};
+
+#[path = "../../../tests/support/spec_mutants.rs"]
+mod spec_mutants;
+
+use spec_mutants::{mutants, Digest};
 
 /// The built-in spec files, as `PlatformSpec::builtin` embeds them.
 const FILES: [(&str, &str); 2] = [
@@ -48,15 +56,21 @@ fn builtin_platforms_are_pinned_by_value() {
     );
     for (name, pinned) in PINNED_FINGERPRINTS {
         let spec = PlatformSpec::builtin(name).expect("built in");
-        let mut config = CampaignConfig::for_platform_scaled(&spec, 0.01);
-        config.seed = REPRO_SEED;
         assert_eq!(
-            format!("{:016x}", config_fingerprint(&config)),
+            fingerprint(&spec),
             pinned,
             "platforms/{name}.json no longer describes the pinned {name} platform; \
              if the edit is deliberate, update its fingerprint and goldens"
         );
     }
+}
+
+/// The `config_fingerprint` of `spec`'s campaign at scale 0.01 and
+/// [`REPRO_SEED`], in hex.
+fn fingerprint(spec: &PlatformSpec) -> String {
+    let mut config = CampaignConfig::for_platform_scaled(spec, 0.01);
+    config.seed = REPRO_SEED;
+    format!("{:016x}", config_fingerprint(&config))
 }
 
 #[test]
@@ -99,121 +113,47 @@ fn build_everything(spec: &PlatformSpec) {
     }
 }
 
-/// Every numeric leaf of a JSON tree, in document order.
-fn numbers(value: &JsonValue, out: &mut Vec<f64>) {
-    match value {
-        JsonValue::Number(n) => out.push(*n),
-        JsonValue::Array(items) => items.iter().for_each(|v| numbers(v, out)),
-        JsonValue::Object(map) => map.values().for_each(|v| numbers(v, out)),
-        _ => {}
-    }
-}
-
-/// Replaces the `target`-th numeric leaf (document order) with `with`,
-/// returning that leaf's dotted path.
-fn replace_number(
-    value: &mut JsonValue,
-    target: &mut usize,
-    with: f64,
-    path: &str,
-) -> Option<String> {
-    match value {
-        JsonValue::Number(n) if *target == 0 => {
-            *n = with;
-            Some(path.to_string())
-        }
-        JsonValue::Number(_) => {
-            *target -= 1;
-            None
-        }
-        JsonValue::Array(items) => items
-            .iter_mut()
-            .enumerate()
-            .find_map(|(at, v)| replace_number(v, target, with, &format!("{path}[{at}]"))),
-        JsonValue::Object(map) => map.iter_mut().find_map(|(key, v)| {
-            let path = if path.is_empty() {
-                key.clone()
-            } else {
-                format!("{path}.{key}")
-            };
-            replace_number(v, target, with, &path)
-        }),
-        _ => None,
-    }
-}
-
-fn render(value: &JsonValue, out: &mut String) {
-    match value {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Number(n) => json::write_number(out, *n),
-        JsonValue::String(s) => json::write_escaped(out, s),
-        JsonValue::Array(items) => {
-            out.push('[');
-            for (at, item) in items.iter().enumerate() {
-                if at > 0 {
-                    out.push(',');
-                }
-                render(item, out);
-            }
-            out.push(']');
-        }
-        JsonValue::Object(map) => {
-            out.push('{');
-            for (at, (key, item)) in map.iter().enumerate() {
-                if at > 0 {
-                    out.push(',');
-                }
-                json::write_escaped(out, key);
-                out.push(':');
-                render(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// The adversarial replacements for a numeric field holding `original`:
-/// signed zeros, extreme magnitudes, the edge of exact integers, negatives
-/// and values off the 5 mV / 300 MHz grids.
-fn adversarial(original: f64) -> [f64; 14] {
-    [
-        0.0,
-        -0.0,
-        1e-300,
-        -1e-300,
-        9_007_199_254_740_992.0, // 2^53
-        1e300,
-        -1e300,
-        -1.0,
-        -original,
-        original + 1.0,
-        original + 150.0,
-        original / 2.0,
-        original * 2.0,
-        original * 64.0,
-    ]
-}
-
 #[test]
 fn adversarial_fields_are_rejected_or_build_every_model() {
     for (name, body) in FILES {
         let doc = json::parse(body).expect("built-in files are JSON");
-        let mut originals = Vec::new();
-        numbers(&doc, &mut originals);
-        assert!(originals.len() > 30, "{name}: {} numbers", originals.len());
-        for (leaf, original) in originals.into_iter().enumerate() {
-            for value in adversarial(original) {
-                let mut mutated = doc.clone();
-                let path = replace_number(&mut mutated, &mut leaf.clone(), value, "")
-                    .expect("leaf index in range");
-                let mut text = String::new();
-                render(&mutated, &mut text);
-                let outcome = std::panic::catch_unwind(|| parse_and_build(&text));
-                assert!(outcome.is_ok(), "{name}: `{path}` = {value:e} panicked");
+        for mutant in mutants(&doc) {
+            let outcome = std::panic::catch_unwind(|| parse_and_build(&mutant.body));
+            assert!(outcome.is_ok(), "{name}: `{}` panicked", mutant.label);
+        }
+    }
+}
+
+/// Every outcome of the parser on the built-in files' [`mutants`], folded
+/// by value: digest A over each document's label and its outcome (`ok`
+/// and the fingerprint, or the rejected field), digest B over each
+/// replaced value's label and its rejection reason.
+#[test]
+fn every_platform_mutant_outcome_is_pinned_by_value() {
+    let (mut documents, mut outcomes, mut reasons) = (0, Digest::new(), Digest::new());
+    for (name, body) in FILES {
+        let doc = json::parse(body).expect("built-in files are JSON");
+        for mutant in mutants(&doc) {
+            documents += 1;
+            let label = format!("{name}: {}", mutant.label);
+            outcomes.text(&label);
+            match parse_platform(&mutant.body) {
+                Ok(spec) => outcomes.text(&format!("ok {}", fingerprint(&spec))),
+                Err(e) => {
+                    outcomes.text(&e.field);
+                    if mutant.replaced {
+                        reasons.text(&label);
+                        reasons.text(&e.reason);
+                    }
+                }
             }
         }
     }
+    assert_eq!(
+        (documents, outcomes.0, reasons.0),
+        (2732, 0x8b6b_e039_bf94_9bdc, 0xc97d_b158_6ae4_f893),
+        "a platform document's outcome changed"
+    );
 }
 
 #[test]
