@@ -60,5 +60,5 @@ pub use logic::LogicSusceptibility;
 pub use platform::{OperatingPoint, Platform};
 pub use power::PowerModel;
 pub use slimpro::SlimPro;
-pub use spec::{parse_platform, PlatformSpec, RawPlatformSpec};
+pub use spec::{parse_platform, PlatformSpec};
 pub use thermal::ThermalModel;

@@ -1,18 +1,16 @@
 //! The validation toolkit every wire-side schema shares.
 //!
 //! Campaign specs (`serscale-core`) and platform specs (`serscale-soc`)
-//! follow the same two-stage pattern: a permissive carrier holds whatever
-//! the document said (every field optional, every number a raw `f64`),
-//! and a `TryFrom` conversion narrows it into a validated value — or
-//! fails with a [`SpecError`] naming the offending field by its dotted
-//! path (e.g. `sessions[2].pmd_mv`) and how to fix it. The checks below
-//! are the vocabulary of those conversions; the `want_*` functions are
-//! the JSON side of the same contract, used to lower a parsed document
-//! onto a carrier.
+//! are JSON documents read in one pass straight into their validated
+//! types. [`SpecObject`] wraps each JSON object at its dotted path,
+//! refuses keys outside the object's known list and hands out typed
+//! fields; the checks below narrow each field as it is read, and the
+//! first failure is a [`SpecError`] naming the offending field by its
+//! dotted path (e.g. `sessions[2].pmd_mv`) and how to fix it.
 
 use std::collections::BTreeMap;
 
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 
 /// Largest f64 that still represents every integer exactly (2^53).
 pub const EXACT_INT_MAX: f64 = 9_007_199_254_740_992.0;
@@ -134,67 +132,152 @@ pub fn label(field: &str, value: &str) -> Result<String, SpecError> {
     }
 }
 
-/// A required raw field, or a structured "field is missing" error.
+/// One JSON object of a spec document, read at its dotted path.
 ///
-/// # Errors
-///
-/// A [`SpecError`] on `field` when `value` is `None`.
-pub fn required<T: Clone>(field: &str, value: &Option<T>) -> Result<T, SpecError> {
-    value
-        .clone()
-        .ok_or_else(|| SpecError::new(field, "required field is missing"))
+/// Opening an object refuses any key outside the object's known list, so
+/// a typo'd key cannot silently fall back to a default. A typed read
+/// returns `None` for an absent key; a `need_*` read refuses one with
+/// "required field is missing". Either refuses a value of another JSON
+/// type. Every refusal is a [`SpecError`] on the field's dotted path. A
+/// schema reads each field where it validates it, so a document is
+/// checked in one pass, in validation order.
+pub struct SpecObject<'a> {
+    path: String,
+    map: &'a BTreeMap<String, JsonValue>,
 }
 
-/// A JSON number field.
-///
-/// # Errors
-///
-/// A [`SpecError`] on `field` naming the type found instead.
-pub fn want_number(field: &str, value: &JsonValue) -> Result<f64, SpecError> {
-    value
-        .as_f64()
-        .ok_or_else(|| SpecError::new(field, format!("expected a number, got {}", value.kind())))
-}
-
-/// A JSON string field.
-///
-/// # Errors
-///
-/// A [`SpecError`] on `field` naming the type found instead.
-pub fn want_string(field: &str, value: &JsonValue) -> Result<String, SpecError> {
-    value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| SpecError::new(field, format!("expected a string, got {}", value.kind())))
-}
-
-/// A JSON object field.
-///
-/// # Errors
-///
-/// A [`SpecError`] on `field` naming the type found instead.
-pub fn want_object<'a>(
-    field: &str,
-    value: &'a JsonValue,
-) -> Result<&'a BTreeMap<String, JsonValue>, SpecError> {
-    match value {
-        JsonValue::Object(map) => Ok(map),
-        other => Err(SpecError::new(
-            field,
-            format!("expected an object, got {}", other.kind()),
-        )),
+impl<'a> SpecObject<'a> {
+    /// Parses `body` and hands its root object, whose keys must be among
+    /// `known`, to `read`.
+    ///
+    /// # Errors
+    ///
+    /// A [`SpecError`] on the pseudo-field `body` when `body` is not a JSON
+    /// object, one on the offending key's path for an unknown key, or
+    /// whatever `read` returns.
+    pub fn read<T>(
+        body: &str,
+        known: &[&str],
+        read: impl FnOnce(&SpecObject<'_>) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        let doc = json::parse(body)
+            .map_err(|e| SpecError::new("body", format!("not valid JSON: {e}")))?;
+        let JsonValue::Object(map) = &doc else {
+            return Err(SpecError::new(
+                "body",
+                format!("expected a JSON object, got {}", doc.kind()),
+            ));
+        };
+        read(&SpecObject::checked(String::new(), map, known)?)
     }
-}
 
-/// A JSON array field.
-///
-/// # Errors
-///
-/// A [`SpecError`] on `field` naming the type found instead.
-pub fn want_array<'a>(field: &str, value: &'a JsonValue) -> Result<&'a [JsonValue], SpecError> {
-    value
-        .as_array()
-        .ok_or_else(|| SpecError::new(field, format!("expected an array, got {}", value.kind())))
+    /// Opens `value`, found at `path`, as an object whose keys must be
+    /// among `known`.
+    ///
+    /// # Errors
+    ///
+    /// A [`SpecError`] on `path` when `value` is not an object, or on the
+    /// offending key's path for an unknown key.
+    pub fn open(path: String, value: &'a JsonValue, known: &[&str]) -> Result<Self, SpecError> {
+        match value {
+            JsonValue::Object(map) => SpecObject::checked(path, map, known),
+            other => Err(SpecError::new(
+                path,
+                format!("expected an object, got {}", other.kind()),
+            )),
+        }
+    }
+
+    fn checked(
+        path: String,
+        map: &'a BTreeMap<String, JsonValue>,
+        known: &[&str],
+    ) -> Result<Self, SpecError> {
+        let object = SpecObject { path, map };
+        let Some(key) = map.keys().find(|key| !known.contains(&key.as_str())) else {
+            return Ok(object);
+        };
+        let mut field = object.field(key);
+        if field.is_empty() {
+            // An empty key at the root would make an unlocatable error;
+            // anchor it on the document instead.
+            field = "body".to_string();
+        }
+        Err(SpecError::new(
+            field,
+            format!(
+                "unknown field {key:?}; known fields are {}",
+                known.join(", ")
+            ),
+        ))
+    }
+
+    /// The dotted path of `key` in this object (e.g. `physics.detect_l1`).
+    pub fn field(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
+        }
+    }
+
+    fn get<T>(
+        &self,
+        key: &str,
+        expected: &str,
+        typed: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, SpecError> {
+        let Some(value) = self.map.get(key) else {
+            return Ok(None);
+        };
+        typed(value).map(Some).ok_or_else(|| {
+            SpecError::new(
+                self.field(key),
+                format!("expected {expected}, got {}", value.kind()),
+            )
+        })
+    }
+
+    fn need<T>(&self, key: &str, value: Option<T>) -> Result<T, SpecError> {
+        value.ok_or_else(|| SpecError::new(self.field(key), "required field is missing"))
+    }
+
+    /// The number at `key`, if present.
+    pub fn number(&self, key: &str) -> Result<Option<f64>, SpecError> {
+        self.get(key, "a number", JsonValue::as_f64)
+    }
+
+    /// The string at `key`, if present.
+    pub fn string(&self, key: &str) -> Result<Option<&'a str>, SpecError> {
+        self.get(key, "a string", JsonValue::as_str)
+    }
+
+    /// The array at `key`, if present.
+    pub fn array(&self, key: &str) -> Result<Option<&'a [JsonValue]>, SpecError> {
+        self.get(key, "an array", JsonValue::as_array)
+    }
+
+    /// The number at `key`, which must be present.
+    pub fn need_number(&self, key: &str) -> Result<f64, SpecError> {
+        self.need(key, self.number(key)?)
+    }
+
+    /// The string at `key`, which must be present.
+    pub fn need_string(&self, key: &str) -> Result<&'a str, SpecError> {
+        self.need(key, self.string(key)?)
+    }
+
+    /// The array at `key`, which must be present.
+    pub fn need_array(&self, key: &str) -> Result<&'a [JsonValue], SpecError> {
+        self.need(key, self.array(key)?)
+    }
+
+    /// The object at `key`, which must be present, opened with the keys
+    /// `known`.
+    pub fn need_object(&self, key: &str, known: &[&str]) -> Result<SpecObject<'a>, SpecError> {
+        let value = self.need(key, self.map.get(key))?;
+        SpecObject::open(self.field(key), value, known)
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use serscale_core::journal::{journal_path, start_or_resume};
 use serscale_core::session::{SessionLimits, TestSession};
 use serscale_core::trace::{Logbook, NoopObserver};
 use serscale_soc::platform::OperatingPoint;
-use serscale_soc::{PlatformSpec, RawPlatformSpec};
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, SimDuration};
 use serscale_workload::{Benchmark, Corruption, Kernel};
@@ -270,11 +270,11 @@ impl ResumeEquivalence {
     }
 }
 
-/// The platform schema is a faithful carrier: an X-Gene 2 campaign
-/// configured from the built-in spec after a round trip through the raw
-/// wire carrier produces reports and traces bit-identical to the
-/// built-in's campaign, at `jobs` 1 and 8 — and the second built-in
-/// platform (Zynq MPSoC) runs the same engine deterministically.
+/// The second built-in platform (Zynq MPSoC), defined only by its spec
+/// file, runs the same engine end to end: every scheduled point simulates
+/// something, and its report and trace are bit-identical at `jobs` 1 and
+/// 8. That a platform loaded from a file equals the built-in needs no
+/// oracle, because the built-in *is* the parsed file.
 pub struct PlatformEquivalence;
 
 impl StatOracle for PlatformEquivalence {
@@ -287,75 +287,29 @@ impl StatOracle for PlatformEquivalence {
     }
 
     fn claim(&self) -> &'static str {
-        "Spec-loaded platforms reproduce hardwired campaigns bit for bit"
+        "A spec-defined second platform runs every campaign point, bit-identically across worker counts"
     }
 
     fn run(&self, ctx: &OracleContext) -> OracleReport {
-        let seed = ctx.probe_seed(self.name(), 0);
-        let fraction = ctx.budget.campaign_fraction;
-        let configured = |spec: &PlatformSpec| {
-            let mut config = CampaignConfig::for_platform_scaled(spec, fraction);
-            config.seed = seed;
-            config
-        };
-        let run = |config: CampaignConfig, jobs: usize| {
+        let zynq = PlatformSpec::zynq_mpsoc();
+        let mut config = CampaignConfig::for_platform_scaled(&zynq, ctx.budget.campaign_fraction);
+        config.seed = ctx.probe_seed(self.name(), 0);
+        let run = |jobs: usize| {
             let mut log = Logbook::new();
-            let report = Campaign::new(config)
+            let report = Campaign::new(config.clone())
                 .try_run(CampaignRunOptions::with_jobs(jobs), &mut log)
                 .expect("a run with no journal and no cancel token cannot fail");
             (report, log)
         };
 
-        let mut checks = Vec::new();
-        let built_in = PlatformSpec::xgene2();
-        match PlatformSpec::try_from(RawPlatformSpec::from(&built_in)) {
-            Ok(round_tripped) => {
-                checks.push(CheckResult::new(
-                    "spec-round-trip",
-                    round_tripped == built_in,
-                    "X-Gene 2 spec survives the raw wire carrier unchanged",
-                ));
-                for jobs in [1usize, 8] {
-                    let (hardwired, hardwired_log) = run(configured(&built_in), jobs);
-                    let (loaded, loaded_log) = run(configured(&round_tripped), jobs);
-                    let report_ok = loaded == hardwired;
-                    let trace_ok = loaded_log == hardwired_log;
-                    checks.push(CheckResult::new(
-                        format!("xgene2-spec-vs-builtin-jobs-{jobs}"),
-                        report_ok && trace_ok,
-                        if report_ok && trace_ok {
-                            format!(
-                                "spec-loaded campaign bit-identical (jobs={jobs}, {})",
-                                summarize(&loaded)
-                            )
-                        } else {
-                            format!(
-                                "spec-loaded campaign diverged (jobs={jobs}, report ok: \
-                                 {report_ok}, trace ok: {trace_ok})"
-                            )
-                        },
-                    ));
-                }
-            }
-            Err(e) => checks.push(CheckResult::new(
-                "spec-round-trip",
-                false,
-                format!("X-Gene 2 spec failed to re-validate: {e}"),
-            )),
-        }
-
-        // The second platform exercises the same engine end to end: its
-        // campaign must be deterministic across worker counts and actually
-        // simulate something at every scheduled point.
-        let zynq = PlatformSpec::zynq_mpsoc();
-        let (zynq_seq, zynq_seq_log) = run(configured(&zynq), 1);
-        checks.push(CheckResult::new(
+        let (zynq_seq, zynq_seq_log) = run(1);
+        let mut checks = vec![CheckResult::new(
             "zynq-campaign-runs",
             zynq_seq.sessions.len() == zynq.campaign.len()
                 && zynq_seq.sessions.iter().all(|s| s.runs > 0),
             format!("zynq-mpsoc: {}", summarize(&zynq_seq)),
-        ));
-        let (zynq_par, zynq_par_log) = run(configured(&zynq), 8);
+        )];
+        let (zynq_par, zynq_par_log) = run(8);
         let agree = zynq_par == zynq_seq && zynq_par_log == zynq_seq_log;
         checks.push(CheckResult::new(
             "zynq-jobs-8",

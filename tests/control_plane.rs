@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use serscale_bench::{golden_summary, run_campaign};
 use serscale_core::campaign::Campaign;
-use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec};
+use serscale_core::spec::parse_campaign;
 use serscale_telemetry::json::{self, JsonValue};
 use serscale_telemetry::serve::{http_get, http_request, MonitorServer};
 use serscale_telemetry::{ControlPlane, ControlPlaneOptions, TelemetryOptions, TelemetrySink};
@@ -140,59 +140,21 @@ fn concurrent_http_submissions_match_solo_cli_runs_bit_for_bit() {
     control.drain();
 }
 
-/// A spec big enough to still be running when a cancel lands: explicit
-/// sessions several times the paper's beam time, run single-threaded.
-fn long_spec(seed: u64) -> CampaignSpec {
-    let session = |pmd_mv: f64, soc_mv: f64| RawSessionSpec {
-        pmd_mv,
-        soc_mv,
-        freq_mhz: 2400.0,
-        minutes: 2400.0,
-    };
-    CampaignSpec::try_from(RawCampaignSpec {
-        tenant: Some("resume-oracle".to_string()),
-        seed: Some(seed as f64),
-        jobs: Some(1.0),
-        sessions: Some(vec![
-            session(980.0, 950.0),
-            session(960.0, 950.0),
-            session(940.0, 950.0),
-            session(920.0, 920.0),
-        ]),
-        ..Default::default()
-    })
-    .expect("long spec validates")
-}
-
-fn spec_json(spec: &CampaignSpec, resume: Option<u64>) -> String {
-    let sessions: Vec<String> = spec
-        .sessions
-        .as_ref()
-        .expect("long spec has sessions")
-        .iter()
-        .map(|(point, limits)| {
+/// A body big enough to still be running when a cancel lands: explicit
+/// sessions several times the paper's beam time, run single-threaded,
+/// resuming the cancelled job `resume` if one is given.
+fn long_body(seed: u64, resume: Option<u64>) -> String {
+    let sessions = [(980, 950), (960, 950), (940, 950), (920, 920)]
+        .map(|(pmd_mv, soc_mv)| {
             format!(
-                "{{\"pmd_mv\":{},\"soc_mv\":{},\"freq_mhz\":{},\"minutes\":{}}}",
-                point.pmd.get(),
-                point.soc.get(),
-                point.frequency.get(),
-                limits
-                    .max_duration
-                    .map_or(0.0, serscale_types::SimDuration::as_minutes)
+                "{{\"pmd_mv\":{pmd_mv},\"soc_mv\":{soc_mv},\"freq_mhz\":2400,\"minutes\":2400}}"
             )
         })
-        .collect();
-    let mut out = format!(
-        "{{\"tenant\":{:?},\"seed\":{},\"jobs\":1,\"sessions\":[{}]",
-        spec.tenant,
-        spec.seed,
-        sessions.join(",")
-    );
-    if let Some(id) = resume {
-        out.push_str(&format!(",\"resume\":{id}"));
-    }
-    out.push('}');
-    out
+        .join(",");
+    let resume = resume.map_or(String::new(), |id| format!(",\"resume\":{id}"));
+    format!(
+        "{{\"tenant\":\"resume-oracle\",\"seed\":{seed},\"jobs\":1,\"sessions\":[{sessions}]{resume}}}"
+    )
 }
 
 /// Contract 2: cancel mid-run over HTTP, resubmit with `resume`, and the
@@ -204,11 +166,11 @@ fn cancel_then_resume_reproduces_the_uninterrupted_report() {
     let addr = server.addr();
 
     // The oracle: the same spec, run to completion in one piece.
-    let spec = long_spec(4242);
+    let spec = parse_campaign(&long_body(4242, None)).expect("long spec validates");
     let uninterrupted = golden_summary(&Campaign::new(spec.config()).run_parallel(1));
 
     let (status, body) =
-        http_request(addr, "POST", "/campaigns", &spec_json(&spec, None)).expect("submit");
+        http_request(addr, "POST", "/campaigns", &long_body(4242, None)).expect("submit");
     assert_eq!(status, 202, "{body}");
     let id = json::parse(&body)
         .expect("acceptance parses")
@@ -248,7 +210,7 @@ fn cancel_then_resume_reproduces_the_uninterrupted_report() {
             // Resubmit with resume: the journal's prefix replays, the
             // rest re-simulates, and the bytes come out unchanged.
             let (status, body) =
-                http_request(addr, "POST", "/campaigns", &spec_json(&spec, Some(id)))
+                http_request(addr, "POST", "/campaigns", &long_body(4242, Some(id)))
                     .expect("resubmit");
             assert_eq!(status, 202, "{body}");
             let resumed_id = json::parse(&body)
