@@ -48,10 +48,8 @@ pub mod array;
 pub mod cell;
 pub mod mbu;
 pub mod qcrit;
-pub mod technology;
 
 pub use array::{SramArray, StrikeEffect, StrikeScratch, WordHit};
 pub use cell::WeakCellPopulation;
 pub use mbu::MbuModel;
 pub use qcrit::SoftErrorModel;
-pub use technology::TechnologyNode;
