@@ -57,9 +57,7 @@ pub mod mg;
 pub mod parallel;
 pub mod profile;
 pub mod stepped;
-pub mod virus;
 
 pub use kernel::{Corruption, Kernel, KernelOutput};
 pub use parallel::{run_suite_parallel, EpParallel};
 pub use profile::{Benchmark, WorkloadProfile};
-pub use virus::MicroVirus;
