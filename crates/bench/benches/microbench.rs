@@ -5,12 +5,14 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use serscale_core::DeviceUnderTest;
 use serscale_ecc::secded::Codeword;
 use serscale_ecc::ProtectionScheme;
-use serscale_sram::{MbuModel, SramArray};
+use serscale_soc::PlatformSpec;
+use serscale_sram::SramArray;
 use serscale_stats::poisson::sample_poisson;
 use serscale_stats::SimRng;
-use serscale_types::{ArrayKind, Bytes, Millivolts};
+use serscale_types::{ArrayKind, Bytes, Millivolts, VoltageDomain};
 use serscale_workload::Benchmark;
 
 fn bench_secded(c: &mut Criterion) {
@@ -44,7 +46,10 @@ fn bench_strikes(c: &mut Criterion) {
         ProtectionScheme::Secded,
         1,
     );
-    let mbu = MbuModel::tech_28nm();
+    // The X-Gene 2's PMD-domain cluster model, as the campaign builds it.
+    let nominal = PlatformSpec::xgene2().nominal_point();
+    let dut = DeviceUnderTest::xgene2(nominal, DeviceUnderTest::paper_vmin(nominal.frequency));
+    let mbu = *dut.mbu_model(VoltageDomain::Pmd);
     group.bench_function("l3_strike_with_cluster_sampling", |b| {
         let mut rng = SimRng::seed_from(1);
         b.iter(|| {

@@ -954,26 +954,28 @@ fn main() -> ExitCode {
         eprintln!("bit-stable summary written to {path}");
     }
 
+    // Every report reads the platform the campaign ran on.
+    let spec = &platform;
     for t in &args.tables {
         match t {
-            1 => println!("{}", experiments::table1()),
-            2 => println!("{}", experiments::table2(report.expect("campaign"))),
-            3 => println!("{}", experiments::table3(report.expect("campaign"))),
+            1 => println!("{}", experiments::table1(spec)),
+            2 => println!("{}", experiments::table2(spec, report.expect("campaign"))),
+            3 => println!("{}", experiments::table3(spec, report.expect("campaign"))),
             other => eprintln!("repro: no table {other} in the paper"),
         }
     }
     for f in &args.figures {
         let text = match f {
-            4 => experiments::figure4(args.seed, 100),
-            5 => experiments::figure5(report.expect("campaign")),
-            6 => experiments::figure6(report.expect("campaign")),
-            7 => experiments::figure7(report.expect("campaign")),
-            8 => experiments::figure8(report.expect("campaign")),
-            9 => experiments::figure9(report.expect("campaign")),
-            10 => experiments::figure10(report.expect("campaign")),
-            11 => experiments::figure11(report.expect("campaign")),
-            12 => experiments::figure12(report.expect("campaign")),
-            13 => experiments::figure13(report.expect("campaign")),
+            4 => experiments::figure4(spec, args.seed, 100),
+            5 => experiments::figure5(spec, report.expect("campaign")),
+            6 => experiments::figure6(spec, report.expect("campaign")),
+            7 => experiments::figure7(spec, report.expect("campaign")),
+            8 => experiments::figure8(spec, report.expect("campaign")),
+            9 => experiments::figure9(spec, report.expect("campaign")),
+            10 => experiments::figure10(spec, report.expect("campaign")),
+            11 => experiments::figure11(spec, report.expect("campaign")),
+            12 => experiments::figure12(spec, report.expect("campaign")),
+            13 => experiments::figure13(spec, report.expect("campaign")),
             other => {
                 eprintln!("repro: no figure {other} in the paper's evaluation");
                 continue;
@@ -982,18 +984,21 @@ fn main() -> ExitCode {
         println!("{text}");
     }
     if args.headlines {
-        println!("{}", experiments::headlines(report.expect("campaign")));
+        println!(
+            "{}",
+            experiments::headlines(spec, report.expect("campaign"))
+        );
     }
     if args.sweep {
-        println!("{}", experiments::voltage_sweep());
+        println!("{}", experiments::voltage_sweep(spec));
     }
     if args.ablations {
-        println!("{}", experiments::ablations(args.seed));
+        println!("{}", experiments::ablations(spec, args.seed));
     }
     if args.selfcheck {
-        let checks = serscale_bench::selfcheck::run_checks(report.expect("campaign"));
-        println!("{}", serscale_bench::selfcheck::render(&checks));
-        if checks.iter().any(|c| !c.passed) {
+        let outcome = serscale_bench::selfcheck::run_checks(spec, report.expect("campaign"));
+        println!("{}", outcome.render());
+        if !outcome.passed() {
             return ExitCode::FAILURE;
         }
     }

@@ -5,11 +5,10 @@
 //! the paper's reported values.
 //!
 //! * [`paper`] — the reference numbers, transcribed from the paper.
-//! * [`experiments`] — one regeneration function per table/figure.
+//! * [`experiments`] — one regeneration function per table/figure, for
+//!   whichever platform the campaign ran on.
 //! * The `repro` binary (`cargo run -p serscale-bench --bin repro -- --all`)
 //!   drives them from the command line.
-//! * The Criterion benches under `benches/` time each regeneration at
-//!   reduced scale and print the full-scale rows once per run.
 //! * [`selfcheck`] asserts every EXPERIMENTS.md shape claim against a
 //!   fresh campaign (`repro --selfcheck`).
 

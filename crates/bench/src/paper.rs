@@ -1,5 +1,14 @@
 //! Reference values transcribed from the paper, used for side-by-side
-//! comparison in every regenerated table and figure.
+//! comparison in every regenerated table and figure of the paper's die.
+
+use serscale_soc::PlatformSpec;
+
+/// Whether `spec` is the die the paper measured — the built-in X-Gene 2
+/// (`platforms/xgene2.json`), by value — and so the only one whose reports
+/// and self-check compare against the numbers below.
+pub fn is_papers_die(spec: &PlatformSpec) -> bool {
+    *spec == PlatformSpec::xgene2()
+}
 
 /// One Table 2 row:
 /// `(pmd_mv, duration_min, fluence, nyc_years, error_events,

@@ -6,7 +6,7 @@ use serscale_soc::platform::OperatingPoint;
 use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Megahertz, Millivolts, SimDuration};
-use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel};
+use serscale_undervolt::characterize::Characterizer;
 
 use crate::dut::DeviceUnderTest;
 use crate::journal::{JournalWriter, RecoveredCampaign};
@@ -172,8 +172,7 @@ impl Campaign {
             VminSource::Paper => platform.vmin_at(frequency),
             VminSource::Characterized { trials } => {
                 let mut rng = root.fork_indexed("vmin", u64::from(frequency.get()));
-                let harness =
-                    Characterizer::new(TimingFailureModel::for_platform(platform), trials);
+                let harness = Characterizer::for_platform(platform, trials);
                 harness
                     .sweep_platform(&mut rng, platform, frequency)
                     .safe_vmin()
@@ -391,6 +390,13 @@ mod tests {
     use super::*;
     use crate::classify::FailureClass;
 
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
+
     /// Runs `campaign` on `jobs` workers with no journal, cancel token or
     /// observer.
     fn run(campaign: &Campaign, jobs: usize) -> CampaignReport {
@@ -409,8 +415,8 @@ mod tests {
     fn paper_config_shape() {
         let c = CampaignConfig::paper();
         assert_eq!(c.sessions.len(), 4);
-        assert_eq!(c.sessions[0].0, OperatingPoint::nominal());
-        assert_eq!(c.sessions[3].0, OperatingPoint::vmin_900());
+        assert_eq!(c.sessions[0].0, xgene2_point("Nominal"));
+        assert_eq!(c.sessions[3].0, xgene2_point("Vmin 900 MHz"));
         let total: f64 = c
             .sessions
             .iter()
@@ -474,7 +480,7 @@ mod tests {
         let report = run(&Campaign::new(quick_config(2, 0.02)), 1);
         assert_eq!(report.sessions.len(), 4);
         assert!(report.baseline().is_some());
-        assert!(report.session_at(OperatingPoint::vmin_900()).is_some());
+        assert!(report.session_at(xgene2_point("Vmin 900 MHz")).is_some());
         assert!(report.total_beam_time().as_hours() > 1.0);
     }
 
@@ -624,7 +630,7 @@ mod tests {
         let report = run(&Campaign::new(quick_config(8, 0.08)), 1);
         let nominal = report.baseline().unwrap().upset_rate().per_minute();
         let v790 = report
-            .session_at(OperatingPoint::vmin_900())
+            .session_at(xgene2_point("Vmin 900 MHz"))
             .unwrap()
             .upset_rate()
             .per_minute();
@@ -636,7 +642,7 @@ mod tests {
         let report = run(&Campaign::new(quick_config(9, 0.1)), 1);
         let nominal_share = report.baseline().unwrap().failure_shares()[&FailureClass::Sdc];
         let vmin_share = report
-            .session_at(OperatingPoint::vmin_2400())
+            .session_at(xgene2_point("Vmin"))
             .unwrap()
             .failure_shares()[&FailureClass::Sdc];
         assert!(

@@ -21,6 +21,7 @@
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::PowerModel;
 use serscale_types::{Fit, SimDuration, Watts};
+use serscale_workload::profile::RUNTIME_REFERENCE_MHZ;
 
 /// A checkpoint/restart configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,17 +144,19 @@ pub fn ledger(
         power,
         // Energy per unit work ∝ power × wall-time inflation. (Frequency
         // scaling additionally stretches the work itself.)
-        energy_per_work: power.get() * inflation * (2400.0 / f64::from(point.frequency.get())),
+        energy_per_work: power.get()
+            * inflation
+            * (RUNTIME_REFERENCE_MHZ / f64::from(point.frequency.get())),
     }
 }
 
-/// Compares scaled operating points against the nominal one: for each, the
-/// *net* energy ratio per unit of useful work (below 1.0 = undervolting
-/// pays even after recovery overheads).
+/// Compares scaled operating points against the nominal one, the first
+/// ledger (required): for each other ledger, the *net* energy ratio per
+/// unit of useful work (below 1.0 = undervolting pays even after recovery
+/// overheads).
 pub fn compare_to_nominal(ledgers: &[OperatingLedger]) -> Vec<(OperatingPoint, f64)> {
     let nominal = ledgers
-        .iter()
-        .find(|l| l.point == OperatingPoint::nominal())
+        .first()
         .expect("nominal ledger required as baseline");
     ledgers
         .iter()
@@ -165,6 +168,14 @@ pub fn compare_to_nominal(ledgers: &[OperatingLedger]) -> Vec<(OperatingPoint, f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serscale_soc::PlatformSpec;
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     fn scheme() -> CheckpointScheme {
         CheckpointScheme::typical()
@@ -221,21 +232,21 @@ mod tests {
 
     #[test]
     fn ledgers_and_comparison() {
-        let power = PowerModel::xgene2();
+        let power = PowerModel::for_platform(&PlatformSpec::xgene2());
         let s = scheme();
         // Use the paper's Fig. 11 FITs scaled up ×1e6 (a harsh radiation
         // environment) so recovery costs are non-trivial.
         let ledgers = vec![
-            ledger(OperatingPoint::nominal(), Fit::new(8.31e6), &s, &power),
-            ledger(OperatingPoint::safe(), Fit::new(8.66e6), &s, &power),
-            ledger(OperatingPoint::vmin_2400(), Fit::new(54.8e6), &s, &power),
+            ledger(xgene2_point("Nominal"), Fit::new(8.31e6), &s, &power),
+            ledger(xgene2_point("Safe"), Fit::new(8.66e6), &s, &power),
+            ledger(xgene2_point("Vmin"), Fit::new(54.8e6), &s, &power),
         ];
         let cmp = compare_to_nominal(&ledgers);
         assert_eq!(cmp.len(), 2);
         // 930 mV: slightly more failures, 8% less power ⇒ wins.
         let safe = cmp
             .iter()
-            .find(|(p, _)| *p == OperatingPoint::safe())
+            .find(|(p, _)| *p == xgene2_point("Safe"))
             .unwrap();
         assert!(safe.1 < 1.0, "930 mV net ratio = {}", safe.1);
         // Vmin: 6.6× failures can erode or reverse the win depending on
@@ -243,7 +254,7 @@ mod tests {
         // 930 mV point.
         let vmin = cmp
             .iter()
-            .find(|(p, _)| *p == OperatingPoint::vmin_2400())
+            .find(|(p, _)| *p == xgene2_point("Vmin"))
             .unwrap();
         assert!(vmin.1 > safe.1, "Vmin must pay more recovery than 930 mV");
     }
@@ -252,20 +263,20 @@ mod tests {
     #[should_panic(expected = "ledger undefined at zero FIT")]
     fn zero_fit_ledger_panics_instead_of_nan() {
         let _ = ledger(
-            OperatingPoint::nominal(),
+            xgene2_point("Nominal"),
             Fit::ZERO,
             &scheme(),
-            &PowerModel::xgene2(),
+            &PowerModel::for_platform(&PlatformSpec::xgene2()),
         );
     }
 
     #[test]
     fn mtbf_roundtrip() {
         let l = ledger(
-            OperatingPoint::nominal(),
+            xgene2_point("Nominal"),
             Fit::new(1000.0),
             &scheme(),
-            &PowerModel::xgene2(),
+            &PowerModel::for_platform(&PlatformSpec::xgene2()),
         );
         assert!((l.mtbf.as_hours() - 1.0e6).abs() < 1.0);
         assert!(l.inflation >= 1.0);

@@ -30,25 +30,14 @@ pub struct DetectionEfficiency {
 }
 
 impl DetectionEfficiency {
-    /// Calibrated against Figure 6 at 980 mV / 950 mV (see `DESIGN.md`),
+    /// The efficiencies a platform spec declares. The X-Gene 2's are
+    /// calibrated against Figure 6 at 980 mV / 950 mV (see `DESIGN.md`),
     /// times a ×1.09 dead-time compensation: the paper's per-minute rates
     /// are normalized by *session wall-clock*, which includes ≈9 % of
     /// crash-recovery dead time during which no upsets are observed, so
     /// the live (beam-on, benchmark-running) efficiency must sit
     /// correspondingly higher for the end-to-end session rates to land on
     /// Table 2.
-    pub fn calibrated() -> Self {
-        DetectionEfficiency {
-            tlb: 0.172,
-            l1: 0.078,
-            l2: 0.219,
-            l3: 0.140,
-        }
-    }
-
-    /// The efficiencies a platform spec declares. For
-    /// [`PlatformSpec::xgene2`] these are exactly
-    /// [`DetectionEfficiency::calibrated`].
     pub fn for_platform(spec: &PlatformSpec) -> Self {
         DetectionEfficiency {
             tlb: spec.physics.detect_tlb,
@@ -103,8 +92,7 @@ impl DeviceUnderTest {
     /// Builds any platform's DUT from its declarative spec: the SRAM and
     /// MBU physics are instantiated per voltage domain at the spec's rail
     /// nominals, the logic and detection models come from its physics
-    /// block. For [`PlatformSpec::xgene2`] the result is identical to
-    /// [`DeviceUnderTest::xgene2`].
+    /// block.
     pub fn for_platform(spec: &PlatformSpec, point: OperatingPoint, vmin: Millivolts) -> Self {
         let physics = &spec.physics;
         let sram_at = |nominal: Millivolts| {
@@ -241,6 +229,13 @@ mod tests {
         DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency))
     }
 
+    /// The X-Gene 2's campaign points: nominal, safe, Vmin, and 790 mV /
+    /// 900 MHz.
+    fn campaign() -> [OperatingPoint; 4] {
+        let spec = PlatformSpec::xgene2();
+        std::array::from_fn(|i| spec.campaign[i].point)
+    }
+
     /// Observed upsets/minute for a detection factor of 1.0 at a point.
     fn upsets_per_minute(point: OperatingPoint) -> f64 {
         dut_at(point)
@@ -250,27 +245,29 @@ mod tests {
     }
 
     /// Hand-builds the DUT the way the pre-spec constructor did — every
-    /// physics model anchored on the crate calibration constants — so the
-    /// spec-driven path is pinned against the historical construction.
+    /// physics model anchored on the X-Gene 2's calibration constants,
+    /// written out here — so the spec-driven path is pinned against the
+    /// historical construction.
     fn constructor_built(point: OperatingPoint, vmin: Millivolts) -> DeviceUnderTest {
-        let soc_nominal = OperatingPoint::nominal().soc;
+        // 28 nm SRAM: σ₀ = 10⁻¹⁵ cm²/bit, k = 3.2, anchored per domain.
+        let sram_at = |nominal| SoftErrorModel::new(CrossSection::cm2(1.0e-15), nominal, 3.2);
+        // MBU: 4.7 % cluster extension at nominal, same k, ≤ 8 cells.
+        let mbu_at = |nominal| MbuModel::new(0.047, nominal, 3.2, 8);
+        let (pmd_nominal, soc_nominal) = (Millivolts::new(980), Millivolts::new(950));
         DeviceUnderTest {
             soc: Platform::default(),
-            sram_pmd: SoftErrorModel::tech_28nm(),
-            sram_soc: SoftErrorModel::new(
-                serscale_types::CrossSection::cm2(SoftErrorModel::SIGMA_28NM_NOMINAL_CM2),
-                soc_nominal,
-                SoftErrorModel::DEFAULT_VOLTAGE_SENSITIVITY,
-            ),
-            mbu_pmd: MbuModel::tech_28nm(),
-            mbu_soc: MbuModel::new(
-                MbuModel::DEFAULT_P_EXTRA,
-                soc_nominal,
-                MbuModel::DEFAULT_VOLTAGE_SENSITIVITY,
-                MbuModel::DEFAULT_MAX_CLUSTER,
-            ),
-            logic: LogicSusceptibility::xgene2(),
-            detection: DetectionEfficiency::calibrated(),
+            sram_pmd: sram_at(pmd_nominal),
+            sram_soc: sram_at(soc_nominal),
+            mbu_pmd: mbu_at(pmd_nominal),
+            mbu_soc: mbu_at(soc_nominal),
+            logic: LogicSusceptibility::for_platform(&PlatformSpec::xgene2()),
+            // Figure 6 at nominal, times the ×1.09 dead-time compensation.
+            detection: DetectionEfficiency {
+                tlb: 0.172,
+                l1: 0.078,
+                l2: 0.219,
+                l3: 0.140,
+            },
             point,
             vmin,
         }
@@ -279,7 +276,7 @@ mod tests {
     #[test]
     fn spec_built_dut_matches_the_constructor_built_one() {
         let spec = PlatformSpec::xgene2();
-        for point in OperatingPoint::CAMPAIGN {
+        for point in campaign() {
             let vmin = DeviceUnderTest::paper_vmin(point.frequency);
             assert_eq!(
                 DeviceUnderTest::for_platform(&spec, point, vmin),
@@ -344,20 +341,20 @@ mod tests {
     }
 
     /// Live rates exceed Table 2's wall-clock rates by the ≈9% dead-time
-    /// compensation baked into [`DetectionEfficiency::calibrated`].
+    /// compensation baked into the X-Gene 2's detection efficiencies.
     const DEAD_TIME_COMP: f64 = 1.09;
 
     #[test]
     fn upset_rate_matches_table2_at_nominal() {
         // Table 2 row 9, session 1: 1.011 upsets/min (wall-clock).
-        let rate = upsets_per_minute(OperatingPoint::nominal());
+        let rate = upsets_per_minute(campaign()[0]);
         assert!((rate - 1.01 * DEAD_TIME_COMP).abs() < 0.09, "rate = {rate}");
     }
 
     #[test]
     fn upset_rates_increase_as_voltage_drops() {
         // Table 2 row 9 trend: 1.011 → 1.077 → 1.117 → 1.182.
-        let r = OperatingPoint::CAMPAIGN.map(upsets_per_minute);
+        let r = campaign().map(upsets_per_minute);
         assert!(r[0] < r[1] && r[1] < r[2] && r[2] < r[3], "{r:?}");
         // Within ~5% of the measured (dead-time-compensated) values.
         for (sim, paper) in r.iter().zip([1.011, 1.077, 1.117, 1.182]) {
@@ -368,7 +365,7 @@ mod tests {
 
     #[test]
     fn per_level_rates_match_figure6_at_nominal() {
-        let dut = dut_at(OperatingPoint::nominal());
+        let dut = dut_at(campaign()[0]);
         let flux = Flux::per_cm2_s(WORKING_FLUX);
         let mut per_level = [0.0f64; 4];
         for inst in dut.soc().arrays() {
@@ -395,8 +392,9 @@ mod tests {
 
     #[test]
     fn l3_rate_unchanged_at_790mv_because_soc_domain_holds() {
-        let at_nominal = dut_at(OperatingPoint::nominal());
-        let at_790 = dut_at(OperatingPoint::vmin_900());
+        let [nominal, _, _, vmin_900] = campaign();
+        let at_nominal = dut_at(nominal);
+        let at_790 = dut_at(vmin_900);
         let l3_sigma = |dut: &DeviceUnderTest| -> f64 {
             dut.soc()
                 .arrays()
@@ -409,11 +407,7 @@ mod tests {
 
     #[test]
     fn datapath_sigma_explodes_at_vmin_only() {
-        let nominal = dut_at(OperatingPoint::nominal()).datapath_sigma().as_cm2();
-        let safe = dut_at(OperatingPoint::safe()).datapath_sigma().as_cm2();
-        let vmin = dut_at(OperatingPoint::vmin_2400())
-            .datapath_sigma()
-            .as_cm2();
+        let [nominal, safe, vmin, _] = campaign().map(|p| dut_at(p).datapath_sigma().as_cm2());
         assert!(
             safe / nominal > 1.5 && safe / nominal < 2.5,
             "safe ratio {}",
@@ -424,7 +418,7 @@ mod tests {
 
     #[test]
     fn detection_factor_scales_observable_sigma() {
-        let dut = dut_at(OperatingPoint::nominal());
+        let dut = dut_at(campaign()[0]);
         let base = dut.total_observable_sram_sigma(1.0).as_cm2();
         let heavy = dut.total_observable_sram_sigma(1.125).as_cm2();
         assert!((heavy / base - 1.125).abs() < 1e-9);
@@ -432,12 +426,10 @@ mod tests {
 
     #[test]
     fn moving_operating_point_changes_physics() {
-        let mut dut = dut_at(OperatingPoint::nominal());
+        let [nominal, _, vmin, _] = campaign();
+        let mut dut = dut_at(nominal);
         let before = dut.total_observable_sram_sigma(1.0).as_cm2();
-        dut.set_operating_point(
-            OperatingPoint::vmin_2400(),
-            DeviceUnderTest::paper_vmin(Megahertz::new(2400)),
-        );
+        dut.set_operating_point(vmin, DeviceUnderTest::paper_vmin(vmin.frequency));
         assert!(dut.total_observable_sram_sigma(1.0).as_cm2() > before);
     }
 }

@@ -146,9 +146,17 @@ pub fn recommend(points: &[SweepPoint], tolerance: f64) -> Option<SweepPoint> {
 mod tests {
     use super::*;
     use serscale_soc::platform::OperatingPoint;
+    use serscale_soc::PlatformSpec;
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     fn template() -> DeviceUnderTest {
-        let point = OperatingPoint::nominal();
+        let point = xgene2_point("Nominal");
         DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency))
     }
 
@@ -157,7 +165,7 @@ mod tests {
             Millivolts::new(980),
             Millivolts::new(920),
             &template(),
-            &PowerModel::xgene2(),
+            &PowerModel::for_platform(&PlatformSpec::xgene2()),
             Flux::per_cm2_s(1.5e6),
         )
     }
@@ -223,7 +231,7 @@ mod tests {
                 Millivolts::new(980),
                 Millivolts::new(920),
                 &template(),
-                &PowerModel::xgene2(),
+                &PowerModel::for_platform(&PlatformSpec::xgene2()),
                 Flux::per_cm2_s(1.5e6),
                 jobs,
             );

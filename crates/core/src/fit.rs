@@ -78,8 +78,16 @@ mod tests {
     use crate::dut::DeviceUnderTest;
     use crate::session::{SessionLimits, TestSession};
     use serscale_soc::platform::OperatingPoint;
+    use serscale_soc::PlatformSpec;
     use serscale_stats::SimRng;
     use serscale_types::{Flux, SimDuration};
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     fn session(point: OperatingPoint, minutes: f64, seed: u64) -> SessionReport {
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
@@ -101,7 +109,7 @@ mod tests {
     fn total_fit_at_nominal_matches_figure11_scale() {
         // Fig. 11: total FIT ≈ 8.3 at 980 mV. A 300-minute slice has
         // sampling noise; accept a factor-of-two band around it.
-        let report = session(OperatingPoint::nominal(), 300.0, 1);
+        let report = session(xgene2_point("Nominal"), 300.0, 1);
         let fit = total_fit(&report).point.get();
         assert!(fit > 3.0 && fit < 17.0, "total FIT = {fit}");
     }
@@ -109,15 +117,15 @@ mod tests {
     #[test]
     fn total_fit_explodes_at_vmin() {
         // Fig. 11: 8.31 → 54.83 total FIT (6.6×) from 980 mV to 920 mV.
-        let nominal = session(OperatingPoint::nominal(), 400.0, 2);
-        let vmin = session(OperatingPoint::vmin_2400(), 400.0, 2);
+        let nominal = session(xgene2_point("Nominal"), 400.0, 2);
+        let vmin = session(xgene2_point("Vmin"), 400.0, 2);
         let ratio = total_fit(&vmin).point.get() / total_fit(&nominal).point.get();
         assert!(ratio > 3.0, "ratio = {ratio}");
     }
 
     #[test]
     fn sdc_fit_dominates_at_vmin() {
-        let vmin = session(OperatingPoint::vmin_2400(), 400.0, 3);
+        let vmin = session(xgene2_point("Vmin"), 400.0, 3);
         let breakdown = fit_breakdown(&vmin);
         assert!(breakdown.sdc.point.get() > breakdown.sys_crash.point.get());
         assert!(breakdown.sdc.point.get() > breakdown.app_crash.point.get());
@@ -128,7 +136,7 @@ mod tests {
 
     #[test]
     fn breakdown_classes_sum_to_total() {
-        let report = session(OperatingPoint::safe(), 300.0, 4);
+        let report = session(xgene2_point("Safe"), 300.0, 4);
         let b = fit_breakdown(&report);
         let sum = b.app_crash.point.get() + b.sys_crash.point.get() + b.sdc.point.get();
         assert!((sum - b.total.point.get()).abs() < 1e-9);
@@ -136,7 +144,7 @@ mod tests {
 
     #[test]
     fn notification_split_partitions_sdcs() {
-        let report = session(OperatingPoint::vmin_2400(), 300.0, 5);
+        let report = session(xgene2_point("Vmin"), 300.0, 5);
         let split = sdc_notification_split(&report);
         let total_sdc = class_fit(&report, FailureClass::Sdc).point.get();
         let parts = split.without_notification.point.get() + split.with_notification.point.get();
@@ -149,7 +157,7 @@ mod tests {
     fn zero_event_classes_have_zero_point_fit() {
         // A tiny quiet session may record no app crashes; its FIT point
         // estimate must be exactly zero with a positive upper bound.
-        let report = session(OperatingPoint::nominal(), 3.0, 6);
+        let report = session(xgene2_point("Nominal"), 3.0, 6);
         let fit = class_fit(&report, FailureClass::AppCrash);
         if report.failure_count(FailureClass::AppCrash) == 0 {
             assert_eq!(fit.point.get(), 0.0);

@@ -60,7 +60,7 @@
 //! use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
 //! use serscale_core::session::SessionLimits;
 //! use serscale_core::trace::NoopObserver;
-//! use serscale_soc::platform::OperatingPoint;
+//! use serscale_soc::PlatformSpec;
 //! use serscale_types::SimDuration;
 //!
 //! // A short exploratory run at nominal voltage (the full Table 2
@@ -68,7 +68,7 @@
 //! let mut config = CampaignConfig::paper();
 //! config.seed = 42;
 //! config.sessions = vec![(
-//!     OperatingPoint::nominal(),
+//!     PlatformSpec::xgene2().nominal_point(),
 //!     SessionLimits {
 //!         max_error_events: 10,
 //!         max_duration: Some(SimDuration::from_minutes(30.0)),

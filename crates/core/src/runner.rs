@@ -36,6 +36,7 @@ use serscale_stats::poisson::sample_poisson;
 use serscale_stats::SimRng;
 use serscale_types::{ArrayKind, Flux, Millivolts, SimDuration, SimInstant};
 use serscale_workload::kernel::Corruption;
+use serscale_workload::profile::RUNTIME_REFERENCE_MHZ;
 use serscale_workload::Benchmark;
 
 use crate::classify::{ControlPc, EscalationModel, FailureClass, RunVerdict};
@@ -344,11 +345,11 @@ impl BenchmarkRunner {
     }
 
     /// The effective run duration at the DUT's current frequency: class-A
-    /// runtimes are quoted at 2.4 GHz and stretch proportionally at lower
-    /// clocks.
+    /// runtimes are quoted at [`RUNTIME_REFERENCE_MHZ`] and stretch
+    /// proportionally at lower clocks.
     pub fn run_duration(&self, benchmark: Benchmark) -> SimDuration {
         let profile = benchmark.profile();
-        let stretch = 2400.0 / f64::from(self.dut.operating_point().frequency.get());
+        let stretch = RUNTIME_REFERENCE_MHZ / f64::from(self.dut.operating_point().frequency.get());
         profile.runtime() * stretch
     }
 
@@ -509,7 +510,15 @@ fn worst(current: Option<FailureClass>, new: FailureClass) -> FailureClass {
 mod tests {
     use super::*;
     use serscale_soc::platform::OperatingPoint;
+    use serscale_soc::PlatformSpec;
     use serscale_types::Millivolts;
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     const WORKING_FLUX: f64 = 1.5e6;
 
@@ -526,7 +535,7 @@ mod tests {
         // With zero flux nothing can fail.
         let vmin = Millivolts::new(920);
         let mut r = BenchmarkRunner::new(
-            DeviceUnderTest::xgene2(OperatingPoint::nominal(), vmin),
+            DeviceUnderTest::xgene2(xgene2_point("Nominal"), vmin),
             Flux::per_cm2_s(0.0),
         );
         let mut rng = SimRng::seed_from(1);
@@ -542,7 +551,7 @@ mod tests {
     fn upset_rate_under_beam_matches_table2() {
         // Aggregate EDAC records per minute across many runs at nominal:
         // Table 2 says 1.01/min.
-        let mut r = runner(OperatingPoint::nominal());
+        let mut r = runner(xgene2_point("Nominal"));
         let mut rng = SimRng::seed_from(2);
         let mut records = 0u64;
         let mut minutes = 0.0;
@@ -560,8 +569,8 @@ mod tests {
 
     #[test]
     fn run_duration_stretches_at_900mhz() {
-        let r24 = runner(OperatingPoint::nominal());
-        let r09 = runner(OperatingPoint::vmin_900());
+        let r24 = runner(xgene2_point("Nominal"));
+        let r09 = runner(xgene2_point("Vmin 900 MHz"));
         let d24 = r24.run_duration(Benchmark::Cg).as_secs();
         let d09 = r09.run_duration(Benchmark::Cg).as_secs();
         assert!((d09 / d24 - 2400.0 / 900.0).abs() < 1e-9);
@@ -569,7 +578,7 @@ mod tests {
 
     #[test]
     fn crashes_add_recovery_time() {
-        let mut r = runner(OperatingPoint::nominal());
+        let mut r = runner(xgene2_point("Nominal"));
         let mut rng = SimRng::seed_from(3);
         // Hunt for a crash verdict; with ~2.4 crashes/h and ~3 s runs, a
         // few thousand runs suffice.
@@ -603,8 +612,8 @@ mod tests {
             }
             sdcs
         };
-        let nominal = count_sdcs(OperatingPoint::nominal(), 4);
-        let vmin = count_sdcs(OperatingPoint::vmin_2400(), 4);
+        let nominal = count_sdcs(xgene2_point("Nominal"), 4);
+        let vmin = count_sdcs(xgene2_point("Vmin"), 4);
         assert!(
             vmin > nominal.max(1) * 5,
             "SDC explosion missing: nominal {nominal}, vmin {vmin}"
@@ -614,7 +623,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let run = |seed| {
-            let mut r = runner(OperatingPoint::vmin_2400());
+            let mut r = runner(xgene2_point("Vmin"));
             let mut rng = SimRng::seed_from(seed);
             (0..200)
                 .map(|i| {
@@ -629,9 +638,9 @@ mod tests {
     #[test]
     fn reference_path_matches_batched_path_and_rng_stream() {
         for point in [
-            OperatingPoint::nominal(),
-            OperatingPoint::vmin_2400(),
-            OperatingPoint::vmin_900(),
+            xgene2_point("Nominal"),
+            xgene2_point("Vmin"),
+            xgene2_point("Vmin 900 MHz"),
         ] {
             let mut fast = runner(point);
             let mut slow = runner(point);
@@ -650,24 +659,24 @@ mod tests {
 
     #[test]
     fn envelope_cache_revalidates_when_the_point_moves() {
-        let mut r = runner(OperatingPoint::nominal());
+        let mut r = runner(xgene2_point("Nominal"));
         let mut rng = SimRng::seed_from(5);
         let before = r.run_once(&mut rng, Benchmark::Cg, SimInstant::EPOCH);
         // Move the DUT to Vmin and back: the envelope must follow.
-        let vmin_point = OperatingPoint::vmin_2400();
+        let vmin_point = xgene2_point("Vmin");
         r.dut_mut().set_operating_point(
             vmin_point,
             DeviceUnderTest::paper_vmin(vmin_point.frequency),
         );
         let _ = r.run_once(&mut rng, Benchmark::Cg, SimInstant::EPOCH);
-        let nominal = OperatingPoint::nominal();
+        let nominal = xgene2_point("Nominal");
         r.dut_mut()
             .set_operating_point(nominal, DeviceUnderTest::paper_vmin(nominal.frequency));
         // Same point as `before`, replayed on a fresh stream: a stale
         // envelope (wrong rates) would shift outcomes detectably across
         // many trials; compare against a fresh runner as ground truth.
         let mut check_rng = SimRng::seed_from(5);
-        let mut fresh = runner(OperatingPoint::nominal());
+        let mut fresh = runner(xgene2_point("Nominal"));
         let expected = fresh.run_once(&mut check_rng, Benchmark::Cg, SimInstant::EPOCH);
         assert_eq!(before, expected);
         let mut replay_rng = SimRng::seed_from(77);

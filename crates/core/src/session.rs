@@ -1041,7 +1041,15 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serscale_soc::PlatformSpec;
     use serscale_types::Millivolts;
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     const WORKING_FLUX: f64 = 1.5e6;
 
@@ -1073,7 +1081,7 @@ mod tests {
 
     #[test]
     fn time_boxed_session_stops_on_beam_time() {
-        let report = short_session(OperatingPoint::nominal(), 20.0, 1);
+        let report = short_session(xgene2_point("Nominal"), 20.0, 1);
         assert_eq!(report.stop_reason, StopReason::BeamTime);
         assert!(report.duration.as_minutes() >= 20.0);
         // One extra run can overshoot, but only by a run + recovery.
@@ -1084,7 +1092,7 @@ mod tests {
     #[test]
     fn event_limit_stops_session() {
         let mut session = TestSession::new(
-            dut(OperatingPoint::vmin_2400()),
+            dut(xgene2_point("Vmin")),
             Flux::per_cm2_s(WORKING_FLUX),
             SessionLimits {
                 max_error_events: 5,
@@ -1100,7 +1108,7 @@ mod tests {
     #[test]
     fn fluence_limit_stops_session() {
         let mut session = TestSession::new(
-            dut(OperatingPoint::nominal()),
+            dut(xgene2_point("Nominal")),
             Flux::per_cm2_s(WORKING_FLUX),
             SessionLimits {
                 max_error_events: u64::MAX,
@@ -1122,7 +1130,7 @@ mod tests {
         let mut upsets = 0u64;
         let mut minutes = 0.0;
         for seed in 40..45 {
-            let report = short_session(OperatingPoint::nominal(), 120.0, seed);
+            let report = short_session(xgene2_point("Nominal"), 120.0, seed);
             upsets += report.memory_upsets;
             minutes += report.duration.as_minutes();
         }
@@ -1135,7 +1143,7 @@ mod tests {
 
     #[test]
     fn fluence_accounting_consistent() {
-        let report = short_session(OperatingPoint::nominal(), 30.0, 5);
+        let report = short_session(xgene2_point("Nominal"), 30.0, 5);
         let expected = WORKING_FLUX * report.duration.as_secs();
         assert!((report.fluence.as_per_cm2() - expected).abs() / expected < 1e-9);
         assert!(report.nyc_equivalent_years() > 0.0);
@@ -1143,7 +1151,7 @@ mod tests {
 
     #[test]
     fn per_benchmark_stats_cover_all_six() {
-        let report = short_session(OperatingPoint::nominal(), 10.0, 6);
+        let report = short_session(xgene2_point("Nominal"), 10.0, 6);
         assert_eq!(report.per_benchmark.len(), 6);
         for (b, stats) in &report.per_benchmark {
             assert!(stats.runs > 0, "{b}");
@@ -1153,8 +1161,8 @@ mod tests {
 
     #[test]
     fn session_is_deterministic() {
-        let a = short_session(OperatingPoint::safe(), 15.0, 7);
-        let b = short_session(OperatingPoint::safe(), 15.0, 7);
+        let a = short_session(xgene2_point("Safe"), 15.0, 7);
+        let b = short_session(xgene2_point("Safe"), 15.0, 7);
         assert_eq!(a, b);
     }
 
@@ -1162,7 +1170,7 @@ mod tests {
     fn reference_executor_matches_wave_engine() {
         let make = || {
             TestSession::new(
-                dut(OperatingPoint::vmin_2400()),
+                dut(xgene2_point("Vmin")),
                 Flux::per_cm2_s(WORKING_FLUX),
                 SessionLimits::time_boxed(SimDuration::from_minutes(30.0)),
             )
@@ -1180,7 +1188,7 @@ mod tests {
         // loop does.
         let make = || {
             TestSession::new(
-                dut(OperatingPoint::vmin_2400()),
+                dut(xgene2_point("Vmin")),
                 Flux::per_cm2_s(WORKING_FLUX),
                 SessionLimits {
                     max_error_events: 7,
@@ -1204,7 +1212,7 @@ mod tests {
         let mut sdcs = 0u64;
         let mut events = 0u64;
         for seed in 80..83 {
-            let report = short_session(OperatingPoint::vmin_2400(), 400.0, seed);
+            let report = short_session(xgene2_point("Vmin"), 400.0, seed);
             let shares = report.failure_shares();
             let total: f64 = shares.values().sum();
             assert!((total - 1.0).abs() < 1e-9);
@@ -1233,7 +1241,7 @@ mod tests {
         let mut upsets = 0u64;
         let mut expected = 0.0;
         for seed in 90..95 {
-            let report = short_session(OperatingPoint::nominal(), 60.0, seed);
+            let report = short_session(xgene2_point("Nominal"), 60.0, seed);
             assert!(report.memory_upsets > 0, "seed {seed} saw no upsets");
             // FIT per observed count at this session's fluence.
             let per_count = report.memory_ser_fit_per_mbit(mbit) / report.memory_upsets as f64;
@@ -1250,7 +1258,7 @@ mod tests {
     #[should_panic(expected = "beam-off session")]
     fn beam_off_without_time_limit_is_rejected() {
         let _ = TestSession::new(
-            dut(OperatingPoint::nominal()),
+            dut(xgene2_point("Nominal")),
             Flux::per_cm2_s(0.0),
             SessionLimits::standard(),
         );
@@ -1259,7 +1267,7 @@ mod tests {
     #[test]
     fn beam_off_time_boxed_session_sees_nothing() {
         let mut session = TestSession::new(
-            dut(OperatingPoint::nominal()),
+            dut(xgene2_point("Nominal")),
             Flux::per_cm2_s(0.0),
             SessionLimits::time_boxed(SimDuration::from_minutes(5.0)),
         );
@@ -1273,7 +1281,7 @@ mod tests {
     fn soc_vmin_lookup_unused_at_900mhz_left_intact() {
         // Smoke: a 900 MHz session runs and the L3 keeps its SoC-domain
         // rate (checked in detail in dut tests).
-        let report = short_session(OperatingPoint::vmin_900(), 20.0, 10);
+        let report = short_session(xgene2_point("Vmin 900 MHz"), 20.0, 10);
         assert!(report.memory_upsets > 0);
         assert_eq!(report.operating_point.pmd, Millivolts::new(790));
     }
@@ -1406,7 +1414,7 @@ mod tests {
                 );
             }
             let runs = case.script.len() as u64;
-            let report = acc.into_report(OperatingPoint::nominal(), StopReason::BeamTime);
+            let report = acc.into_report(xgene2_point("Nominal"), StopReason::BeamTime);
             let count = |class| report.failures.get(&class).copied().unwrap_or(0);
             assert_eq!(count(FailureClass::Sdc), case.sdc, "{}", case.name);
             assert_eq!(count(FailureClass::AppCrash), case.app, "{}", case.name);
@@ -1476,7 +1484,7 @@ mod tests {
     fn zero_timeout_quarantines_every_trial_deterministically() {
         let run = |jobs: usize| {
             let mut session = TestSession::new(
-                dut(OperatingPoint::nominal()),
+                dut(xgene2_point("Nominal")),
                 Flux::per_cm2_s(WORKING_FLUX),
                 SessionLimits::time_boxed(SimDuration::from_minutes(5.0)),
             );
@@ -1526,7 +1534,7 @@ mod tests {
         // of trials.
         let quiet_flux = Flux::per_cm2_s(WORKING_FLUX * 1e-3);
         let limits = SessionLimits::time_boxed(SimDuration::from_minutes(10.0));
-        let make = || TestSession::new(dut(OperatingPoint::nominal()), quiet_flux, limits);
+        let make = || TestSession::new(dut(xgene2_point("Nominal")), quiet_flux, limits);
 
         let mut reference_log = crate::trace::Logbook::new();
         let reference = make().run_reference(&mut SimRng::seed_from(23), &mut reference_log);
@@ -1592,7 +1600,7 @@ mod tests {
     fn robust_path_matches_plain_run_when_nothing_fails() {
         let make = || {
             TestSession::new(
-                dut(OperatingPoint::vmin_2400()),
+                dut(xgene2_point("Vmin")),
                 Flux::per_cm2_s(WORKING_FLUX),
                 SessionLimits::time_boxed(SimDuration::from_minutes(20.0)),
             )
@@ -1684,13 +1692,13 @@ mod tests {
     /// one session at Vmin @ 2.4 GHz, where these tests run.
     fn journal_config() -> crate::campaign::CampaignConfig {
         let mut config = crate::campaign::CampaignConfig::paper_scaled(0.01);
-        config.sessions = vec![(OperatingPoint::vmin_2400(), SessionLimits::standard())];
+        config.sessions = vec![(xgene2_point("Vmin"), SessionLimits::standard())];
         config
     }
 
     fn vmin_session(limits: SessionLimits) -> TestSession {
         TestSession::new(
-            dut(OperatingPoint::vmin_2400()),
+            dut(xgene2_point("Vmin")),
             Flux::per_cm2_s(WORKING_FLUX),
             limits,
         )

@@ -349,6 +349,13 @@ fn validated_sessions(
 mod tests {
     use super::*;
 
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
+
     /// A body whose explicit schedule is one five-minute session, with
     /// `extra` members before it.
     fn one_session(extra: &str, pmd_mv: &str, soc_mv: &str, freq_mhz: &str) -> String {
@@ -387,7 +394,7 @@ mod tests {
         .expect("valid");
         let config = spec.config();
         assert_eq!(config.sessions.len(), 2);
-        assert_eq!(config.sessions[0].0, OperatingPoint::nominal());
+        assert_eq!(config.sessions[0].0, xgene2_point("Nominal"));
         assert_eq!(
             config.sessions[1].1.max_duration,
             Some(SimDuration::from_minutes(5.0))

@@ -394,8 +394,16 @@ mod tests {
     use crate::dut::DeviceUnderTest;
     use crate::session::{SessionLimits, SessionReport, TestSession};
     use serscale_soc::platform::OperatingPoint;
+    use serscale_soc::PlatformSpec;
     use serscale_stats::SimRng;
     use serscale_types::Flux;
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     /// Runs `session` on one worker with no journal, reporting to
     /// `observer`.
@@ -415,7 +423,7 @@ mod tests {
     }
 
     fn logbook_for(minutes: f64, seed: u64) -> (SessionReport, Logbook) {
-        let point = OperatingPoint::vmin_2400();
+        let point = xgene2_point("Vmin");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
             dut,
@@ -510,7 +518,7 @@ mod tests {
         let (_, logbook) = logbook_for(10.0, 6);
         match logbook.events().first() {
             Some(LogEvent::SessionStarted { point, .. }) => {
-                assert_eq!(*point, OperatingPoint::vmin_2400());
+                assert_eq!(*point, xgene2_point("Vmin"));
             }
             other => panic!("first event must be SessionStarted, got {other:?}"),
         }
@@ -547,7 +555,7 @@ mod tests {
 
     #[test]
     fn tee_feeds_both_observers_in_order() {
-        let point = OperatingPoint::safe();
+        let point = xgene2_point("Safe");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
             dut,
@@ -584,7 +592,7 @@ mod tests {
 
     #[test]
     fn observed_and_plain_runs_agree() {
-        let point = OperatingPoint::safe();
+        let point = xgene2_point("Safe");
         let make = || {
             let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
             TestSession::new(

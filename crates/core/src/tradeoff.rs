@@ -85,6 +85,14 @@ pub fn susceptibility_ratio(session: &SessionReport, baseline: &SessionReport) -
 mod tests {
     use super::*;
     use crate::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
+    use serscale_soc::PlatformSpec;
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     fn quick_report() -> &'static CampaignReport {
         // Equal-length sixteen-hour sessions, computed once and shared by
@@ -112,7 +120,7 @@ mod tests {
     #[test]
     fn figure9_rows_shape() {
         let report = quick_report();
-        let rows = power_vs_upsets(report, &PowerModel::xgene2());
+        let rows = power_vs_upsets(report, &PowerModel::for_platform(&PlatformSpec::xgene2()));
         assert_eq!(rows.len(), 4);
         // Power decreases monotonically down Table 3's column order.
         for pair in rows.windows(2) {
@@ -131,7 +139,8 @@ mod tests {
     #[test]
     fn figure10_rows_shape() {
         let report = quick_report();
-        let rows = savings_vs_susceptibility(report, &PowerModel::xgene2());
+        let rows =
+            savings_vs_susceptibility(report, &PowerModel::for_platform(&PlatformSpec::xgene2()));
         assert_eq!(rows.len(), 3);
         // Paper: savings 8.7% → 11.0% → 48.1%.
         assert!(rows[0].power_savings > 0.06 && rows[0].power_savings < 0.11);
@@ -148,7 +157,8 @@ mod tests {
         // Observation #7: at 2.4 GHz susceptibility rises faster than
         // savings; at 900 MHz the frequency cut buys savings "for free".
         let report = quick_report();
-        let rows = savings_vs_susceptibility(report, &PowerModel::xgene2());
+        let rows =
+            savings_vs_susceptibility(report, &PowerModel::for_platform(&PlatformSpec::xgene2()));
         let at_900 = rows
             .iter()
             .find(|r| r.point.frequency.get() == 900)
@@ -164,9 +174,7 @@ mod tests {
     fn susceptibility_ratio_vs_baseline() {
         let report = quick_report();
         let base = report.baseline().unwrap();
-        let vmin900 = report
-            .session_at(serscale_soc::platform::OperatingPoint::vmin_900())
-            .unwrap();
+        let vmin900 = report.session_at(xgene2_point("Vmin 900 MHz")).unwrap();
         let ratio = susceptibility_ratio(vmin900, base);
         // Table 2: 1.182/1.011 ≈ 1.17.
         assert!(ratio > 1.05 && ratio < 1.35, "ratio = {ratio}");

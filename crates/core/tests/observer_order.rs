@@ -16,6 +16,7 @@ use serscale_core::session::{SessionLimits, StopReason, TestSession};
 use serscale_core::trace::{SessionObserver, WaveStats};
 use serscale_soc::edac::EdacRecord;
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, SimDuration, SimInstant};
 use serscale_workload::Benchmark;
@@ -84,7 +85,7 @@ proptest! {
         jobs in prop::sample::select(vec![1usize, 2, 8]),
         point_idx in prop::sample::select(vec![0usize, 1, 2, 3]),
     ) {
-        let point = OperatingPoint::CAMPAIGN[point_idx];
+        let point = PlatformSpec::xgene2().campaign[point_idx].point;
 
         let mut waved = StampRecorder::default();
         session(point, minutes)

@@ -40,14 +40,6 @@ impl PState {
             frequency: self.frequency,
         }
     }
-
-    /// The operating point DVFS would set for this state on the X-Gene 2
-    /// (SoC rail at its 950 mV nominal). Platform-aware callers should
-    /// use [`PState::operating_point_with`] or
-    /// [`DvfsTable::operating_point_at`].
-    pub fn operating_point(&self) -> OperatingPoint {
-        self.operating_point_with(Millivolts::new(950))
-    }
 }
 
 /// A platform's DVFS table: every PLL grid step from the spec's minimum
@@ -200,8 +192,10 @@ mod tests {
     #[test]
     fn dvfs_points_validate_against_the_regulator() {
         let soc = Platform::default();
-        for s in table().states() {
-            soc.validate(s.operating_point())
+        let t = table();
+        for s in t.states() {
+            let point = t.operating_point_at(s.frequency).unwrap();
+            soc.validate(point)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.frequency));
         }
     }

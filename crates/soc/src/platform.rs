@@ -53,7 +53,8 @@ impl ArrayInstance {
 }
 
 /// A complete voltage/frequency setting of the chip — one column of
-/// Table 3.
+/// Table 3. A platform's campaign points come from its spec
+/// ([`PlatformSpec::campaign`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperatingPoint {
     /// PMD-domain (cores, L1/L2, TLBs) supply voltage.
@@ -65,52 +66,6 @@ pub struct OperatingPoint {
 }
 
 impl OperatingPoint {
-    /// Nominal conditions: 980 mV / 950 mV at 2.4 GHz (Table 3 row 1).
-    pub const fn nominal() -> Self {
-        OperatingPoint {
-            pmd: Millivolts::new(980),
-            soc: Millivolts::new(950),
-            frequency: Megahertz::new(2400),
-        }
-    }
-
-    /// The "safe" reduced setting: 930 mV / 925 mV at 2.4 GHz (row 2).
-    pub const fn safe() -> Self {
-        OperatingPoint {
-            pmd: Millivolts::new(930),
-            soc: Millivolts::new(925),
-            frequency: Megahertz::new(2400),
-        }
-    }
-
-    /// The 2.4 GHz Vmin: 920 mV / 920 mV (row 3).
-    pub const fn vmin_2400() -> Self {
-        OperatingPoint {
-            pmd: Millivolts::new(920),
-            soc: Millivolts::new(920),
-            frequency: Megahertz::new(2400),
-        }
-    }
-
-    /// The 900 MHz Vmin: 790 mV PMD with the SoC held at its 950 mV
-    /// nominal (row 4).
-    pub const fn vmin_900() -> Self {
-        OperatingPoint {
-            pmd: Millivolts::new(790),
-            soc: Millivolts::new(950),
-            frequency: Megahertz::new(900),
-        }
-    }
-
-    /// The four operating points of the paper's campaign, in Table 2/3
-    /// session order.
-    pub const CAMPAIGN: [OperatingPoint; 4] = [
-        Self::nominal(),
-        Self::safe(),
-        Self::vmin_2400(),
-        Self::vmin_900(),
-    ];
-
     /// A short label like `"980mV@2.4GHz"`.
     pub fn label(&self) -> String {
         format!("{}mV@{}", self.pmd.get(), self.frequency)
@@ -335,7 +290,8 @@ mod tests {
     #[test]
     fn campaign_operating_points_validate() {
         let soc = Platform::default();
-        for point in OperatingPoint::CAMPAIGN {
+        assert_eq!(soc.spec().campaign.len(), 4);
+        for point in soc.spec().campaign_points() {
             soc.validate(point)
                 .unwrap_or_else(|e| panic!("{}: {e}", point.label()));
         }
@@ -344,24 +300,25 @@ mod tests {
     #[test]
     fn validation_rejects_bad_points() {
         let soc = Platform::default();
+        let nominal = soc.nominal_point();
         // Above nominal.
-        let mut p = OperatingPoint::nominal();
+        let mut p = nominal;
         p.pmd = Millivolts::new(1000);
         assert!(soc.validate(p).is_err());
         // Off-grid voltage.
-        let mut p = OperatingPoint::nominal();
+        let mut p = nominal;
         p.pmd = Millivolts::new(977);
         assert!(soc.validate(p).is_err());
         // Implausibly low.
-        let mut p = OperatingPoint::nominal();
+        let mut p = nominal;
         p.pmd = Millivolts::new(400);
         assert!(soc.validate(p).is_err());
         // Off-grid frequency.
-        let mut p = OperatingPoint::nominal();
+        let mut p = nominal;
         p.frequency = Megahertz::new(1000);
         assert!(soc.validate(p).is_err());
         // Too fast.
-        let mut p = OperatingPoint::nominal();
+        let mut p = nominal;
         p.frequency = Megahertz::new(2700);
         assert!(soc.validate(p).is_err());
     }
@@ -434,7 +391,8 @@ mod tests {
     #[test]
     fn operating_point_domain_lookup() {
         let xgene = Platform::default();
-        let p = OperatingPoint::vmin_900();
+        // The 790 mV / 900 MHz session holds the SoC rail at nominal.
+        let p = xgene.spec().campaign[3].point;
         let at = |domain| xgene.domain_voltage(p, domain);
         assert_eq!(at(VoltageDomain::Pmd), Millivolts::new(790));
         assert_eq!(at(VoltageDomain::Soc), Millivolts::new(950));
@@ -451,8 +409,13 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(OperatingPoint::nominal().label(), "980mV@2.4 GHz");
-        assert_eq!(OperatingPoint::vmin_900().label(), "790mV@900 MHz");
+        let point = |pmd, soc, frequency| OperatingPoint {
+            pmd: Millivolts::new(pmd),
+            soc: Millivolts::new(soc),
+            frequency: Megahertz::new(frequency),
+        };
+        assert_eq!(point(980, 950, 2400).label(), "980mV@2.4 GHz");
+        assert_eq!(point(790, 950, 900).label(), "790mV@900 MHz");
     }
 
     #[test]

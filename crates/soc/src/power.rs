@@ -35,68 +35,19 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// The model fitted to the paper's Figure 9 measurements (see module
-    /// docs).
-    pub fn xgene2() -> Self {
-        let nominal = OperatingPoint::nominal();
-        PowerModel {
-            pmd_dynamic: 13.00,
-            pmd_static: 0.00,
-            soc_dynamic: 7.25,
-            soc_static: 0.15,
-            pmd_nominal: nominal.pmd,
-            soc_nominal: nominal.soc,
-            freq_nominal: nominal.frequency,
-        }
-    }
-
-    /// Builds a model from a platform spec's power block, anchored at the
-    /// spec's rail nominals and maximum frequency.
+    /// Builds a model from a platform spec's power block (watts at
+    /// nominal, finite and non-negative by validation), anchored at the
+    /// spec's rail nominals and maximum frequency. The X-Gene 2's block
+    /// holds the Figure 9 fit of the module docs.
     pub fn for_platform(spec: &PlatformSpec) -> Self {
-        Self::new(
-            spec.power.pmd_dynamic_w,
-            spec.power.pmd_static_w,
-            spec.power.soc_dynamic_w,
-            spec.power.soc_static_w,
-            spec.pmd_rail.nominal,
-            spec.soc_rail.nominal,
-            spec.freq_max,
-        )
-    }
-
-    /// Creates a model from explicit constants (all in watts at nominal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any constant is negative or non-finite.
-    pub fn new(
-        pmd_dynamic: f64,
-        pmd_static: f64,
-        soc_dynamic: f64,
-        soc_static: f64,
-        pmd_nominal: Millivolts,
-        soc_nominal: Millivolts,
-        freq_nominal: Megahertz,
-    ) -> Self {
-        for (name, v) in [
-            ("pmd_dynamic", pmd_dynamic),
-            ("pmd_static", pmd_static),
-            ("soc_dynamic", soc_dynamic),
-            ("soc_static", soc_static),
-        ] {
-            assert!(
-                v.is_finite() && v >= 0.0,
-                "{name} must be finite and non-negative"
-            );
-        }
         PowerModel {
-            pmd_dynamic,
-            pmd_static,
-            soc_dynamic,
-            soc_static,
-            pmd_nominal,
-            soc_nominal,
-            freq_nominal,
+            pmd_dynamic: spec.power.pmd_dynamic_w,
+            pmd_static: spec.power.pmd_static_w,
+            soc_dynamic: spec.power.soc_dynamic_w,
+            soc_static: spec.power.soc_static_w,
+            pmd_nominal: spec.pmd_rail.nominal,
+            soc_nominal: spec.soc_rail.nominal,
+            freq_nominal: spec.freq_max,
         }
     }
 
@@ -117,10 +68,11 @@ impl PowerModel {
     /// Total package power (both scaled domains).
     ///
     /// ```
-    /// use serscale_soc::{platform::OperatingPoint, PowerModel};
+    /// use serscale_soc::{PlatformSpec, PowerModel};
     ///
-    /// let model = PowerModel::xgene2();
-    /// let p = model.total_power(OperatingPoint::nominal());
+    /// let spec = PlatformSpec::xgene2();
+    /// let model = PowerModel::for_platform(&spec);
+    /// let p = model.total_power(spec.nominal_point());
     /// assert!((p.get() - 20.40).abs() < 0.05);
     /// ```
     pub fn total_power(&self, point: OperatingPoint) -> Watts {
@@ -142,27 +94,35 @@ impl PowerModel {
     }
 }
 
-impl Default for PowerModel {
-    fn default() -> Self {
-        Self::xgene2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const PAPER_POINTS: [(OperatingPoint, f64); 4] = [
-        (OperatingPoint::nominal(), 20.40),
-        (OperatingPoint::safe(), 18.63),
-        (OperatingPoint::vmin_2400(), 18.15),
-        (OperatingPoint::vmin_900(), 10.59),
+    fn model() -> PowerModel {
+        PowerModel::for_platform(&PlatformSpec::xgene2())
+    }
+
+    fn point(pmd: u32, soc: u32, frequency: u32) -> OperatingPoint {
+        OperatingPoint {
+            pmd: Millivolts::new(pmd),
+            soc: Millivolts::new(soc),
+            frequency: Megahertz::new(frequency),
+        }
+    }
+
+    /// Figure 9's four measured points: `(pmd, soc, MHz, watts)`.
+    const PAPER_POINTS: [(u32, u32, u32, f64); 4] = [
+        (980, 950, 2400, 20.40),
+        (930, 925, 2400, 18.63),
+        (920, 920, 2400, 18.15),
+        (790, 950, 900, 10.59),
     ];
 
     #[test]
     fn calibration_matches_figure9_within_300mw() {
-        let model = PowerModel::xgene2();
-        for (point, paper) in PAPER_POINTS {
+        let model = model();
+        for (pmd, soc, frequency, paper) in PAPER_POINTS {
+            let point = point(pmd, soc, frequency);
             let p = model.total_power(point).get();
             assert!(
                 (p - paper).abs() < 0.30,
@@ -174,13 +134,13 @@ mod tests {
 
     #[test]
     fn savings_match_figure10() {
-        let model = PowerModel::xgene2();
-        let base = OperatingPoint::nominal();
+        let model = model();
+        let base = point(980, 950, 2400);
         // Paper: 8.7%, 11.0%, 48.1%. The model's smooth fit lands within
         // ~1.5 percentage points.
-        let s930 = model.savings(OperatingPoint::safe(), base);
-        let s920 = model.savings(OperatingPoint::vmin_2400(), base);
-        let s790 = model.savings(OperatingPoint::vmin_900(), base);
+        let s930 = model.savings(point(930, 925, 2400), base);
+        let s920 = model.savings(point(920, 920, 2400), base);
+        let s790 = model.savings(point(790, 950, 900), base);
         assert!((s930 - 0.087).abs() < 0.015, "s930 = {s930}");
         assert!((s920 - 0.110).abs() < 0.015, "s920 = {s920}");
         assert!((s790 - 0.481).abs() < 0.015, "s790 = {s790}");
@@ -189,15 +149,10 @@ mod tests {
 
     #[test]
     fn power_monotone_in_voltage() {
-        let model = PowerModel::xgene2();
+        let model = model();
         let mut prev = f64::INFINITY;
         for mv in [980u32, 960, 940, 920, 900] {
-            let point = OperatingPoint {
-                pmd: Millivolts::new(mv),
-                soc: Millivolts::new(920),
-                frequency: Megahertz::new(2400),
-            };
-            let p = model.total_power(point).get();
+            let p = model.total_power(point(mv, 920, 2400)).get();
             assert!(p < prev);
             prev = p;
         }
@@ -205,24 +160,16 @@ mod tests {
 
     #[test]
     fn power_scales_linearly_with_frequency() {
-        let model = PowerModel::xgene2();
-        let at = |f: u32| {
-            model
-                .pmd_power(OperatingPoint {
-                    pmd: Millivolts::new(980),
-                    soc: Millivolts::new(950),
-                    frequency: Megahertz::new(f),
-                })
-                .get()
-        };
+        let model = model();
+        let at = |f: u32| model.pmd_power(point(980, 950, f)).get();
         // Pure dynamic PMD: halving f halves PMD power.
         assert!((at(1200) / at(2400) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn soc_power_ignores_frequency() {
-        let model = PowerModel::xgene2();
-        let mut p = OperatingPoint::nominal();
+        let model = model();
+        let mut p = point(980, 950, 2400);
         let a = model.soc_power(p);
         p.frequency = Megahertz::new(300);
         assert_eq!(model.soc_power(p), a);
@@ -230,10 +177,18 @@ mod tests {
 
     #[test]
     fn spec_built_model_matches_the_calibrated_one() {
-        assert_eq!(
-            PowerModel::for_platform(&PlatformSpec::xgene2()),
-            PowerModel::xgene2()
-        );
+        // The least-squares fit of the module docs, in watts at 980 mV /
+        // 950 mV / 2.4 GHz.
+        let fitted = PowerModel {
+            pmd_dynamic: 13.00,
+            pmd_static: 0.00,
+            soc_dynamic: 7.25,
+            soc_static: 0.15,
+            pmd_nominal: Millivolts::new(980),
+            soc_nominal: Millivolts::new(950),
+            freq_nominal: Megahertz::new(2400),
+        };
+        assert_eq!(model(), fitted);
     }
 
     #[test]
@@ -249,9 +204,10 @@ mod tests {
 
     #[test]
     fn workload_factor_scales_total() {
-        let model = PowerModel::xgene2();
-        let base = model.total_power(OperatingPoint::nominal());
-        let heavy = model.workload_power(OperatingPoint::nominal(), 1.04);
+        let model = model();
+        let nominal = point(980, 950, 2400);
+        let base = model.total_power(nominal);
+        let heavy = model.workload_power(nominal, 1.04);
         assert!((heavy.get() / base.get() - 1.04).abs() < 1e-9);
     }
 }

@@ -85,18 +85,6 @@ pub struct SlimPro {
 }
 
 impl SlimPro {
-    /// Boots the management processor at the X-Gene 2's nominal
-    /// conditions.
-    pub fn new() -> Self {
-        SlimPro {
-            platform: Platform::default(),
-            power_model: PowerModel::xgene2(),
-            thermal: ThermalModel::beam_room(),
-            point: OperatingPoint::nominal(),
-            health_log: EdacLog::new(),
-        }
-    }
-
     /// Boots the management processor of an arbitrary platform at that
     /// platform's nominal conditions.
     pub fn for_platform(spec: &PlatformSpec) -> Self {
@@ -206,28 +194,27 @@ impl SlimPro {
     }
 }
 
-impl Default for SlimPro {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edac::EdacSeverity;
     use serscale_types::{ArrayKind, SimInstant};
 
+    /// The X-Gene 2's management processor.
+    fn xgene2() -> SlimPro {
+        SlimPro::for_platform(&PlatformSpec::xgene2())
+    }
+
     #[test]
     fn boots_at_nominal() {
-        let sp = SlimPro::new();
-        assert_eq!(sp.operating_point(), OperatingPoint::nominal());
+        let sp = xgene2();
+        assert_eq!(sp.operating_point(), PlatformSpec::xgene2().nominal_point());
     }
 
     #[test]
     fn campaign_transitions_apply() {
-        let mut sp = SlimPro::new();
-        for target in OperatingPoint::CAMPAIGN {
+        let mut sp = xgene2();
+        for target in PlatformSpec::xgene2().campaign_points() {
             sp.apply_point(target)
                 .unwrap_or_else(|e| panic!("{}: {e}", target.label()));
             assert_eq!(sp.operating_point(), target);
@@ -236,7 +223,7 @@ mod tests {
 
     #[test]
     fn rejects_off_grid_voltage_without_side_effects() {
-        let mut sp = SlimPro::new();
+        let mut sp = xgene2();
         let before = sp.operating_point();
         let r = sp.execute(Command::SetVoltage {
             domain: VoltageDomain::Pmd,
@@ -248,7 +235,7 @@ mod tests {
 
     #[test]
     fn rejects_overvolting_and_standby_control() {
-        let mut sp = SlimPro::new();
+        let mut sp = xgene2();
         let over = sp.execute(Command::SetVoltage {
             domain: VoltageDomain::Pmd,
             level: Millivolts::new(1005),
@@ -263,8 +250,10 @@ mod tests {
 
     #[test]
     fn sensors_track_the_operating_point() {
-        let mut sp = SlimPro::new();
-        sp.apply_point(OperatingPoint::vmin_900()).unwrap();
+        let mut sp = xgene2();
+        // The 790 mV / 900 MHz session.
+        sp.apply_point(PlatformSpec::xgene2().campaign[3].point)
+            .unwrap();
         match sp.execute(Command::ReadSensors) {
             Response::Sensors(s) => {
                 assert_eq!(s.pmd, Millivolts::new(790));
@@ -278,7 +267,7 @@ mod tests {
 
     #[test]
     fn health_log_drains_once() {
-        let mut sp = SlimPro::new();
+        let mut sp = xgene2();
         sp.report_health(EdacRecord {
             time: SimInstant::from_secs(1.0),
             array: ArrayKind::L3Shared,
@@ -313,7 +302,7 @@ mod tests {
 
     #[test]
     fn bad_frequency_rejected() {
-        let mut sp = SlimPro::new();
+        let mut sp = xgene2();
         let r = sp.execute(Command::SetFrequency {
             frequency: Megahertz::new(1000),
         });

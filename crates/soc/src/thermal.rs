@@ -78,13 +78,23 @@ impl Default for ThermalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::OperatingPoint;
-    use crate::PowerModel;
+    use crate::{PlatformSpec, PowerModel};
+
+    /// The X-Gene 2's package power at each campaign point, nominal
+    /// first.
+    fn campaign_power() -> Vec<(String, Watts)> {
+        let spec = PlatformSpec::xgene2();
+        let model = PowerModel::for_platform(&spec);
+        spec.campaign
+            .iter()
+            .map(|c| (c.label.clone(), model.total_power(c.point)))
+            .collect()
+    }
 
     #[test]
     fn nominal_draw_lands_in_the_papers_band() {
         let thermal = ThermalModel::beam_room();
-        let power = PowerModel::xgene2().total_power(OperatingPoint::nominal());
+        let power = campaign_power()[0].1;
         let t = thermal.die_temperature(power);
         assert!(
             t.is_within(Celsius::new(40.0), Celsius::new(45.0)),
@@ -97,13 +107,10 @@ mod tests {
         // Lower-power points run cooler, so the whole campaign stays
         // inside the 50 °C stability window the paper verified.
         let thermal = ThermalModel::beam_room();
-        let power_model = PowerModel::xgene2();
-        for point in OperatingPoint::CAMPAIGN {
-            let power = power_model.total_power(point);
+        for (label, power) in campaign_power() {
             assert!(
                 thermal.within_vmin_stable_window(power),
-                "{} at {}",
-                point.label(),
+                "{label} at {}",
                 thermal.die_temperature(power)
             );
         }
@@ -112,9 +119,10 @@ mod tests {
     #[test]
     fn undervolting_cools_the_die() {
         let thermal = ThermalModel::beam_room();
-        let power_model = PowerModel::xgene2();
-        let hot = thermal.die_temperature(power_model.total_power(OperatingPoint::nominal()));
-        let cool = thermal.die_temperature(power_model.total_power(OperatingPoint::vmin_900()));
+        let power = campaign_power();
+        // Nominal against 790 mV / 900 MHz.
+        let hot = thermal.die_temperature(power[0].1);
+        let cool = thermal.die_temperature(power[3].1);
         assert!(cool < hot);
         assert!(hot.get() - cool.get() > 8.0, "{hot} vs {cool}");
     }
@@ -122,7 +130,7 @@ mod tests {
     #[test]
     fn hot_ambient_violates_the_window() {
         let desert = ThermalModel::new(Celsius::new(45.0), 1.1);
-        let power = PowerModel::xgene2().total_power(OperatingPoint::nominal());
+        let power = campaign_power()[0].1;
         assert!(!desert.within_vmin_stable_window(power));
     }
 }

@@ -35,21 +35,6 @@ pub struct MbuModel {
 }
 
 impl MbuModel {
-    /// Per-strike probability of extending the cluster at nominal voltage.
-    ///
-    /// Calibrated so that the un-interleaved L3 sees ≈4–5 % of its events
-    /// as ≥2-bit words (Fig. 6: 0.038 uncorrected vs 0.765 corrected per
-    /// minute at 980/950 mV).
-    pub const DEFAULT_P_EXTRA: f64 = 0.047;
-
-    /// Default voltage sensitivity of cluster growth. Chosen equal to the
-    /// per-bit σ sensitivity: both stem from the same Qcrit shrinkage.
-    pub const DEFAULT_VOLTAGE_SENSITIVITY: f64 = 3.2;
-
-    /// Default cluster cap (observed 28 nm neutron clusters rarely exceed
-    /// 4–8 cells).
-    pub const DEFAULT_MAX_CLUSTER: u32 = 8;
-
     /// Creates a model.
     ///
     /// # Panics
@@ -80,17 +65,6 @@ impl MbuModel {
             voltage_sensitivity,
             max_cluster,
         }
-    }
-
-    /// The default 28 nm model calibrated against the paper (see constant
-    /// docs).
-    pub fn tech_28nm() -> Self {
-        Self::new(
-            Self::DEFAULT_P_EXTRA,
-            Millivolts::new(980),
-            Self::DEFAULT_VOLTAGE_SENSITIVITY,
-            Self::DEFAULT_MAX_CLUSTER,
-        )
     }
 
     /// The cluster-extension probability at the given voltage, clamped
@@ -142,18 +116,18 @@ impl MbuModel {
     }
 }
 
-impl Default for MbuModel {
-    fn default() -> Self {
-        Self::tech_28nm()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The X-Gene 2's PMD-domain calibration (`platforms/xgene2.json`):
+    /// the un-interleaved L3 sees ≈4–5 % of its events as ≥2-bit words
+    /// (Fig. 6: 0.038 uncorrected vs 0.765 corrected per minute), the
+    /// sensitivity equals the per-bit σ's, and clusters stop at 8 cells.
+    const P_EXTRA: f64 = 0.047;
+
     fn model() -> MbuModel {
-        MbuModel::tech_28nm()
+        MbuModel::new(P_EXTRA, Millivolts::new(980), 3.2, 8)
     }
 
     #[test]
@@ -163,7 +137,7 @@ mod tests {
         let p920 = m.p_extra(Millivolts::new(920));
         let p790 = m.p_extra(Millivolts::new(790));
         assert!(p980 < p920 && p920 < p790);
-        assert!((p980 - MbuModel::DEFAULT_P_EXTRA).abs() < 1e-12);
+        assert!((p980 - P_EXTRA).abs() < 1e-12);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! σ(V) = σ(V₀) · exp( k · (1 − V/V₀) ),   k = Qcrit(V₀) / Qs
 //! ```
 //!
-//! a single dimensionless *voltage sensitivity* `k`. The default `k` is
+//! a single dimensionless *voltage sensitivity* `k`. The X-Gene 2's `k` is
 //! calibrated against the paper's own per-level upset rates (Figures 6–7;
 //! see `DESIGN.md` §3): with `k ≈ 3.2`, the model reproduces the measured
 //! PMD-array rate increase at 930/920/790 mV and — because the L3 sits on
@@ -44,14 +44,6 @@ pub struct SoftErrorModel {
 }
 
 impl SoftErrorModel {
-    /// The per-bit cross-section of 28 nm planar SRAM at nominal voltage,
-    /// ~1.0×10⁻¹⁵ cm²/bit (Yang et al. \[83\], quoted by the paper in §3.3).
-    pub const SIGMA_28NM_NOMINAL_CM2: f64 = 1.0e-15;
-
-    /// The default voltage sensitivity calibrated against the paper's
-    /// per-cache-level upset rates (see module docs).
-    pub const DEFAULT_VOLTAGE_SENSITIVITY: f64 = 3.2;
-
     /// Creates a model from an explicit calibration point and sensitivity.
     ///
     /// # Panics
@@ -78,16 +70,6 @@ impl SoftErrorModel {
         }
     }
 
-    /// The 28 nm model the whole workspace defaults to: σ₀ = 10⁻¹⁵ cm²/bit
-    /// at 980 mV with the calibrated sensitivity.
-    pub fn tech_28nm() -> Self {
-        Self::new(
-            CrossSection::cm2(Self::SIGMA_28NM_NOMINAL_CM2),
-            Millivolts::new(980),
-            Self::DEFAULT_VOLTAGE_SENSITIVITY,
-        )
-    }
-
     /// The calibration cross-section at the nominal voltage.
     pub const fn sigma_nominal(&self) -> CrossSection {
         self.sigma_nominal
@@ -107,9 +89,10 @@ impl SoftErrorModel {
     ///
     /// ```
     /// use serscale_sram::SoftErrorModel;
-    /// use serscale_types::Millivolts;
+    /// use serscale_types::{CrossSection, Millivolts};
     ///
-    /// let m = SoftErrorModel::tech_28nm();
+    /// // 28 nm planar SRAM at the X-Gene 2's 980 mV PMD nominal.
+    /// let m = SoftErrorModel::new(CrossSection::cm2(1.0e-15), Millivolts::new(980), 3.2);
     /// let ratio = m.sigma_ratio(Millivolts::new(920));
     /// // ≈ +21% per-bit at the PMD Vmin — which blends with the unscaled
     /// // SoC-domain L3 into the chip-level +10.5% of Table 2.
@@ -138,18 +121,22 @@ impl SoftErrorModel {
     }
 }
 
-impl Default for SoftErrorModel {
-    fn default() -> Self {
-        Self::tech_28nm()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The X-Gene 2's calibration (`platforms/xgene2.json`): 28 nm planar
+    /// SRAM at ~1.0×10⁻¹⁵ cm²/bit (Yang et al. \[83\], §3.3) with the
+    /// sensitivity fitted to the per-level upset rates.
+    const SIGMA_NOMINAL_CM2: f64 = 1.0e-15;
+    const SENSITIVITY: f64 = 3.2;
+
     fn model() -> SoftErrorModel {
-        SoftErrorModel::tech_28nm()
+        SoftErrorModel::new(
+            CrossSection::cm2(SIGMA_NOMINAL_CM2),
+            Millivolts::new(980),
+            SENSITIVITY,
+        )
     }
 
     #[test]
@@ -196,9 +183,9 @@ mod tests {
         // Fig. 6 L3 (SoC domain): 950 → 920 mV gives 0.765 → 0.841
         // (+10%); the same k evaluated on the SoC nominal reproduces it.
         let m = SoftErrorModel::new(
-            CrossSection::cm2(SoftErrorModel::SIGMA_28NM_NOMINAL_CM2),
+            CrossSection::cm2(SIGMA_NOMINAL_CM2),
             Millivolts::new(950),
-            SoftErrorModel::DEFAULT_VOLTAGE_SENSITIVITY,
+            SENSITIVITY,
         );
         let r = m.sigma_ratio(Millivolts::new(920));
         assert!((r - 1.10).abs() < 0.03, "r = {r}");

@@ -542,10 +542,18 @@ impl ConvergenceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serscale_soc::PlatformSpec;
     use serscale_types::SimDuration;
 
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
+
     fn point() -> OperatingPoint {
-        OperatingPoint::vmin_2400()
+        xgene2_point("Vmin")
     }
 
     fn tracker_with_events(masked: u64, due: u64, sdc: u64, secs: f64) -> ConvergenceTracker {
@@ -699,16 +707,16 @@ mod tests {
     #[test]
     fn points_are_keyed_by_full_setting_in_first_seen_order() {
         let mut t = ConvergenceTracker::new();
-        t.session_start(OperatingPoint::vmin_2400());
+        t.session_start(xgene2_point("Vmin"));
         t.session_end(SimInstant::EPOCH + SimDuration::from_secs(60.0));
-        t.session_start(OperatingPoint::nominal());
+        t.session_start(xgene2_point("Nominal"));
         t.session_end(SimInstant::EPOCH + SimDuration::from_secs(30.0));
         // A second session at an already-seen point accumulates there.
-        t.session_start(OperatingPoint::vmin_2400());
+        t.session_start(xgene2_point("Vmin"));
         t.session_end(SimInstant::EPOCH + SimDuration::from_secs(40.0));
         let snap = t.snapshot();
         assert_eq!(snap.points.len(), 2);
-        assert_eq!(snap.points[0].voltage, OperatingPoint::vmin_2400().label());
+        assert_eq!(snap.points[0].voltage, xgene2_point("Vmin").label());
         assert_eq!(snap.points[0].sessions, 2);
         assert_eq!(snap.points[0].live_seconds, 100.0);
         assert_eq!(snap.points[1].sessions, 1);

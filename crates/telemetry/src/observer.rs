@@ -684,8 +684,16 @@ mod tests {
     use serscale_core::dut::DeviceUnderTest;
     use serscale_core::session::{SessionLimits, SessionReport, TestSession};
     use serscale_core::trace::NoopObserver;
+    use serscale_soc::PlatformSpec;
     use serscale_stats::SimRng;
     use serscale_types::Flux;
+
+    /// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+    fn xgene2_point(label: &str) -> OperatingPoint {
+        let spec = PlatformSpec::xgene2();
+        let row = spec.campaign.iter().find(|c| c.label == label);
+        row.expect("an X-Gene 2 campaign label").point
+    }
 
     /// Runs `session` from `seed` under `options` (no journal, no cancel
     /// token), reporting to `observer`.
@@ -701,7 +709,7 @@ mod tests {
     }
 
     fn run_session(observer: &mut TelemetryObserver, minutes: f64, seed: u64) {
-        let point = OperatingPoint::vmin_2400();
+        let point = xgene2_point("Vmin");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
             dut,
@@ -722,7 +730,7 @@ mod tests {
         let mut observer = sink.observer();
         run_session(&mut observer, 120.0, 11);
 
-        let point = OperatingPoint::vmin_2400();
+        let point = xgene2_point("Vmin");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
             dut,
@@ -794,7 +802,7 @@ mod tests {
         use serscale_core::session::RetryPolicy;
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
-        let point = OperatingPoint::nominal();
+        let point = xgene2_point("Nominal");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
             dut,
@@ -828,7 +836,7 @@ mod tests {
     fn worker_utilization_series_cover_the_pool() {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
-        let point = OperatingPoint::vmin_2400();
+        let point = xgene2_point("Vmin");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
             dut,

@@ -21,13 +21,15 @@
 //! ## Example
 //!
 //! ```
+//! use serscale_soc::PlatformSpec;
 //! use serscale_stats::SimRng;
-//! use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel};
+//! use serscale_undervolt::characterize::Characterizer;
 //! use serscale_types::Megahertz;
 //!
+//! let spec = PlatformSpec::xgene2();
 //! let mut rng = SimRng::seed_from(7);
-//! let harness = Characterizer::new(TimingFailureModel::xgene2(), 100);
-//! let curve = harness.sweep(&mut rng, Megahertz::new(2400));
+//! let harness = Characterizer::for_platform(&spec, 100);
+//! let curve = harness.sweep_platform(&mut rng, &spec, Megahertz::new(2400));
 //! let vmin = curve.safe_vmin().expect("sweep reaches a safe level");
 //! assert_eq!(vmin.get(), 920); // the paper's 2.4 GHz safe Vmin
 //! ```

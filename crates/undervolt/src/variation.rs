@@ -12,6 +12,7 @@
 //! produce the fleet Vmin distribution and the uniform-vs-per-chip energy
 //! comparison.
 
+use serscale_soc::PlatformSpec;
 use serscale_stats::summary::Summary;
 use serscale_stats::SimRng;
 use serscale_types::{Megahertz, Millivolts};
@@ -19,13 +20,18 @@ use serscale_types::{Megahertz, Millivolts};
 use crate::characterize::Characterizer;
 use crate::timing::TimingFailureModel;
 
-/// A manufacturing population of chips around a golden timing model.
+/// A manufacturing population of chips around a platform's golden
+/// timing model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipPopulation {
     /// The typical specimen.
     golden: TimingFailureModel,
     /// Chip-to-chip sigma of the critical voltage (mV).
     vc_sigma_mv: f64,
+    /// The platform's PMD nominal, where every specimen's sweep starts.
+    nominal: Millivolts,
+    /// The platform's characterization floor, where sweeps give up.
+    floor: Millivolts,
 }
 
 impl ChipPopulation {
@@ -34,25 +40,25 @@ impl ChipPopulation {
     /// platform family (\[74\] measured guardbands differing by tens of mV
     /// across server-grade Armv8 parts).
     pub fn xgene2_fleet() -> Self {
-        ChipPopulation {
-            golden: TimingFailureModel::xgene2(),
-            vc_sigma_mv: 8.0,
-        }
+        Self::new(&PlatformSpec::xgene2(), 8.0)
     }
 
-    /// Creates a population.
+    /// A population around a platform's specimen, swept over its own
+    /// rail range.
     ///
     /// # Panics
     ///
     /// Panics if `vc_sigma_mv` is negative or non-finite.
-    pub fn new(golden: TimingFailureModel, vc_sigma_mv: f64) -> Self {
+    pub fn new(spec: &PlatformSpec, vc_sigma_mv: f64) -> Self {
         assert!(
             vc_sigma_mv.is_finite() && vc_sigma_mv >= 0.0,
             "chip spread must be finite and non-negative"
         );
         ChipPopulation {
-            golden,
+            golden: TimingFailureModel::for_platform(spec),
             vc_sigma_mv,
+            nominal: spec.pmd_rail.nominal,
+            floor: spec.sweep_floor,
         }
     }
 
@@ -99,10 +105,15 @@ impl FleetCharacterization {
             let mut chip_rng = rng.fork_indexed("chip", u64::from(chip));
             let specimen = population.sample_chip(&mut chip_rng);
             let harness = Characterizer::new(specimen, trials_per_benchmark);
-            let curve = harness.sweep(&mut chip_rng, frequency);
+            let curve = harness.sweep_range(
+                &mut chip_rng,
+                frequency,
+                population.nominal,
+                population.floor,
+            );
             // A specimen whose sweep fails immediately has no safe level
             // below nominal; it pins the fleet at nominal.
-            vmins.push(curve.safe_vmin().unwrap_or(Millivolts::new(980)));
+            vmins.push(curve.safe_vmin().unwrap_or(population.nominal));
         }
         FleetCharacterization { frequency, vmins }
     }
@@ -216,7 +227,7 @@ mod tests {
 
     #[test]
     fn zero_spread_population_is_uniform() {
-        let pop = ChipPopulation::new(TimingFailureModel::xgene2(), 0.0);
+        let pop = ChipPopulation::new(&PlatformSpec::xgene2(), 0.0);
         let mut rng = SimRng::seed_from(5);
         let f = FleetCharacterization::run(&mut rng, &pop, Megahertz::new(2400), 10, 60);
         let (_, sd) = f.vmin_stats();

@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use serscale_core::classify::RunVerdict;
 use serscale_soc::edac::EdacSeverity;
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::ci::{poisson_ci, poisson_relative_uncertainty};
 use serscale_stats::SimRng;
 use serscale_telemetry::convergence::{ConvergenceTracker, CI_LEVEL, TARGET_REL_HALFWIDTH};
@@ -71,9 +72,10 @@ fn stream_one_arm(arm: u64, seed: u64) -> Vec<CheckResult> {
     let mut tracker = ConvergenceTracker::new();
     let mut tally = Tally::default();
 
+    let campaign: Vec<OperatingPoint> = PlatformSpec::xgene2().campaign_points().collect();
     let sessions = 2 + rng.below(4);
     for _ in 0..sessions {
-        let point = OperatingPoint::CAMPAIGN[rng.below(4) as usize];
+        let point = campaign[rng.below(campaign.len() as u64) as usize];
         let label = point.label();
         tracker.session_start(point);
         let trials = rng.below(60);
@@ -194,7 +196,7 @@ fn edge_cases() -> CheckResult {
     let rel1 = poisson_relative_uncertainty(1);
 
     let mut tracker = ConvergenceTracker::new();
-    tracker.session_start(OperatingPoint::nominal());
+    tracker.session_start(PlatformSpec::xgene2().nominal_point());
     tracker.run(RunVerdict::Correct);
     tracker.edac(ArrayKind::L1Data, EdacSeverity::Corrected);
     tracker.session_end(SimInstant::EPOCH + SimDuration::from_secs(3600.0));

@@ -15,6 +15,7 @@ use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, SessionReport, TestSession};
 use serscale_core::trace::NoopObserver;
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_sram::SoftErrorModel;
 use serscale_stats::{poisson_rate_test, SimRng};
 use serscale_types::{CrossSection, Flux, Millivolts, SimDuration, VoltageDomain};
@@ -180,8 +181,8 @@ impl StatOracle for FluenceDoubling {
         let mut base = Vec::new();
         let mut doubled_flux = Vec::new();
         let mut doubled_time = Vec::new();
+        let point = PlatformSpec::xgene2().nominal_point();
         for i in 0..b.seeds {
-            let point = OperatingPoint::nominal();
             base.push(probe_session(
                 point,
                 1.0,
@@ -233,16 +234,22 @@ impl StatOracle for VoltageMonotonicity {
     }
 
     fn run(&self, _ctx: &OracleContext) -> OracleReport {
-        let mut checks = vec![check_sigma_monotonic(&SoftErrorModel::tech_28nm(), "28nm")];
+        // The X-Gene 2's 28 nm PMD-domain SRAM, then its three 2.4 GHz
+        // campaign points in campaign order.
+        let spec = PlatformSpec::xgene2();
+        let nominal = spec.nominal_point();
+        let sram =
+            *DeviceUnderTest::xgene2(nominal, DeviceUnderTest::paper_vmin(nominal.frequency))
+                .sram_model(VoltageDomain::Pmd);
+        let mut checks = vec![check_sigma_monotonic(&sram, "28nm")];
 
-        // DUT level: stepping nominal → vmin_2400 → vmin_900 must never
+        // DUT level: stepping nominal → safe → vmin_2400 must never
         // shrink any array's observable cross-section once its own domain
         // voltage drops, and must leave it exactly alone otherwise.
-        let points = [
-            OperatingPoint::nominal(),
-            OperatingPoint::safe(),
-            OperatingPoint::vmin_2400(),
-        ];
+        let points: Vec<OperatingPoint> = spec
+            .campaign_points()
+            .filter(|p| p.frequency == nominal.frequency)
+            .collect();
         let mut ok = true;
         let mut detail = String::new();
         for pair in points.windows(2) {
@@ -294,8 +301,13 @@ impl StatOracle for DomainIsolation {
     }
 
     fn run(&self, ctx: &OracleContext) -> OracleReport {
-        let nominal = OperatingPoint::nominal();
-        let v790 = OperatingPoint::vmin_900();
+        // Nominal against the X-Gene 2's 790 mV / 900 MHz session.
+        let spec = PlatformSpec::xgene2();
+        let nominal = spec.nominal_point();
+        let v790 = spec
+            .campaign_points()
+            .find(|p| p.frequency != nominal.frequency)
+            .expect("the X-Gene 2 campaign has a 900 MHz session");
         let dut_nom =
             DeviceUnderTest::xgene2(nominal, DeviceUnderTest::paper_vmin(nominal.frequency));
         let dut_790 = DeviceUnderTest::xgene2(v790, DeviceUnderTest::paper_vmin(v790.frequency));
@@ -436,7 +448,7 @@ impl StatOracle for SpectrumRescaling {
 
     fn run(&self, ctx: &OracleContext) -> OracleReport {
         let b = ctx.budget;
-        let point = OperatingPoint::nominal();
+        let point = PlatformSpec::xgene2().nominal_point();
 
         // One long session at base flux vs the same beam time split into
         // two sessions at 1.5× flux: per-(flux × live-minute) rates agree.
@@ -562,6 +574,7 @@ mod tests {
         assert!(verdict.detail.contains("lowering Vdd lowered"));
 
         // And the genuine law passes the very same check.
-        assert!(check_sigma_monotonic(&SoftErrorModel::tech_28nm(), "real").passed);
+        let real = SoftErrorModel::new(CrossSection::cm2(1.0e-15), Millivolts::new(980), 3.2);
+        assert!(check_sigma_monotonic(&real, "real").passed);
     }
 }

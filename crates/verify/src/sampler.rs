@@ -21,6 +21,7 @@ use serscale_core::runner::BenchmarkRunner;
 use serscale_core::session::{SessionLimits, TestSession};
 use serscale_core::trace::NoopObserver;
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Megahertz, Millivolts, SimDuration, SimInstant};
 use serscale_workload::Benchmark;
@@ -109,8 +110,8 @@ impl StatOracle for SamplerEquivalence {
         // Trial-level: the four campaign points plus `seeds` randomized
         // ones, each probed over enough trials to see real strikes.
         let trials = 120 * ctx.budget.seeds;
-        let mut points: Vec<(String, OperatingPoint)> = OperatingPoint::CAMPAIGN
-            .into_iter()
+        let mut points: Vec<(String, OperatingPoint)> = PlatformSpec::xgene2()
+            .campaign_points()
             .map(|p| (p.label(), p))
             .collect();
         for k in 0..ctx.budget.seeds {

@@ -143,6 +143,11 @@ impl std::fmt::Display for Benchmark {
     }
 }
 
+/// The core clock, in MHz, at which every profile's class-A runtime is
+/// quoted (the X-Gene 2's 2.4 GHz); a run at another clock stretches in
+/// proportion.
+pub const RUNTIME_REFERENCE_MHZ: f64 = 2400.0;
+
 /// The measurable characteristics of one benchmark (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
@@ -189,7 +194,8 @@ impl WorkloadProfile {
         self.benchmark
     }
 
-    /// Class-A wall-clock runtime on the 8-core platform.
+    /// Class-A wall-clock runtime on the 8-core platform at
+    /// [`RUNTIME_REFERENCE_MHZ`].
     pub const fn runtime(&self) -> SimDuration {
         self.runtime
     }

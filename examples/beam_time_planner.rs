@@ -18,7 +18,7 @@ use serscale_core::classify::FailureClass;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, TestSession};
 use serscale_core::trace::NoopObserver;
-use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::ci::poisson_relative_uncertainty;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, SimDuration};
@@ -48,7 +48,7 @@ fn main() {
         events_needed(TARGETS[2]),
     );
 
-    for point in OperatingPoint::CAMPAIGN {
+    for point in PlatformSpec::xgene2().campaign_points() {
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut pilot = TestSession::new(
             dut,

@@ -14,7 +14,15 @@
 use serscale_core::classify::FailureClass;
 use serscale_core::fit::{class_fit, total_fit};
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_soc::PowerModel;
+
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
 
 const FLEET: f64 = 10_000.0;
 const HOURS_PER_YEAR: f64 = 24.0 * 365.25;
@@ -22,8 +30,8 @@ const HOURS_PER_YEAR: f64 = 24.0 * 365.25;
 fn main() {
     println!("simulating beam campaign (4 sessions, scaled)…");
     let report = serscale_bench::run_campaign(0.25, 7, 1);
-    let power_model = PowerModel::xgene2();
-    let baseline_power = power_model.total_power(OperatingPoint::nominal());
+    let power_model = PowerModel::for_platform(&PlatformSpec::xgene2());
+    let baseline_power = power_model.total_power(xgene2_point("Nominal"));
 
     println!("\nfleet: {FLEET:.0} servers, NYC sea level, {HOURS_PER_YEAR:.0} h/year each\n");
     println!(
@@ -56,10 +64,10 @@ fn main() {
 
     let nominal = report.baseline().expect("nominal session");
     let safe = report
-        .session_at(OperatingPoint::safe())
+        .session_at(xgene2_point("Safe"))
         .expect("930 mV session");
     let vmin = report
-        .session_at(OperatingPoint::vmin_2400())
+        .session_at(xgene2_point("Vmin"))
         .expect("920 mV session");
 
     let safe_fail_ratio = total_fit(safe).point.get() / total_fit(nominal).point.get();

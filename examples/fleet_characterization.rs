@@ -16,6 +16,7 @@
 //! ```
 
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_soc::PowerModel;
 use serscale_stats::SimRng;
 use serscale_types::{Megahertz, Millivolts};
@@ -50,7 +51,7 @@ fn main() {
 
     // Policy comparison: power at each policy's operating point, with one
     // 5 mV step of margin above the relevant Vmin (implication #2).
-    let power_model = PowerModel::xgene2();
+    let power_model = PowerModel::for_platform(&PlatformSpec::xgene2());
     let at = |pmd: Millivolts| {
         let point = OperatingPoint {
             pmd,

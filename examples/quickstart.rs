@@ -12,8 +12,16 @@ use serscale_core::fit::total_fit;
 use serscale_core::session::{SessionLimits, TestSession};
 use serscale_core::trace::NoopObserver;
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::SimDuration;
+
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
 
 fn main() {
     // The beam: TRIUMF's TNF, with the DUT raised into the halo exactly as
@@ -22,7 +30,7 @@ fn main() {
     let flux = tnf.flux_at(BeamPosition::halo(BeamPosition::PAPER_HALO_TRANSMISSION));
     println!("beam: {} at {flux}", tnf.name());
 
-    for point in [OperatingPoint::nominal(), OperatingPoint::vmin_2400()] {
+    for point in [xgene2_point("Nominal"), xgene2_point("Vmin")] {
         // The DUT needs to know the safe Vmin for its frequency — that is
         // what anchors the near-Vmin logic-susceptibility amplification.
         let vmin = DeviceUnderTest::paper_vmin(point.frequency);

@@ -9,17 +9,18 @@
 //! cargo run --release -p serscale-bench --example vmin_characterization
 //! ```
 
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
-use serscale_types::{Megahertz, Millivolts};
-use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel};
+use serscale_undervolt::characterize::Characterizer;
 
 fn main() {
-    let harness = Characterizer::new(TimingFailureModel::xgene2(), 100);
-    let nominal = Millivolts::new(980);
+    let spec = PlatformSpec::xgene2();
+    let harness = Characterizer::for_platform(&spec, 100);
+    let nominal = spec.pmd_rail.nominal;
 
-    for frequency in [Megahertz::new(2400), Megahertz::new(900)] {
+    for frequency in [spec.freq_max, spec.vmin.low_freq] {
         let mut rng = SimRng::seed_from(41).fork_indexed("sweep", u64::from(frequency.get()));
-        let curve = harness.sweep(&mut rng, frequency);
+        let curve = harness.sweep_platform(&mut rng, &spec, frequency);
 
         println!("=== characterization at {frequency} ===");
         println!("  voltage   pfail    (failures/trials)   95% CI");

@@ -19,14 +19,15 @@ use serscale_core::checkpoint::{compare_to_nominal, ledger, CheckpointScheme};
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::explore::{recommend, sweep_voltage};
 use serscale_core::fit::total_fit;
-use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_soc::PowerModel;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Millivolts};
 
 fn main() {
-    let power_model = PowerModel::xgene2();
-    let nominal = OperatingPoint::nominal();
+    let spec = PlatformSpec::xgene2();
+    let power_model = PowerModel::for_platform(&spec);
+    let nominal = spec.nominal_point();
     let template = DeviceUnderTest::xgene2(nominal, DeviceUnderTest::paper_vmin(nominal.frequency));
 
     // --- 1. the fine-grained sweep --------------------------------------

@@ -11,7 +11,15 @@ use serscale_core::classify::FailureClass;
 use serscale_core::fit::{class_fit, fit_breakdown, sdc_notification_split, total_fit};
 use serscale_core::tradeoff::{power_vs_upsets, savings_vs_susceptibility};
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_soc::PowerModel;
+
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
 
 /// One moderately sized campaign shared by all tests in this file: the
 /// paper's four operating points with EQUAL 800-minute sessions, computed
@@ -44,12 +52,10 @@ fn full_campaign_shape() {
     let report = campaign();
     assert_eq!(report.sessions.len(), 4);
     let nominal = report.baseline().expect("nominal session");
-    let safe = report.session_at(OperatingPoint::safe()).expect("930 mV");
-    let vmin = report
-        .session_at(OperatingPoint::vmin_2400())
-        .expect("920 mV");
+    let safe = report.session_at(xgene2_point("Safe")).expect("930 mV");
+    let vmin = report.session_at(xgene2_point("Vmin")).expect("920 mV");
     let vmin900 = report
-        .session_at(OperatingPoint::vmin_900())
+        .session_at(xgene2_point("Vmin 900 MHz"))
         .expect("790 mV");
 
     // --- Table 2 row 9: upset rates rise monotonically with undervolting.
@@ -149,7 +155,7 @@ fn table2_fluence_and_nyc_equivalents_scale() {
 #[test]
 fn figure9_figure10_tradeoff_shape() {
     let report = campaign();
-    let model = PowerModel::xgene2();
+    let model = PowerModel::for_platform(&PlatformSpec::xgene2());
 
     let rows = power_vs_upsets(report, &model);
     // Power monotone decreasing across the campaign order; upsets rising

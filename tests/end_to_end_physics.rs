@@ -7,8 +7,16 @@ use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, TestSession};
 use serscale_soc::edac::EdacSeverity;
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{CacheLevel, Flux, Megahertz, Millivolts, SimDuration};
+
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
 
 const WORKING_FLUX: f64 = 1.5e6;
 
@@ -36,7 +44,7 @@ fn run_session(
 #[test]
 fn observation2_larger_arrays_upset_more() {
     // Fig. 6: rate(L3) > rate(L2) > rate(L1); TLBs smallest structures.
-    let report = run_session(OperatingPoint::nominal(), 400.0, 1);
+    let report = run_session(xgene2_point("Nominal"), 400.0, 1);
     let rate = |level| report.level_rate_per_minute(level, EdacSeverity::Corrected);
     assert!(rate(CacheLevel::L3) > rate(CacheLevel::L2));
     assert!(rate(CacheLevel::L2) > rate(CacheLevel::L1));
@@ -47,7 +55,7 @@ fn observation2_larger_arrays_upset_more() {
 fn uncorrectable_errors_appear_only_in_the_uninterleaved_l3() {
     // Fig. 6/7: UEs are exclusive to the L3 because it alone lacks bit
     // interleaving — multi-cell clusters land in one SECDED word there.
-    let report = run_session(OperatingPoint::vmin_2400(), 600.0, 2);
+    let report = run_session(xgene2_point("Vmin"), 600.0, 2);
     let ue = |level| {
         report
             .edac_per_level
@@ -69,7 +77,7 @@ fn observation6_frequency_alone_leaves_sram_ser_unchanged() {
     // Same voltages, different frequency: the SRAM cross-section is
     // identical by construction, and the measured rates agree within
     // Poisson noise.
-    let at_2400 = OperatingPoint::nominal();
+    let at_2400 = xgene2_point("Nominal");
     let at_1200 = OperatingPoint {
         pmd: Millivolts::new(980),
         soc: Millivolts::new(950),
@@ -93,8 +101,8 @@ fn observation6_frequency_alone_leaves_sram_ser_unchanged() {
 fn l3_rate_immune_to_pmd_only_undervolting() {
     // Fig. 7's asymmetry: at 790 mV only the PMD domain drops; the L3
     // (SoC domain) keeps its nominal-voltage rate while L1/L2 rise.
-    let nominal = run_session(OperatingPoint::nominal(), 500.0, 4);
-    let v790 = run_session(OperatingPoint::vmin_900(), 500.0, 4);
+    let nominal = run_session(xgene2_point("Nominal"), 500.0, 4);
+    let v790 = run_session(xgene2_point("Vmin 900 MHz"), 500.0, 4);
     let ce = |r: &serscale_core::session::SessionReport, level| {
         r.level_rate_per_minute(level, EdacSeverity::Corrected)
     };
@@ -110,7 +118,7 @@ fn l3_rate_immune_to_pmd_only_undervolting() {
 fn edac_severity_accounting_is_consistent() {
     // Total EDAC records = Σ per-level counts; UEs are a small minority
     // (Fig. 6: ~4% of L3 events at nominal).
-    let report = run_session(OperatingPoint::nominal(), 400.0, 5);
+    let report = run_session(xgene2_point("Nominal"), 400.0, 5);
     let per_level_total: u64 = report.edac_per_level.values().sum();
     assert_eq!(per_level_total, report.memory_upsets);
     let ue: u64 = report
@@ -128,7 +136,7 @@ fn edac_severity_accounting_is_consistent() {
 fn crash_recovery_consumes_wall_clock() {
     // Sessions with crashes must book more wall time than pure benchmark
     // execution — the dead time the Control-PC model charges.
-    let report = run_session(OperatingPoint::nominal(), 300.0, 6);
+    let report = run_session(xgene2_point("Nominal"), 300.0, 6);
     let execution: SimDuration = report
         .per_benchmark
         .values()
@@ -150,7 +158,7 @@ fn crash_recovery_consumes_wall_clock() {
 fn per_benchmark_detection_ordering_survives_the_full_stack() {
     // Fig. 5 @ 980 mV: LU observes the most upsets per minute, CG the
     // fewest. A long session separates the calibrated factors cleanly.
-    let report = run_session(OperatingPoint::nominal(), 1600.0, 7);
+    let report = run_session(xgene2_point("Nominal"), 1600.0, 7);
     let rate = |b: serscale_workload::Benchmark| report.per_benchmark[&b].upsets_per_minute();
     use serscale_workload::Benchmark::*;
     assert!(rate(Lu) > rate(Cg), "LU {} !> CG {}", rate(Lu), rate(Cg));

@@ -10,8 +10,16 @@ use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, SessionReport, TestSession};
 use serscale_core::trace::{Logbook, NoopObserver, SessionObserver};
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, SimDuration};
+
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
 
 /// Runs `session` on `jobs` workers with no journal, drawing its seed from
 /// `rng` and reporting to `observer`.
@@ -38,7 +46,7 @@ fn campaign_is_bit_identical_across_worker_counts() {
 #[test]
 fn session_parallel_matches_sequential_for_every_stop_rule() {
     let session = |limits: SessionLimits, jobs: usize| {
-        let point = OperatingPoint::vmin_2400();
+        let point = xgene2_point("Vmin");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut s = TestSession::new(dut, Flux::per_cm2_s(1.5e6), limits);
         run(
@@ -74,7 +82,7 @@ fn session_parallel_matches_sequential_for_every_stop_rule() {
 #[test]
 fn observer_trace_is_identical_across_worker_counts() {
     let trace = |jobs: usize| {
-        let point = OperatingPoint::safe();
+        let point = xgene2_point("Safe");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut s = TestSession::new(
             dut,
@@ -102,7 +110,7 @@ fn worker_count_does_not_leak_into_successive_sessions() {
     // reproducible: the engine draws exactly one seed from the caller's
     // rng regardless of jobs.
     let pair = |jobs: usize| {
-        let point = OperatingPoint::nominal();
+        let point = xgene2_point("Nominal");
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let limits = SessionLimits::time_boxed(SimDuration::from_minutes(10.0));
         let mut rng = SimRng::seed_from(42);

@@ -10,13 +10,21 @@ use proptest::prelude::*;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_ecc::{ProtectionScheme, UpsetOutcome};
 use serscale_soc::platform::OperatingPoint;
-use serscale_sram::{MbuModel, SoftErrorModel, SramArray};
+use serscale_soc::PlatformSpec;
+use serscale_sram::{SoftErrorModel, SramArray};
 use serscale_stats::ci::{poisson_ci, wilson_ci};
 use serscale_stats::SimRng;
 use serscale_types::{
     ArrayKind, Bytes, CrossSection, Fluence, Flux, Megahertz, Millivolts, SimDuration,
-    NYC_SEA_LEVEL_FLUX,
+    VoltageDomain, NYC_SEA_LEVEL_FLUX,
 };
+
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
 
 proptest! {
     /// σ_bit(V) is monotonically non-increasing in V, for any anchoring.
@@ -74,7 +82,10 @@ proptest! {
     /// expectation) as voltage falls.
     #[test]
     fn mbu_cluster_bounds(seed in 0u64..500, mv in 600u32..1000) {
-        let model = MbuModel::tech_28nm();
+        // The X-Gene 2's PMD-domain cluster model.
+        let nominal = PlatformSpec::xgene2().nominal_point();
+        let dut = DeviceUnderTest::xgene2(nominal, DeviceUnderTest::paper_vmin(nominal.frequency));
+        let model = *dut.mbu_model(VoltageDomain::Pmd);
         let mut rng = SimRng::seed_from(seed);
         let len = model.sample_cluster_len(&mut rng, Millivolts::new(mv));
         prop_assert!((1..=model.max_cluster()).contains(&len));
@@ -124,12 +135,12 @@ proptest! {
     #[test]
     fn dut_sigma_properties(factor in 0.2f64..3.0, pmd_mv in 700u32..980) {
         let vmin = DeviceUnderTest::paper_vmin(Megahertz::new(2400));
-        let nominal = DeviceUnderTest::xgene2(OperatingPoint::nominal(), vmin);
+        let nominal = DeviceUnderTest::xgene2(xgene2_point("Nominal"), vmin);
         let base = nominal.total_observable_sram_sigma(1.0).as_cm2();
         let scaled = nominal.total_observable_sram_sigma(factor).as_cm2();
         prop_assert!((scaled / base - factor).abs() < 1e-9);
 
-        let mut point = OperatingPoint::nominal();
+        let mut point = xgene2_point("Nominal");
         point.pmd = Millivolts::new(pmd_mv - pmd_mv % 5);
         let under = DeviceUnderTest::xgene2(point, vmin);
         prop_assert!(under.total_observable_sram_sigma(1.0).as_cm2() >= base);
@@ -142,7 +153,7 @@ proptest! {
         let mv = mv - mv % 5;
         let vmin = Millivolts::new(920);
         let f = Megahertz::new(2400);
-        let logic = serscale_soc::LogicSusceptibility::xgene2();
+        let logic = serscale_soc::LogicSusceptibility::for_platform(&PlatformSpec::xgene2());
         let here = logic.sigma_data(Millivolts::new(mv), f, vmin).as_cm2();
         let lower = logic.sigma_data(Millivolts::new(mv - 5), f, vmin).as_cm2();
         prop_assert!(lower >= here);

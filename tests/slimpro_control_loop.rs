@@ -14,15 +14,23 @@ use serscale_core::session::{SessionLimits, TestSession};
 use serscale_core::trace::{LogEvent, Logbook};
 use serscale_soc::platform::OperatingPoint;
 use serscale_soc::slimpro::{Command, Response, SlimPro};
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Millivolts, SimDuration, VoltageDomain};
 
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
+
 #[test]
 fn full_mailbox_driven_session() {
-    let mut slimpro = SlimPro::new();
+    let mut slimpro = SlimPro::for_platform(&PlatformSpec::xgene2());
 
     // --- 1. Command the 920 mV transition, knob by knob. ---------------
-    let target = OperatingPoint::vmin_2400();
+    let target = xgene2_point("Vmin");
     slimpro
         .apply_point(target)
         .expect("campaign transition must be accepted");
@@ -78,7 +86,7 @@ fn full_mailbox_driven_session() {
 
 #[test]
 fn mailbox_enforces_the_same_safety_envelope_as_the_platform() {
-    let mut slimpro = SlimPro::new();
+    let mut slimpro = SlimPro::for_platform(&PlatformSpec::xgene2());
 
     // Undervolting below the plausibility floor is refused…
     let r = slimpro.execute(Command::SetVoltage {
@@ -90,7 +98,7 @@ fn mailbox_enforces_the_same_safety_envelope_as_the_platform() {
     // …and the operating point is untouched, so a session started from the
     // SLIMpro state still runs at a validated point.
     let point = slimpro.operating_point();
-    assert_eq!(point, OperatingPoint::nominal());
+    assert_eq!(point, xgene2_point("Nominal"));
     serscale_soc::Platform::default()
         .validate(point)
         .expect("SLIMpro can never hold an invalid point");
@@ -101,7 +109,7 @@ fn half_applied_transition_is_observable_via_sensors() {
     // A rejected knob mid-sequence leaves prior knobs applied — the
     // documented hardware behaviour. The Control-PC's recourse is to read
     // the sensors back, which must reflect the partial state.
-    let mut slimpro = SlimPro::new();
+    let mut slimpro = SlimPro::for_platform(&PlatformSpec::xgene2());
     let bogus = OperatingPoint {
         pmd: Millivolts::new(930),
         soc: Millivolts::new(931), // off-grid: rejected

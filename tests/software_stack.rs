@@ -5,18 +5,26 @@ use serscale_core::dut::DeviceUnderTest;
 use serscale_core::runner::BenchmarkRunner;
 use serscale_soc::edac::{EdacLog, EdacRecord};
 use serscale_soc::platform::OperatingPoint;
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Megahertz, SimInstant};
 use serscale_undervolt::{ChipPopulation, FleetCharacterization};
 use serscale_workload::kernel::Kernel;
 use serscale_workload::{run_suite_parallel, Benchmark, EpParallel};
 
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
+
 #[test]
 fn dmesg_scrape_roundtrip_through_a_beam_run() {
     // Produce real EDAC records under beam, render them to a dmesg text
     // with interleaved non-EDAC noise, scrape it back, and verify the
     // harvested counts match — the paper's §4.2 collection path.
-    let point = OperatingPoint::vmin_2400();
+    let point = xgene2_point("Vmin");
     let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
     let mut runner = BenchmarkRunner::new(dut, Flux::per_cm2_s(1.5e6));
     let mut rng = SimRng::seed_from(42);

@@ -14,18 +14,27 @@ use serscale_core::classify::RunVerdict;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::runner::BenchmarkRunner;
 use serscale_soc::platform::{OperatingPoint, Platform};
+use serscale_soc::PlatformSpec;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Megahertz, Millivolts, SimInstant};
-use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel};
+use serscale_undervolt::characterize::Characterizer;
 use serscale_workload::Benchmark;
+
+/// The X-Gene 2 campaign point `platforms/xgene2.json` labels `label`.
+fn xgene2_point(label: &str) -> OperatingPoint {
+    let spec = PlatformSpec::xgene2();
+    let row = spec.campaign.iter().find(|c| c.label == label);
+    row.expect("an X-Gene 2 campaign label").point
+}
 
 #[test]
 fn step1_characterization_finds_the_paper_vmins() {
-    let harness = Characterizer::new(TimingFailureModel::xgene2(), 100);
+    let spec = PlatformSpec::xgene2();
+    let harness = Characterizer::for_platform(&spec, 100);
     let mut rng = SimRng::seed_from(7);
-    let c24 = harness.sweep(&mut rng, Megahertz::new(2400));
+    let c24 = harness.sweep_platform(&mut rng, &spec, Megahertz::new(2400));
     let mut rng = SimRng::seed_from(7);
-    let c09 = harness.sweep(&mut rng, Megahertz::new(900));
+    let c09 = harness.sweep_platform(&mut rng, &spec, Megahertz::new(900));
     assert_eq!(c24.safe_vmin(), Some(Millivolts::new(920)));
     assert_eq!(c09.safe_vmin(), Some(Millivolts::new(790)));
     // And the safe Vmin really was failure-free across all benchmarks.
@@ -41,7 +50,7 @@ fn step1_characterization_finds_the_paper_vmins() {
 #[test]
 fn step2_campaign_points_validate_against_the_regulator() {
     let soc = Platform::default();
-    for point in OperatingPoint::CAMPAIGN {
+    for point in soc.spec().campaign_points() {
         soc.validate(point)
             .expect("campaign points are regulator-legal");
     }
@@ -51,7 +60,7 @@ fn step2_campaign_points_validate_against_the_regulator() {
 fn step3_no_beam_no_errors_at_every_campaign_point() {
     // The keystone: at safe voltages with the beam off, every benchmark
     // runs correctly — so beam-time errors are radiation, full stop.
-    for point in OperatingPoint::CAMPAIGN {
+    for point in PlatformSpec::xgene2().campaign_points() {
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut runner = BenchmarkRunner::new(dut, Flux::per_cm2_s(0.0));
         let mut rng = SimRng::seed_from(11);
@@ -95,7 +104,7 @@ fn step4_campaign_driven_by_characterized_vmins() {
 fn beam_on_produces_radiation_attributable_errors_only_at_safe_points() {
     // With the beam on at a SAFE voltage, failures occur — and since step 3
     // proved the voltage alone is harmless, they are neutron-attributable.
-    let point = OperatingPoint::vmin_2400();
+    let point = xgene2_point("Vmin");
     let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
     let mut runner = BenchmarkRunner::new(dut, Flux::per_cm2_s(1.5e6));
     let mut rng = SimRng::seed_from(13);
