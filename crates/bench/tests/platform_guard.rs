@@ -1,7 +1,7 @@
 //! Guards for the data-driven platform layer.
 //!
 //! The built-in platforms are the files under `platforms/`, embedded by
-//! `PlatformSpec::builtin`. Two invariants live here because they span
+//! `PlatformSpec::builtin`. Four invariants live here because they span
 //! crates:
 //!
 //! 1. each built-in file is pinned by value: the campaign-config
@@ -10,15 +10,25 @@
 //! 2. platform files are untrusted input: no document — arbitrary bytes, a
 //!    truncated built-in, or a built-in with one member replaced, removed
 //!    or added — panics the parser, and every spec the parser accepts
-//!    builds every platform-driven model without panicking; and
+//!    builds every platform-driven model without panicking;
 //! 3. the parser's answer to each of those single-member mutations is
 //!    pinned by value: the accepted spec's fingerprint, or the rejected
-//!    field and reason.
+//!    field and reason; and
+//! 4. every report of `repro` — Tables 1–3, Figures 4–13, the headlines,
+//!    the voltage sweep, the ablations and the self-check — renders
+//!    without panicking on both built-ins, on the test dies under
+//!    `tests/platforms/` (one clock with three sessions and no shared
+//!    array, and its one-session variant) and on every accepted mutation,
+//!    and only the paper's own die prints the paper's numbers. The
+//!    mutations run their campaigns on every eighth document and skip the
+//!    ablations, which cost most.
 
 use proptest::prelude::*;
-use serscale_bench::REPRO_SEED;
+use serscale_bench::{experiments, selfcheck, REPRO_SEED};
+use serscale_core::campaign::{Campaign, CampaignRunOptions};
 use serscale_core::journal::config_fingerprint;
-use serscale_core::{CampaignConfig, DeviceUnderTest};
+use serscale_core::trace::NoopObserver;
+use serscale_core::{CampaignConfig, CampaignReport, DeviceUnderTest};
 use serscale_soc::{
     parse_platform, DvfsTable, LogicSusceptibility, Platform, PlatformSpec, PowerModel,
 };
@@ -181,4 +191,109 @@ proptest! {
         let cut = (body.len() as f64 * at) as usize;
         parse_and_build(&format!("{}{noise}{}", &body[..cut], &body[cut..]));
     }
+}
+
+/// The committed test dies.
+const TEST_DIES: [&str; 2] = [
+    include_str!("../../../tests/platforms/one-frequency.json"),
+    include_str!("../../../tests/platforms/one-session.json"),
+];
+
+/// The texts that mark a cell or caption comparing with the paper.
+const PAPER_MARKS: [&str; 3] = ["(paper", "vs paper", "paper in parens"];
+
+/// A campaign on `spec` at `scale` of its declared beam time.
+fn campaign(spec: &PlatformSpec, scale: f64) -> CampaignReport {
+    let mut config = CampaignConfig::for_platform_scaled(spec, scale);
+    config.seed = REPRO_SEED;
+    Campaign::new(config)
+        .try_run(CampaignRunOptions::with_jobs(1), &mut NoopObserver)
+        .expect("a run with no journal and no cancel token cannot fail")
+}
+
+/// Every report option's text for `spec`: the ones that need no campaign,
+/// then, given `report`, the ones that do; the ablations only when asked.
+fn reports(
+    spec: &PlatformSpec,
+    report: Option<&CampaignReport>,
+    ablations: bool,
+) -> Vec<(&'static str, String)> {
+    let mut texts = vec![
+        ("--table 1", experiments::table1(spec)),
+        ("--figure 4", experiments::figure4(spec, REPRO_SEED, 100)),
+        ("--sweep", experiments::voltage_sweep(spec)),
+    ];
+    if ablations {
+        texts.push(("--ablations", experiments::ablations(spec, REPRO_SEED)));
+    }
+    if let Some(r) = report {
+        texts.extend([
+            ("--table 2", experiments::table2(spec, r)),
+            ("--table 3", experiments::table3(spec, r)),
+            ("--figure 5", experiments::figure5(spec, r)),
+            ("--figure 6", experiments::figure6(spec, r)),
+            ("--figure 7", experiments::figure7(spec, r)),
+            ("--figure 8", experiments::figure8(spec, r)),
+            ("--figure 9", experiments::figure9(spec, r)),
+            ("--figure 10", experiments::figure10(spec, r)),
+            ("--figure 11", experiments::figure11(spec, r)),
+            ("--figure 12", experiments::figure12(spec, r)),
+            ("--figure 13", experiments::figure13(spec, r)),
+            ("--headlines", experiments::headlines(spec, r)),
+            ("--selfcheck", selfcheck::run_checks(spec, r).render()),
+        ]);
+    }
+    texts
+}
+
+/// Runs every report on `spec` inside a panic guard and checks that only
+/// the paper's die prints the paper's numbers.
+fn check_die(label: &str, spec: &PlatformSpec, scale: Option<f64>, ablations: bool) {
+    let texts = std::panic::catch_unwind(|| {
+        let report = scale.map(|scale| campaign(spec, scale));
+        reports(spec, report.as_ref(), ablations)
+    })
+    .unwrap_or_else(|_| panic!("{label}: a report panicked"));
+    let marked = |text: &str| PAPER_MARKS.iter().any(|mark| text.contains(mark));
+    if *spec == PlatformSpec::xgene2() {
+        // Figure 4 and, given a campaign, Tables 2–3, Figures 5–13 and the
+        // headlines quote the paper's numbers (so may the self-check's
+        // Vmin claims, when a short campaign saw the SDCs they need).
+        let expected = if scale.is_some() { 13 } else { 1 };
+        let compared = texts.iter().filter(|(_, text)| marked(text)).count();
+        assert!(compared >= expected, "{label}: {compared} reports compare");
+        return;
+    }
+    for (option, text) in &texts {
+        assert!(text.ends_with('\n'), "{label} {option}: {text:?}");
+        assert!(
+            !marked(text),
+            "{label} {option} compares with the paper:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn every_report_runs_on_the_builtins_and_the_test_dies() {
+    for body in FILES.iter().map(|(_, body)| body).chain(&TEST_DIES) {
+        let spec = parse_platform(body).expect("committed dies validate");
+        check_die(&spec.name, &spec, Some(0.01), true);
+    }
+}
+
+#[test]
+fn every_report_runs_on_every_accepted_corpus_document() {
+    let mut accepted = 0;
+    for (name, body) in FILES {
+        let doc = json::parse(body).expect("built-in files are JSON");
+        for mutant in mutants(&doc) {
+            let Ok(spec) = parse_platform(&mutant.body) else {
+                continue;
+            };
+            let scale = (accepted % 8 == 0).then_some(0.002);
+            check_die(&format!("{name}: {}", mutant.label), &spec, scale, false);
+            accepted += 1;
+        }
+    }
+    assert_eq!(accepted, 509, "the corpus's accepted documents changed");
 }
