@@ -58,11 +58,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// A two-column "simulated vs paper" cell.
-pub fn vs(sim: f64, paper: f64, width: usize, precision: usize) -> String {
-    format!("{sim:>width$.precision$} (paper {paper:.precision$})")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,6 +71,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.305), "30.5%");
-        assert_eq!(vs(1.25, 1.2, 6, 2), "  1.25 (paper 1.20)");
     }
 }

@@ -1,5 +1,4 @@
-//! The Vmin characterization sweep (§4.1): pfail curves and safe-voltage
-//! tables.
+//! The Vmin characterization sweep (§4.1): pfail curves.
 
 use serscale_soc::PlatformSpec;
 use serscale_stats::ci::wilson_ci;
@@ -154,56 +153,6 @@ impl Characterizer {
     }
 }
 
-/// Table 3 of the paper: the voltage settings used in the beam campaign,
-/// derived from the characterization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SafeVoltageTable {
-    /// `(label, frequency, PMD voltage, SoC voltage)` rows.
-    pub rows: Vec<(String, Megahertz, Millivolts, Millivolts)>,
-}
-
-impl SafeVoltageTable {
-    /// Builds a campaign's Table 3 from characterized Vmins: nominal, a
-    /// "safe" point 10 mV above the high-frequency Vmin, that Vmin, and the
-    /// low-frequency Vmin (SoC held at nominal there, as frequency scaling
-    /// cannot affect the SoC domain). The nominal row and rail pairings
-    /// come from the spec, the Vmin rows' frequencies from its Vmin
-    /// anchors.
-    pub fn from_vmins_for(
-        spec: &PlatformSpec,
-        vmin_high: Millivolts,
-        vmin_low: Millivolts,
-    ) -> Self {
-        let soc_nominal = spec.soc_rail.nominal;
-        let f_high = spec.freq_max;
-        let f_low = spec.vmin.low_freq;
-        let rows = vec![
-            (
-                "Nominal".to_owned(),
-                f_high,
-                spec.pmd_rail.nominal,
-                soc_nominal,
-            ),
-            (
-                "Safe".to_owned(),
-                f_high,
-                vmin_high.stepped_up(2),
-                // The paper paired 930 mV PMD with 925 mV SoC: 5 mV above
-                // the SoC's own Vmin — but never above the rail nominal.
-                vmin_high.stepped_up(1).min(soc_nominal),
-            ),
-            (
-                "Vmin".to_owned(),
-                f_high,
-                vmin_high,
-                vmin_high.min(soc_nominal),
-            ),
-            (format!("Vmin {f_low}"), f_low, vmin_low, soc_nominal),
-        ];
-        SafeVoltageTable { rows }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,23 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn table3_from_paper_vmins() {
-        let t = SafeVoltageTable::from_vmins_for(
-            &PlatformSpec::xgene2(),
-            Millivolts::new(920),
-            Millivolts::new(790),
-        );
-        assert_eq!(t.rows.len(), 4);
-        // Row 2 ("Safe"): 930 mV PMD / 925 mV SoC.
-        assert_eq!(t.rows[1].2, Millivolts::new(930));
-        assert_eq!(t.rows[1].3, Millivolts::new(925));
-        // Row 4: 790 mV PMD with SoC at nominal.
-        assert_eq!(t.rows[3].2, Millivolts::new(790));
-        assert_eq!(t.rows[3].3, Millivolts::new(950));
-        assert_eq!(t.rows[3].0, "Vmin 900 MHz");
-    }
-
-    #[test]
     fn platform_sweep_finds_the_zynq_anchors() {
         let spec = PlatformSpec::zynq_mpsoc();
         let harness = Characterizer::for_platform(&spec, 100);
@@ -331,15 +263,5 @@ mod tests {
             assert!(last.voltage >= spec.sweep_floor);
         }
         assert_eq!(hi.points[0].voltage, spec.pmd_rail.nominal);
-    }
-
-    #[test]
-    fn zynq_table3_pairs_its_own_rails() {
-        let spec = PlatformSpec::zynq_mpsoc();
-        let t = SafeVoltageTable::from_vmins_for(&spec, Millivolts::new(750), Millivolts::new(660));
-        assert_eq!(t.rows[0].1, Megahertz::new(1500));
-        assert_eq!(t.rows[0].3, Millivolts::new(850));
-        assert_eq!(t.rows[3].0, "Vmin 600 MHz");
-        assert_eq!(t.rows[3].1, Megahertz::new(600));
     }
 }

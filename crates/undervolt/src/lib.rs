@@ -1,7 +1,7 @@
 //! # serscale-undervolt
 //!
 //! The safe-Vmin characterization harness (§4.1 of the paper, reproducing
-//! Figure 4 and Table 3).
+//! Figure 4).
 //!
 //! Before any beam time, the paper exhaustively characterized the chip
 //! offline: for each clock frequency, run every benchmark hundreds of times
@@ -16,7 +16,7 @@
 //!   voltage (lower clock ⇒ longer cycle ⇒ deeper safe undervolting:
 //!   920 mV at 2.4 GHz vs 790 mV at 900 MHz).
 //! * [`characterize`] — the sweep harness: pfail curves per voltage
-//!   (Figure 4) and the safe-Vmin / Table 3 extraction.
+//!   (Figure 4) and the safe-Vmin extraction.
 //!
 //! ## Example
 //!
@@ -41,6 +41,6 @@ pub mod characterize;
 pub mod timing;
 pub mod variation;
 
-pub use characterize::{Characterizer, PfailCurve, SafeVoltageTable};
+pub use characterize::{Characterizer, PfailCurve};
 pub use timing::TimingFailureModel;
 pub use variation::{ChipPopulation, FleetCharacterization};

@@ -117,24 +117,6 @@ impl TimingFailureModel {
         normal_cdf(z)
     }
 
-    /// The failure probability with an extra workload-induced supply droop
-    /// (micro-viruses sag the rail below what benchmark-grade activity
-    /// does; the droop effectively raises the failure point).
-    pub fn pfail_with_droop(
-        &self,
-        voltage: Millivolts,
-        frequency: Megahertz,
-        droop_mv: f64,
-    ) -> f64 {
-        assert!(
-            droop_mv.is_finite() && droop_mv >= 0.0,
-            "droop must be non-negative"
-        );
-        let z = (self.critical_voltage_mv(frequency) + droop_mv - f64::from(voltage.get()))
-            / self.sigma_mv(frequency);
-        normal_cdf(z)
-    }
-
     /// Samples whether one execution fails at the given conditions.
     pub fn sample_run_fails(
         &self,
@@ -236,20 +218,6 @@ mod tests {
             .count();
         let freq = fails as f64 / n as f64;
         assert!((freq - p).abs() < 0.02, "{freq} vs {p}");
-    }
-
-    #[test]
-    fn droop_raises_the_failure_point() {
-        let m = xgene2();
-        let v = Millivolts::new(920);
-        let clean = m.pfail(v, F24);
-        let sagged = m.pfail_with_droop(v, F24, 12.0);
-        assert!(sagged > clean);
-        // 12 mV of droop at 920 mV looks like running at 908 mV.
-        let equivalent = m.pfail(Millivolts::new(908), F24);
-        assert!((sagged - equivalent).abs() < 1e-12);
-        // Zero droop degenerates to the plain pfail.
-        assert_eq!(m.pfail_with_droop(v, F24, 0.0), clean);
     }
 
     #[test]
