@@ -380,7 +380,12 @@ pub fn figure8(spec: &PlatformSpec, report: &CampaignReport) -> String {
         "Figure 8 — failure-class shares",
         "(simulated, paper in parens)",
     );
-    out.push_str("V(mV)    AppCrash          SysCrash          SDC\n");
+    // Off the paper's die the cells carry no parenthesised paper value.
+    out.push_str(if sessions.papers_die {
+        "V(mV)    AppCrash          SysCrash          SDC\n"
+    } else {
+        "V(mV)    AppCrash SysCrash SDC\n"
+    });
     let classes = [
         FailureClass::AppCrash,
         FailureClass::SysCrash,
@@ -474,7 +479,11 @@ pub fn figure12(spec: &PlatformSpec, report: &CampaignReport) -> String {
         "Figure 12 — SDC FIT by notification",
         "(simulated, paper in parens)",
     );
-    out.push_str("V(mV)    w/o notification     w/ corrected notification\n");
+    out.push_str(if sessions.papers_die {
+        "V(mV)    w/o notification     w/ corrected notification\n"
+    } else {
+        "V(mV)    w/o notification w/ corrected notification\n"
+    });
     for (i, s) in sessions.at_baseline.iter().enumerate() {
         let split = sdc_notification_split(s);
         let p = sessions.paper(&paper::FIGURE12, i);
