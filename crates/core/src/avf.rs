@@ -68,12 +68,12 @@ impl FaultInjector {
 
     /// Runs the injection campaign for one benchmark: every injection is a
     /// kernel execution with one bit flipped at random coordinates,
-    /// verdicted by bit-exact golden comparison. Injections run on the
-    /// shared checkpointed kernel, which returns the full re-execution's
-    /// output from the nearest golden snapshot.
+    /// verdicted by bit-exact golden comparison. Injections ask the shared
+    /// kernel's [`corrupts`](serscale_workload::Kernel::corrupts), which
+    /// gives the full re-execution's verdict and stops each run once that
+    /// is known.
     pub fn estimate(&self, rng: &mut SimRng, benchmark: Benchmark) -> AvfEstimate {
         let kernel = benchmark.shared_kernel();
-        let golden = benchmark.shared_golden();
         let mut corruptions = 0u32;
         for _ in 0..self.injections_per_benchmark {
             let corruption = Corruption::new(
@@ -81,7 +81,7 @@ impl FaultInjector {
                 rng.below(1 << 20) as usize,
                 rng.below(64) as u8,
             );
-            if !kernel.run_corrupted(corruption).matches(golden) {
+            if kernel.corrupts(corruption) {
                 corruptions += 1;
             }
         }
@@ -168,7 +168,6 @@ impl FaultInjector {
         benchmark: Benchmark,
     ) -> Vec<(BitClass, AvfEstimate)> {
         let kernel = benchmark.shared_kernel();
-        let golden = benchmark.shared_golden();
         BitClass::ALL
             .into_iter()
             .map(|class| {
@@ -180,7 +179,7 @@ impl FaultInjector {
                         class_rng.below(1 << 20) as usize,
                         class.sample_bit(&mut class_rng),
                     );
-                    if !kernel.run_corrupted(corruption).matches(golden) {
+                    if kernel.corrupts(corruption) {
                         corruptions += 1;
                     }
                 }

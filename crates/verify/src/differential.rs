@@ -324,15 +324,26 @@ impl StatOracle for PlatformEquivalence {
 }
 
 /// The checkpointed kernels behind `Benchmark::shared_kernel()` return
-/// exactly the output of a full re-execution (`Benchmark::kernel()`) for
-/// corruptions drawn the way the trial runner draws them.
+/// exactly the output and the SDC verdict of a full re-execution
+/// (`Benchmark::kernel()`) for corruptions drawn the way the trial runner
+/// draws them.
 pub struct KernelResumeEquivalence;
 
 /// Corruptions per benchmark per budget seed.
 const RESUME_SAMPLES_PER_SEED: u64 = 20;
 
+/// A corruption drawn the way the trial runner draws one.
+fn runner_corruption(rng: &mut SimRng) -> Corruption {
+    Corruption::new(
+        rng.uniform_in(0.0, 0.999),
+        rng.below(1 << 20) as usize,
+        rng.below(64) as u8,
+    )
+}
+
 /// Compares `candidate` with the full re-execution `reference` on every
-/// corruption: one check, failing at the first differing output.
+/// corruption, output and verdict: one check, failing at the first
+/// difference.
 fn resume_check(
     label: &str,
     reference: &dyn Kernel,
@@ -350,16 +361,37 @@ fn resume_check(
                 format!("corruption {k} ({corruption:?}) diverged from the full re-execution"),
             );
         }
-        masked += usize::from(full.matches(&golden));
+        let corrupts = !full.matches(&golden);
+        if candidate.corrupts(corruption) != corrupts {
+            return CheckResult::new(
+                label,
+                false,
+                format!(
+                    "corruption {k} ({corruption:?}): verdict {}, the full re-execution's {}",
+                    verdict(!corrupts),
+                    verdict(corrupts)
+                ),
+            );
+        }
+        masked += usize::from(!corrupts);
     }
     CheckResult::new(
         label,
         true,
         format!(
-            "{} corruptions identical to the full re-execution ({masked} masked)",
+            "{} corruptions identical to the full re-execution, verdicts too ({masked} masked)",
             corruptions.len()
         ),
     )
+}
+
+/// A verdict's name.
+fn verdict(corrupts: bool) -> &'static str {
+    if corrupts {
+        "SDC"
+    } else {
+        "masked"
+    }
 }
 
 impl StatOracle for KernelResumeEquivalence {
@@ -372,7 +404,7 @@ impl StatOracle for KernelResumeEquivalence {
     }
 
     fn claim(&self) -> &'static str {
-        "Checkpointed kernel runs return the full re-execution's output bit for bit"
+        "Checkpointed kernel runs return the full re-execution's output bit for bit, and its SDC verdict"
     }
 
     fn run(&self, ctx: &OracleContext) -> OracleReport {
@@ -381,15 +413,8 @@ impl StatOracle for KernelResumeEquivalence {
             .into_iter()
             .map(|benchmark| {
                 let mut rng = SimRng::seed_from(ctx.probe_seed(self.name(), benchmark as u64));
-                let corruptions: Vec<Corruption> = (0..samples)
-                    .map(|_| {
-                        Corruption::new(
-                            rng.uniform_in(0.0, 0.999),
-                            rng.below(1 << 20) as usize,
-                            rng.below(64) as u8,
-                        )
-                    })
-                    .collect();
+                let corruptions: Vec<Corruption> =
+                    (0..samples).map(|_| runner_corruption(&mut rng)).collect();
                 resume_check(
                     &format!("resume-{}", benchmark.name().to_lowercase()),
                     benchmark.kernel().as_ref(),
@@ -469,6 +494,8 @@ impl StatOracle for ResumeEquivalence {
 mod tests {
     use super::*;
     use crate::oracle::TrialBudget;
+    use serscale_workload::mg::Mg;
+    use serscale_workload::stepped::Stepped;
 
     fn ctx() -> OracleContext {
         OracleContext::new(0xd1ff, TrialBudget::small())
@@ -525,6 +552,56 @@ mod tests {
                 self.0.shared_kernel().run_corrupted(corruption)
             }
         }
+    }
+
+    /// A broken verdict path for MG that calls a run an SDC at its first
+    /// state difference: the flip itself, which MG's V-cycles often mask.
+    struct FirstStateDifference;
+
+    impl Kernel for FirstStateDifference {
+        fn name(&self) -> &'static str {
+            Mg::NAME
+        }
+
+        fn run(&self) -> serscale_workload::KernelOutput {
+            Benchmark::Mg.shared_golden().clone()
+        }
+
+        fn run_corrupted(&self, corruption: Corruption) -> serscale_workload::KernelOutput {
+            Benchmark::Mg.shared_kernel().run_corrupted(corruption)
+        }
+
+        fn corrupts(&self, corruption: Corruption) -> bool {
+            let mg = Mg::class_a();
+            let mut state = mg.init();
+            for i in 0..corruption.iteration(mg.steps()) {
+                mg.step(&mut state, i);
+            }
+            mg.inject(&mut state, corruption)
+        }
+    }
+
+    #[test]
+    fn kernel_resume_check_catches_a_state_difference_verdict() {
+        let mut rng = SimRng::seed_from(7).fork("mg");
+        let corruptions: Vec<Corruption> = (0..20).map(|_| runner_corruption(&mut rng)).collect();
+        let mg = Benchmark::Mg;
+        let honest = resume_check("mg", mg.kernel().as_ref(), mg.shared_kernel(), &corruptions);
+        assert!(honest.passed, "{honest:?}");
+        assert!(!honest.detail.contains("(0 masked)"), "{honest:?}");
+        let broken = resume_check(
+            "mg",
+            mg.kernel().as_ref(),
+            &FirstStateDifference,
+            &corruptions,
+        );
+        assert!(!broken.passed, "{broken:?}");
+        assert!(
+            broken
+                .detail
+                .contains("verdict SDC, the full re-execution's masked"),
+            "{broken:?}"
+        );
     }
 
     #[test]

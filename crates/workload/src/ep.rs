@@ -5,8 +5,12 @@
 //! `Σx`, `Σy` and the per-annulus counts `q[l]`, `l = ⌊max(|x|,|y|)⌋`.
 //! Output: the two sums plus the ten annulus counts — exactly what real EP
 //! verifies against reference values.
+//!
+//! A flip can only hit one of the twelve accumulators, and no accumulator
+//! feeds back into a step, so [`EpReplay`] answers corrupted runs from the
+//! golden run's logged increments instead of re-drawing the stream.
 
-use crate::kernel::{same_bits, Corruption, KernelOutput, NpbRandom};
+use crate::kernel::{same_bits, Corruption, Kernel, KernelOutput, NpbRandom};
 use crate::stepped::Stepped;
 
 /// The EP kernel configuration.
@@ -55,6 +59,40 @@ pub struct EpState {
     rng: NpbRandom,
 }
 
+impl EpState {
+    /// Draws the next pair from the stream and, if the polar method
+    /// accepts it, adds its Gaussian deviates `[gx, gy]` to the sums and
+    /// returns them.
+    fn draw(&mut self) -> Option<[f64; 2]> {
+        let x = 2.0 * self.rng.next_f64() - 1.0;
+        let y = 2.0 * self.rng.next_f64() - 1.0;
+        let t = x * x + y * y;
+        if !(t <= 1.0 && t > 0.0) {
+            return None;
+        }
+        let factor = ((-2.0 * t.ln()) / t).sqrt();
+        let (gx, gy) = (x * factor, y * factor);
+        self.sums[0] += gx;
+        self.sums[1] += gy;
+        if let Some(q) = annulus(gx, gy) {
+            self.sums[q] += 1.0;
+        }
+        Some([gx, gy])
+    }
+}
+
+/// The accumulator that counts the pair `(gx, gy)`: `2 + l` for its
+/// annulus `l = ⌊max(|gx|, |gy|)⌋` when `l < 10`.
+fn annulus(gx: f64, gy: f64) -> Option<usize> {
+    let l = gx.abs().max(gy.abs()) as usize;
+    (l < 10).then_some(2 + l)
+}
+
+/// The output of a run whose accumulators end at `sums`.
+fn output(sums: [f64; 12]) -> KernelOutput {
+    KernelOutput::new(vec![sums[0], sums[1]], sums)
+}
+
 impl Stepped for Ep {
     type State = EpState;
     const NAME: &'static str = "EP";
@@ -71,21 +109,7 @@ impl Stepped for Ep {
     }
 
     fn step(&self, state: &mut EpState, _: usize) -> bool {
-        let EpState { sums, rng } = state;
-        let x = 2.0 * rng.next_f64() - 1.0;
-        let y = 2.0 * rng.next_f64() - 1.0;
-        let t = x * x + y * y;
-        if t <= 1.0 && t > 0.0 {
-            let factor = ((-2.0 * t.ln()) / t).sqrt();
-            let gx = x * factor;
-            let gy = y * factor;
-            sums[0] += gx;
-            sums[1] += gy;
-            let l = gx.abs().max(gy.abs()) as usize;
-            if l < 10 {
-                sums[2 + l] += 1.0;
-            }
-        }
+        state.draw();
         true
     }
 
@@ -94,8 +118,7 @@ impl Stepped for Ep {
     }
 
     fn finish(&self, state: EpState) -> KernelOutput {
-        let sums = state.sums;
-        KernelOutput::new(vec![sums[0], sums[1]], sums)
+        output(state.sums)
     }
 
     fn same(a: &EpState, b: &EpState) -> bool {
@@ -107,10 +130,126 @@ impl Stepped for Ep {
     }
 }
 
+/// Steps per block of [`EpReplay`]'s log: a multiple of the 64 steps one
+/// word of its acceptance bitmap covers.
+const BLOCK: usize = 256;
+
+/// EP answering corrupted runs by replaying its golden increments.
+///
+/// A flip lands in one accumulator, and each accumulator only ever adds
+/// its own increments (`gx`, `gy`, or `1.0` for its annulus), which depend
+/// on the random stream alone. So a corrupted run differs from the golden
+/// run in the flipped accumulator only, and that one ends at its golden
+/// value entering the injection step, with the bit flipped, plus the
+/// golden increments of the steps after it, added in golden order: the
+/// additions a full re-execution performs, so the same bits.
+///
+/// The one golden pass logs every accepted pair and which steps accepted
+/// one, and keeps the accumulators entering every 256th step. For
+/// the class-A instance the log holds 25 738 pairs, about 0.4 MiB.
+#[derive(Debug)]
+pub struct EpReplay {
+    steps: usize,
+    /// `[gx, gy]` of every accepted pair, in draw order.
+    pairs: Vec<[f64; 2]>,
+    /// Bit `i % 64` of `accepted[i / 64]`: whether step `i` drew a pair.
+    accepted: Vec<u64>,
+    /// The golden accumulators entering step `b * BLOCK`, and how many
+    /// pairs the steps before it drew.
+    blocks: Vec<([f64; 12], usize)>,
+    /// The golden run's final accumulators.
+    sums: [f64; 12],
+    golden: KernelOutput,
+}
+
+impl EpReplay {
+    /// Runs the golden pass of `ep`, logging its increments.
+    pub fn new(ep: Ep) -> Self {
+        let steps = ep.steps();
+        let mut state = ep.init();
+        // Reserved up front, so the log never copies itself as it grows.
+        let mut pairs = Vec::with_capacity(steps);
+        let mut accepted = vec![0u64; steps.div_ceil(64)];
+        let mut blocks = Vec::with_capacity(steps.div_ceil(BLOCK));
+        for i in 0..steps {
+            if i % BLOCK == 0 {
+                blocks.push((state.sums, pairs.len()));
+            }
+            if let Some(pair) = state.draw() {
+                pairs.push(pair);
+                accepted[i / 64] |= 1 << (i % 64);
+            }
+        }
+        pairs.shrink_to_fit();
+        let sums = state.sums;
+        EpReplay {
+            steps,
+            pairs,
+            accepted,
+            blocks,
+            sums,
+            golden: ep.finish(state),
+        }
+    }
+
+    /// The number of pairs the steps before step `i < steps` drew.
+    fn pairs_before(&self, i: usize) -> usize {
+        let first = i / BLOCK * BLOCK;
+        let whole: usize = (self.accepted[first / 64..i / 64].iter())
+            .map(|word| word.count_ones() as usize)
+            .sum();
+        let part = self.accepted[i / 64] & ((1 << (i % 64)) - 1);
+        self.blocks[i / BLOCK].1 + whole + part.count_ones() as usize
+    }
+
+    /// The flipped accumulator and the value it ends at.
+    fn replay(&self, corruption: Corruption) -> (usize, f64) {
+        let word = corruption.word % self.sums.len();
+        let at = corruption.iteration(self.steps);
+        let (sums, start) = &self.blocks[at / BLOCK];
+        // The pairs of the block's steps before the injection, and of
+        // every step from it on.
+        let (before, after) = self.pairs[*start..].split_at(self.pairs_before(at) - start);
+        let flip = |value: f64| f64::from_bits(value.to_bits() ^ (1 << corruption.bit));
+        let value = if word < 2 {
+            let add =
+                |sum, pairs: &[[f64; 2]]| pairs.iter().fold(sum, |sum, pair| sum + pair[word]);
+            add(flip(add(sums[word], before)), after)
+        } else {
+            // Every increment of a count is 1.0, so only how many there
+            // are matters. Golden counts are exact integers, so the ones
+            // after the injection are the golden count's growth.
+            let count = |sum: f64, increments: usize| (0..increments).fold(sum, |sum, _| sum + 1.0);
+            let hits = (before.iter())
+                .filter(|&&[gx, gy]| annulus(gx, gy) == Some(word))
+                .count();
+            let golden = count(sums[word], hits);
+            count(flip(golden), (self.sums[word] - golden) as usize)
+        };
+        (word, value)
+    }
+}
+
+impl Kernel for EpReplay {
+    fn name(&self) -> &'static str {
+        Ep::NAME
+    }
+
+    fn run(&self) -> KernelOutput {
+        self.golden.clone()
+    }
+
+    fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
+        let (word, value) = self.replay(corruption);
+        let mut sums = self.sums;
+        sums[word] = value;
+        output(sums)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Kernel;
 
     #[test]
     fn deterministic() {

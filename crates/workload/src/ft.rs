@@ -104,6 +104,10 @@ impl Stepped for Ft {
         KernelOutput::new(checksums, re.into_iter().chain(im))
     }
 
+    fn recorded(state: &FtState) -> &[f64] {
+        &state.checksums
+    }
+
     fn same(a: &FtState, b: &FtState) -> bool {
         same_bits(&a.re, &b.re) && same_bits(&a.im, &b.im) && same_bits(&a.checksums, &b.checksums)
     }

@@ -168,6 +168,10 @@ impl Stepped for Is {
         KernelOutput::new(values, sorted().map(|k| k as f64))
     }
 
+    fn recorded(state: &IsState) -> &[f64] {
+        &state.partial_checksums
+    }
+
     fn same(a: &IsState, b: &IsState) -> bool {
         a.keys == b.keys && same_bits(&a.partial_checksums, &b.partial_checksums)
     }

@@ -150,6 +150,15 @@ pub trait Kernel {
     /// masked — overwritten, or in dead data) or differ (a potential SDC).
     fn run_corrupted(&self, corruption: Corruption) -> KernelOutput;
 
+    /// Whether the run with `corruption` injected ends in an output other
+    /// than the golden one: the SDC verdict of the paper's golden
+    /// comparison (§3.6). An implementation may stop the run as soon as
+    /// the answer is known. Default: one corrupted run compared with
+    /// [`Kernel::golden`].
+    fn corrupts(&self, corruption: Corruption) -> bool {
+        self.run_corrupted(corruption) != self.golden()
+    }
+
     /// A clean reference output. Default: one fault-free run.
     fn golden(&self) -> KernelOutput {
         self.run()

@@ -226,6 +226,10 @@ impl Stepped for Lu {
         KernelOutput::new(values, u)
     }
 
+    fn recorded(state: &LuState) -> &[f64] {
+        &state.residuals
+    }
+
     fn same(a: &LuState, b: &LuState) -> bool {
         same_bits(&a.u, &b.u) && same_bits(&a.residuals, &b.residuals)
     }

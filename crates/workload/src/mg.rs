@@ -92,6 +92,10 @@ impl Stepped for Mg {
         KernelOutput::new(values, u)
     }
 
+    fn recorded(state: &MgState) -> &[f64] {
+        &state.residuals
+    }
+
     fn same(a: &MgState, b: &MgState) -> bool {
         same_bits(&a.u, &b.u) && same_bits(&a.residuals, &b.residuals)
     }
@@ -181,14 +185,6 @@ fn residual_row(u: &[f64], f: &[f64], n: usize, lo: usize, out: &mut [f64]) {
     }
 }
 
-fn residual(u: &[f64], f: &[f64], n: usize) -> Vec<f64> {
-    let mut r = vec![0.0; n * n * n];
-    for lo in interior_rows(n) {
-        residual_row(u, f, n, lo, &mut r[lo..lo + n - 2]);
-    }
-    r
-}
-
 /// The L2 norm of the residual, without the residual grid. The grid's
 /// boundary terms are `+0.0`: the first turns the `-0.0` that `f64`'s
 /// `Sum` starts from into `+0.0`, and each later one leaves a sum of
@@ -206,14 +202,28 @@ fn residual_norm(u: &[f64], f: &[f64], n: usize) -> f64 {
     sum.sqrt()
 }
 
-/// Injection (full-weighting lite): coarse point takes the fine point value.
-fn restrict(fine: &[f64], nf: usize) -> Vec<f64> {
-    let nc = nf / 2;
+/// The residual `f - A·u` restricted to the coarse grid by injection
+/// (full-weighting lite): coarse point `(x, y, z)` takes the fine
+/// residual at `(2x, 2y, 2z)`. Only those fine points are computed, each
+/// with [`residual_row`]'s expression order. A coarse point on a low face
+/// sits on the fine grid's boundary, where the residual is `+0.0`.
+fn restricted_residual(u: &[f64], f: &[f64], n: usize) -> Vec<f64> {
+    let nc = n / 2;
     let mut coarse = vec![0.0; nc * nc * nc];
-    for z in 0..nc {
-        for y in 0..nc {
-            for x in 0..nc {
-                coarse[idx(nc, x, y, z)] = fine[idx(nf, x * 2, y * 2, z * 2)];
+    for z in 1..nc {
+        for y in 1..nc {
+            let fine = idx(n, 0, 2 * y, 2 * z);
+            let row = &mut coarse[idx(nc, 0, y, z)..idx(nc, nc, y, z)];
+            for (x, r) in row.iter_mut().enumerate().skip(1) {
+                let i = fine + 2 * x;
+                let lap = 6.0 * u[i]
+                    - u[i - 1]
+                    - u[i + 1]
+                    - u[i - n]
+                    - u[i + n]
+                    - u[i - n * n]
+                    - u[i + n * n];
+                *r = f[i] - lap;
             }
         }
     }
@@ -244,9 +254,7 @@ fn v_cycle(u: &mut [f64], f: &[f64], n: usize) {
         smooth(u, f, n, 8); // bottom solve by heavy smoothing
         return;
     }
-    // The fine-grid residual is dead once restricted: drop it before the
-    // coarse solve instead of holding it through the second smooth.
-    let rc = restrict(&residual(u, f, n), n);
+    let rc = restricted_residual(u, f, n);
     let nc = n / 2;
     let mut ec = vec![0.0; nc * nc * nc];
     v_cycle(&mut ec, &rc, nc);
@@ -286,6 +294,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The residual grid over row slices, which restriction read one
+    /// point in eight of.
+    fn residual(u: &[f64], f: &[f64], n: usize) -> Vec<f64> {
+        let mut r = vec![0.0; n * n * n];
+        for lo in interior_rows(n) {
+            residual_row(u, f, n, lo, &mut r[lo..lo + n - 2]);
+        }
+        r
+    }
+
+    /// Injection of the whole fine residual grid, as first written.
+    fn restrict(fine: &[f64], nf: usize) -> Vec<f64> {
+        let nc = nf / 2;
+        let mut coarse = vec![0.0; nc * nc * nc];
+        for z in 0..nc {
+            for y in 0..nc {
+                for x in 0..nc {
+                    coarse[idx(nc, x, y, z)] = fine[idx(nf, x * 2, y * 2, z * 2)];
+                }
+            }
+        }
+        coarse
     }
 
     /// The residual grid over indexed lookups, as first written.
@@ -328,6 +360,19 @@ mod tests {
             indexed_smooth(&mut expected, f, n, passes);
             smooth(&mut got, f, n, passes);
             prop_assert!(same_bits(&got, &expected), "smooth, side {n}, {passes} passes");
+        }
+
+        #[test]
+        fn restricted_residual_matches_the_restricted_grid_bit_for_bit(
+            log_side in 2u32..=5,
+            seed in any::<u64>(),
+        ) {
+            let n = 1usize << log_side;
+            let total = n * n * n;
+            let grid = awkward_grid(seed, 2 * total);
+            let (u, f) = grid.split_at(total);
+            let expected = restrict(&residual(u, f, n), n);
+            prop_assert!(same_bits(&restricted_residual(u, f, n), &expected), "side {n}");
         }
     }
 

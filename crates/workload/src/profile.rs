@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use serscale_types::SimDuration;
 
 use crate::cg::Cg;
-use crate::ep::Ep;
+use crate::ep::{Ep, EpReplay};
 use crate::ft::Ft;
 use crate::is::Is;
 use crate::kernel::{Kernel, KernelOutput};
@@ -90,15 +90,17 @@ impl Benchmark {
     /// pool worker can share one instance instead of reconstructing input
     /// arrays per worker per wave. Built lazily on first use by the one
     /// golden pass, which also keeps the golden snapshots its
-    /// [`Kernel::run_corrupted`] resumes from ([`Checkpointed`]); outputs
-    /// equal [`Benchmark::kernel`]'s full re-execution bit for bit.
+    /// [`Kernel::run_corrupted`] resumes from ([`Checkpointed`]) or, for
+    /// EP, the golden increments it replays ([`EpReplay`]); outputs and
+    /// [`Kernel::corrupts`] verdicts equal [`Benchmark::kernel`]'s full
+    /// re-execution bit for bit.
     pub fn shared_kernel(self) -> &'static (dyn Kernel + Send + Sync) {
         static KERNELS: [OnceLock<Box<dyn Kernel + Send + Sync>>; 6] =
             [const { OnceLock::new() }; 6];
         KERNELS[self as usize]
             .get_or_init(|| match self {
                 Benchmark::Cg => Box::new(Checkpointed::new(Cg::class_a())),
-                Benchmark::Ep => Box::new(Checkpointed::new(Ep::class_a())),
+                Benchmark::Ep => Box::new(EpReplay::new(Ep::class_a())),
                 Benchmark::Ft => Box::new(Checkpointed::new(Ft::class_a())),
                 Benchmark::Is => Box::new(Checkpointed::new(Is::class_a())),
                 Benchmark::Lu => Box::new(Checkpointed::new(Lu::class_a())),

@@ -11,9 +11,11 @@
 //! the flip changed no bit, or when the state later equals a golden snapshot
 //! bit for bit. Both paths call the same step functions in the same
 //! order, so a checkpointed run returns exactly the [`KernelOutput`] of a
-//! full re-execution.
+//! full re-execution. A run that only needs the SDC verdict
+//! ([`Kernel::corrupts`]) also stops as soon as a value the kernel records
+//! for its output ([`Stepped::recorded`]) leaves the golden run's.
 
-use crate::kernel::{Corruption, Kernel, KernelOutput};
+use crate::kernel::{same_bits, Corruption, Kernel, KernelOutput};
 
 /// A deterministic kernel written as `init`, `steps()` main-loop
 /// iterations and `finish`.
@@ -54,6 +56,25 @@ pub trait Stepped {
 
     /// The verification pass: the output of a run that ended in `state`.
     fn finish(&self, state: Self::State) -> KernelOutput;
+
+    /// The values completed iterations appended to `state`, in order:
+    /// residual norms, per-step checksums. Default: none.
+    ///
+    /// [`Checkpointed`]'s [`Kernel::corrupts`] calls a run an SDC at the
+    /// first of these that differs from the golden run's, so they must
+    /// obey two rules:
+    ///
+    /// * `inject` never touches them, and no later iteration changes them;
+    /// * `finish` puts them, in order, at the end of the output's
+    ///   `values`, after a prefix whose length does not depend on the
+    ///   state.
+    ///
+    /// Outputs compare `values` bit for bit, so once entry `k` differs
+    /// from the golden run's entry `k`, or the golden run has no entry
+    /// `k`, the output differs too.
+    fn recorded(_state: &Self::State) -> &[f64] {
+        &[]
+    }
 
     /// Whether two states are bit-identical (`to_bits`, so `-0.0` and
     /// `0.0` differ and equal NaNs match).
@@ -119,7 +140,8 @@ fn spacing(steps: usize, state_bytes: usize) -> usize {
 /// returning the golden output at once if the flip is inert, changed no
 /// bit, or the state later equals a golden snapshot bit for bit. Its
 /// outputs equal the wrapped kernel's full re-execution for every
-/// corruption.
+/// corruption. [`Kernel::corrupts`] walks the same way and also stops at
+/// the first recorded value that differs from the golden run's.
 #[derive(Debug)]
 pub struct Checkpointed<K: Stepped> {
     kernel: K,
@@ -131,7 +153,19 @@ pub struct Checkpointed<K: Stepped> {
     /// How many iterations the golden run entered: `steps()` unless the
     /// loop ended early.
     entered: usize,
+    /// The golden run's [`Stepped::recorded`] values.
+    recorded: Vec<f64>,
     golden: KernelOutput,
+}
+
+/// Where a resumed corrupted run ended.
+enum Resumed<S> {
+    /// Its output is the golden one.
+    Golden,
+    /// A recorded value left the golden run's, so its output differs.
+    Diverged,
+    /// It ran to the end of its loop in this state.
+    Ended(S),
 }
 
 impl<K: Stepped> Checkpointed<K> {
@@ -151,12 +185,14 @@ impl<K: Stepped> Checkpointed<K> {
                 break;
             }
         }
+        let recorded = K::recorded(&state).to_vec();
         let golden = kernel.finish(state);
         Checkpointed {
             kernel,
             every,
             snapshots,
             entered,
+            recorded,
             golden,
         }
     }
@@ -178,6 +214,52 @@ impl<K: Stepped> Checkpointed<K> {
         }
         self.snapshots.get((i / self.every).checked_sub(1)?)
     }
+
+    /// The corrupted run from the nearest snapshot, stopping once its
+    /// output is known to be golden or, when `verdict_only`, once a
+    /// recorded value diverges.
+    fn resume(&self, corruption: Corruption, verdict_only: bool) -> Resumed<K::State> {
+        let kernel = &self.kernel;
+        let at = corruption.iteration(kernel.steps());
+        if at >= self.entered || kernel.inert(corruption) {
+            // The golden loop ended before the injection step, so the flip
+            // never lands, or it lands and changes nothing.
+            return Resumed::Golden;
+        }
+        let resume = at - at % self.every;
+        let mut state = self
+            .snapshot_at(resume)
+            .cloned()
+            .unwrap_or_else(|| kernel.init());
+        // The golden run went on past every one of these iterations.
+        for i in resume..at {
+            kernel.step(&mut state, i);
+        }
+        if !kernel.inject(&mut state, corruption) {
+            return Resumed::Golden;
+        }
+        // `inject` leaves the recorded values alone: these are golden.
+        let mut checked = K::recorded(&state).len();
+        for i in at..kernel.steps() {
+            if !kernel.step(&mut state, i) {
+                break;
+            }
+            if verdict_only {
+                let recorded = K::recorded(&state);
+                let golden = self.recorded.get(checked..recorded.len());
+                if !golden.is_some_and(|golden| same_bits(&recorded[checked..], golden)) {
+                    return Resumed::Diverged;
+                }
+                checked = recorded.len();
+            }
+            if let Some(snapshot) = self.snapshot_at(i + 1) {
+                if K::same(&state, snapshot) {
+                    return Resumed::Golden;
+                }
+            }
+        }
+        Resumed::Ended(state)
+    }
 }
 
 impl<K: Stepped> Kernel for Checkpointed<K> {
@@ -190,35 +272,18 @@ impl<K: Stepped> Kernel for Checkpointed<K> {
     }
 
     fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        let kernel = &self.kernel;
-        let at = corruption.iteration(kernel.steps());
-        if at >= self.entered || kernel.inert(corruption) {
-            // The golden loop ended before the injection step, so the flip
-            // never lands, or it lands and changes nothing.
-            return self.golden.clone();
+        match self.resume(corruption, false) {
+            Resumed::Golden => self.golden.clone(),
+            Resumed::Diverged => unreachable!("only a verdict walk stops at a divergence"),
+            Resumed::Ended(state) => self.kernel.finish(state),
         }
-        let resume = at - at % self.every;
-        let mut state = self
-            .snapshot_at(resume)
-            .cloned()
-            .unwrap_or_else(|| kernel.init());
-        // The golden run went on past every one of these iterations.
-        for i in resume..at {
-            kernel.step(&mut state, i);
+    }
+
+    fn corrupts(&self, corruption: Corruption) -> bool {
+        match self.resume(corruption, true) {
+            Resumed::Golden => false,
+            Resumed::Diverged => true,
+            Resumed::Ended(state) => self.kernel.finish(state) != self.golden,
         }
-        if !kernel.inject(&mut state, corruption) {
-            return self.golden.clone();
-        }
-        for i in at..kernel.steps() {
-            if !kernel.step(&mut state, i) {
-                break;
-            }
-            if let Some(snapshot) = self.snapshot_at(i + 1) {
-                if K::same(&state, snapshot) {
-                    return self.golden.clone();
-                }
-            }
-        }
-        kernel.finish(state)
     }
 }

@@ -2,11 +2,14 @@
 //! re-execution returns, for every corruption.
 //!
 //! `Benchmark::shared_kernel()` resumes corrupted runs from golden
-//! snapshots and stops at the first bitwise reconvergence;
-//! `Benchmark::kernel()` re-executes from iteration 0. Both drive the same
-//! step functions, so their outputs must be equal as whole
-//! `KernelOutput`s — headline values and checksum — not merely agree on
-//! whether the run matched the golden output.
+//! snapshots and stops at the first bitwise reconvergence (EP replays its
+//! golden increments instead); `Benchmark::kernel()` re-executes from
+//! iteration 0. Both drive the same step functions, so their outputs must
+//! be equal as whole `KernelOutput`s — headline values and checksum — not
+//! merely agree on whether the run matched the golden output. The
+//! verdict path, `Kernel::corrupts`, stops a run at its first recorded
+//! value that leaves the golden run's, and must give the full
+//! re-execution's verdict.
 //!
 //! The sampled comparison also pins the kernels' arithmetic by value: the
 //! golden output and every full re-execution fold into one digest per
@@ -15,9 +18,10 @@
 //! Re-record a pin only for a deliberate change to a kernel's arithmetic,
 //! and name it in CHANGES.md.
 
+use proptest::prelude::*;
 use serscale_stats::SimRng;
 use serscale_workload::cg::Cg;
-use serscale_workload::ep::Ep;
+use serscale_workload::ep::{Ep, EpReplay};
 use serscale_workload::ft::Ft;
 use serscale_workload::is::Is;
 use serscale_workload::lu::Lu;
@@ -64,9 +68,10 @@ impl Digest {
 }
 
 /// Checks the resume path against full re-execution over `SAMPLES`
-/// corruptions, and pins the outputs: `digest` is the [`Digest`] of the
-/// golden output followed by every full re-execution, and `masked` the
-/// number of those that matched the golden output.
+/// corruptions, output and verdict, and pins the outputs: `digest` is the
+/// [`Digest`] of the golden output followed by every full re-execution,
+/// and `masked` the number of those that matched the golden output, which
+/// the verdict path must count too.
 fn sampled_resume_matches_full_run(benchmark: Benchmark, digest: u64, masked: usize) {
     let reference = benchmark.kernel();
     let checkpointed = benchmark.shared_kernel();
@@ -75,7 +80,7 @@ fn sampled_resume_matches_full_run(benchmark: Benchmark, digest: u64, masked: us
     let mut outputs = Digest::new();
     outputs.output(&golden);
     let mut rng = SimRng::seed_from(0x5eed_c0de).fork(benchmark.name());
-    let mut matched = 0;
+    let (mut matched, mut verdicts_masked) = (0, 0);
     for _ in 0..SAMPLES {
         let corruption = draw(&mut rng);
         let full = reference.run_corrupted(corruption);
@@ -84,16 +89,23 @@ fn sampled_resume_matches_full_run(benchmark: Benchmark, digest: u64, masked: us
             full,
             "{benchmark} {corruption:?}"
         );
+        let corrupts = checkpointed.corrupts(corruption);
+        assert_eq!(
+            corrupts,
+            !full.matches(&golden),
+            "{benchmark} {corruption:?}: verdict"
+        );
         outputs.output(&full);
         matched += usize::from(full.matches(benchmark.shared_golden()));
+        verdicts_masked += usize::from(!corrupts);
     }
     assert!(
         matched < SAMPLES,
         "{benchmark}: every sampled flip was masked"
     );
     assert_eq!(
-        (outputs.0, matched),
-        (digest, masked),
+        (outputs.0, matched, verdicts_masked),
+        (digest, masked, masked),
         "{benchmark}: kernel outputs moved (digest {:#018x}, {matched} masked)",
         outputs.0
     );
@@ -171,6 +183,182 @@ fn loop_ends_and_snapshot_boundaries_match_full_run() {
     edges_match(Is::class_a(), 0);
     edges_match(Lu::class_a(), 7);
     edges_match(Mg::class_a(), 1);
+}
+
+/// The [`Stepped::recorded`] values of `kernel`'s full run with
+/// `corruption` injected.
+fn recorded_run<K: Stepped>(kernel: &K, corruption: Option<Corruption>) -> Vec<f64> {
+    let mut state = kernel.init();
+    let at = corruption.map(|c| c.iteration(kernel.steps()));
+    for i in 0..kernel.steps() {
+        if let Some(c) = corruption.filter(|_| at == Some(i)) {
+            kernel.inject(&mut state, c);
+        }
+        if !kernel.step(&mut state, i) {
+            break;
+        }
+    }
+    K::recorded(&state).to_vec()
+}
+
+/// Asserts that `corruption`'s run records one value per step, that the
+/// one of its injection step is golden and a later one is not, and that
+/// the verdict path still calls it an SDC, as the full re-execution does.
+fn diverges_after_its_injection_step<K: Stepped>(
+    kernel: K,
+    benchmark: Benchmark,
+    corruption: Corruption,
+) {
+    let at = corruption.iteration(kernel.steps());
+    let golden = recorded_run(&kernel, None);
+    let corrupted = recorded_run(&kernel, Some(corruption));
+    assert_eq!(golden.len(), kernel.steps(), "{}", K::NAME);
+    assert_eq!(corrupted.len(), golden.len(), "{}", K::NAME);
+    let first = (0..golden.len()).find(|&k| corrupted[k].to_bits() != golden[k].to_bits());
+    assert!(
+        first.is_some_and(|k| k > at),
+        "{}: first differing recorded value {first:?}, injection step {at}",
+        K::NAME
+    );
+    assert!(
+        !kernel.run_corrupted(corruption).matches(&kernel.golden()),
+        "{}",
+        K::NAME
+    );
+    assert!(
+        benchmark.shared_kernel().corrupts(corruption),
+        "{}",
+        K::NAME
+    );
+}
+
+/// An MG flip at step 1 whose step-1 residual norm is golden and whose
+/// step-2 one is not.
+const MG_LATE: Corruption = Corruption {
+    at_fraction: 0.25,
+    word: 12_345,
+    bit: 20,
+};
+
+/// An LU flip at sweep 3 whose residual norms stay golden until sweep 9.
+const LU_LATE: Corruption = Corruption {
+    at_fraction: 0.1,
+    word: 1000,
+    bit: 8,
+};
+
+#[test]
+fn a_recorded_value_that_diverges_after_the_injection_step_is_an_sdc() {
+    diverges_after_its_injection_step(Mg::class_a(), Benchmark::Mg, MG_LATE);
+    diverges_after_its_injection_step(Lu::class_a(), Benchmark::Lu, LU_LATE);
+}
+
+/// Checks [`Stepped::recorded`]'s contract on corrupted runs of `kernel`:
+/// `inject` leaves the recorded values alone, each later step keeps the
+/// ones before it, and `finish` ends `values` with them after a prefix as
+/// long as the golden output's.
+fn recorded_contract_holds<K: Stepped>(kernel: K) {
+    let golden = kernel.golden();
+    let prefix = golden.values.len() - recorded_run(&kernel, None).len();
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut rng = SimRng::seed_from(0x7ec0_4d3d).fork(K::NAME);
+    let mut corruptions: Vec<Corruption> = (0..12).map(|_| draw(&mut rng)).collect();
+    corruptions.extend([0.0, 0.998].map(|at| Corruption::new(at, 777, 62)));
+    for corruption in corruptions {
+        let at = corruption.iteration(kernel.steps());
+        let mut state = kernel.init();
+        for i in 0..at {
+            kernel.step(&mut state, i);
+        }
+        let before = bits(K::recorded(&state));
+        kernel.inject(&mut state, corruption);
+        assert_eq!(
+            bits(K::recorded(&state)),
+            before,
+            "{} {corruption:?}: inject",
+            K::NAME
+        );
+        let mut kept = before;
+        for i in at..kernel.steps() {
+            if !kernel.step(&mut state, i) {
+                break;
+            }
+            let now = bits(K::recorded(&state));
+            assert_eq!(
+                now[..kept.len()],
+                kept[..],
+                "{} {corruption:?}: step {i}",
+                K::NAME
+            );
+            kept = now;
+        }
+        let output = kernel.finish(state);
+        assert_eq!(
+            output.values.len(),
+            prefix + kept.len(),
+            "{} {corruption:?}",
+            K::NAME
+        );
+        assert_eq!(
+            bits(&output.values[prefix..]),
+            kept,
+            "{} {corruption:?}",
+            K::NAME
+        );
+    }
+}
+
+#[test]
+fn recorded_values_obey_their_contract_on_corrupted_runs() {
+    recorded_contract_holds(Cg::class_a());
+    recorded_contract_holds(Ep::class_a());
+    recorded_contract_holds(Ft::class_a());
+    recorded_contract_holds(Is::class_a());
+    recorded_contract_holds(Lu::class_a());
+    recorded_contract_holds(Mg::class_a());
+}
+
+#[test]
+fn ep_replay_matches_full_run_on_every_accumulator_and_bit() {
+    let ep = Ep::class_a();
+    let replay = Benchmark::Ep.shared_kernel();
+    let golden = ep.golden();
+    for at_fraction in [0.0, 0.998] {
+        for word in 0..12 {
+            for bit in 0..64 {
+                let corruption = Corruption::new(at_fraction, word, bit);
+                let full = ep.run_corrupted(corruption);
+                assert_eq!(replay.run_corrupted(corruption), full, "{corruption:?}");
+                assert_eq!(
+                    replay.corrupts(corruption),
+                    !full.matches(&golden),
+                    "{corruption:?}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn ep_replay_matches_full_run_bit_for_bit(
+        pairs in 1u32..3000,
+        seed in any::<u64>(),
+        word in 0usize..12,
+        bit in 0u8..64,
+        edge in 0u8..4,
+        inside in 0.0f64..0.999,
+    ) {
+        let at_fraction = [0.0, 0.998].get(usize::from(edge)).copied().unwrap_or(inside);
+        let ep = Ep::new(pairs, seed);
+        let replay = EpReplay::new(ep);
+        prop_assert_eq!(replay.golden(), ep.golden());
+        let corruption = Corruption::new(at_fraction, word, bit);
+        let (got, full) = (replay.run_corrupted(corruption), ep.run_corrupted(corruption));
+        let bits = |o: &KernelOutput| (o.checksum, o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        prop_assert_eq!(bits(&got), bits(&full));
+        prop_assert_eq!(replay.corrupts(corruption), !full.matches(&ep.golden()));
+    }
 }
 
 #[test]
