@@ -108,101 +108,6 @@ impl FaultInjector {
     }
 }
 
-/// The IEEE-754 bit regions of a 64-bit float, for position-resolved AVF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum BitClass {
-    /// Bits 0–31: low mantissa — tiny relative perturbations.
-    MantissaLow,
-    /// Bits 32–51: high mantissa — visible relative perturbations.
-    MantissaHigh,
-    /// Bits 52–62: exponent — order-of-magnitude corruption.
-    Exponent,
-    /// Bit 63: sign.
-    Sign,
-}
-
-impl BitClass {
-    /// All classes, least significant first.
-    pub const ALL: [BitClass; 4] = [
-        BitClass::MantissaLow,
-        BitClass::MantissaHigh,
-        BitClass::Exponent,
-        BitClass::Sign,
-    ];
-
-    /// The class's short name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            BitClass::MantissaLow => "mantissa-low",
-            BitClass::MantissaHigh => "mantissa-high",
-            BitClass::Exponent => "exponent",
-            BitClass::Sign => "sign",
-        }
-    }
-
-    /// Samples a bit index within this class.
-    pub fn sample_bit(self, rng: &mut SimRng) -> u8 {
-        match self {
-            BitClass::MantissaLow => rng.below(32) as u8,
-            BitClass::MantissaHigh => 32 + rng.below(20) as u8,
-            BitClass::Exponent => 52 + rng.below(11) as u8,
-            BitClass::Sign => 63,
-        }
-    }
-}
-
-impl std::fmt::Display for BitClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FaultInjector {
-    /// Position-resolved injection: AVF per IEEE-754 bit region. Exponent
-    /// and sign flips essentially always corrupt a numeric kernel's
-    /// output; low-mantissa flips are where architectural masking lives
-    /// (rounding, overwrites, integer-coded state).
-    pub fn estimate_by_bit_class(
-        &self,
-        rng: &mut SimRng,
-        benchmark: Benchmark,
-    ) -> Vec<(BitClass, AvfEstimate)> {
-        let kernel = benchmark.shared_kernel();
-        BitClass::ALL
-            .into_iter()
-            .map(|class| {
-                let mut class_rng = rng.fork_indexed("bitclass", class as u64);
-                let mut corruptions = 0u32;
-                for _ in 0..self.injections_per_benchmark {
-                    let corruption = Corruption::new(
-                        class_rng.uniform_in(0.0, 0.999),
-                        class_rng.below(1 << 20) as usize,
-                        class.sample_bit(&mut class_rng),
-                    );
-                    if kernel.corrupts(corruption) {
-                        corruptions += 1;
-                    }
-                }
-                let (lower, upper) = wilson_ci(
-                    u64::from(corruptions),
-                    u64::from(self.injections_per_benchmark),
-                    0.95,
-                );
-                (
-                    class,
-                    AvfEstimate {
-                        benchmark,
-                        injections: self.injections_per_benchmark,
-                        corruptions,
-                        lower,
-                        upper,
-                    },
-                )
-            })
-            .collect()
-    }
-}
-
 /// The design-implication-#3 prediction: application SDC FIT at a voltage
 /// from (raw datapath FIT at that voltage) × (injected AVF) ×
 /// (the benchmark's probability of holding live state when struck).
@@ -260,7 +165,7 @@ mod tests {
     }
 
     // Debug-mode kernel runs are slow; small samples suffice for the
-    // invariants checked here (the example and benches run larger ones).
+    // invariants checked here (the example runs larger ones).
     fn injector() -> FaultInjector {
         FaultInjector::new(12)
     }
@@ -337,41 +242,6 @@ mod tests {
             let point = OperatingPoint { pmd: v, ..nominal };
             let dut = DeviceUnderTest::for_platform(&spec, point, template.vmin());
             assert_eq!(fit, predicted_suite_sdc_fit(&dut, &avfs), "{v}");
-        }
-    }
-
-    #[test]
-    fn exponent_flips_corrupt_more_than_low_mantissa() {
-        // CG: an exponent flip in the solution vector is catastrophic; a
-        // low-mantissa flip can round away or vanish under convergence.
-        let mut rng = SimRng::seed_from(6);
-        let by_class = FaultInjector::new(24).estimate_by_bit_class(&mut rng, Benchmark::Cg);
-        let avf = |c: BitClass| {
-            by_class
-                .iter()
-                .find(|(class, _)| *class == c)
-                .expect("class present")
-                .1
-                .avf()
-        };
-        assert!(avf(BitClass::Exponent) >= avf(BitClass::MantissaLow));
-        assert!(
-            avf(BitClass::Exponent) > 0.8,
-            "exponent AVF = {}",
-            avf(BitClass::Exponent)
-        );
-    }
-
-    #[test]
-    fn bit_class_sampling_stays_in_region() {
-        let mut rng = SimRng::seed_from(7);
-        for _ in 0..200 {
-            assert!(BitClass::MantissaLow.sample_bit(&mut rng) < 32);
-            let hi = BitClass::MantissaHigh.sample_bit(&mut rng);
-            assert!((32..52).contains(&hi));
-            let e = BitClass::Exponent.sample_bit(&mut rng);
-            assert!((52..63).contains(&e));
-            assert_eq!(BitClass::Sign.sample_bit(&mut rng), 63);
         }
     }
 
