@@ -183,7 +183,7 @@ fn parse_args() -> Result<Args, String> {
                      [--summary-out PATH]\n       \
                      repro verify [--budget small|medium|large] \
                      [--seed N] [--out verdict.json] [--telemetry-out DIR]\n       \
-                     repro bench [--out bench.json] [--min-secs SECS] [--rows 1,2,4,8]\n       \
+                     repro bench [--out bench.json]\n       \
                      repro serve [--listen HOST:PORT] [--max-concurrent N] \
                      [--jobs N] [--state DIR] [--for-secs SECS]\n       \
                      repro inspect [--folded | --diff | --convergence] [--out PATH] \
@@ -235,68 +235,36 @@ fn resolve_platform(arg: &str) -> Result<PlatformSpec, String> {
     ))
 }
 
-struct BenchArgs {
-    out: Option<String>,
-    min_secs: f64,
-    jobs_rows: Vec<usize>,
-}
-
-fn parse_bench_args(mut it: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
-    let mut args = BenchArgs {
-        out: None,
-        min_secs: 2.0,
-        jobs_rows: serscale_bench::throughput::DEFAULT_JOBS.to_vec(),
-    };
+/// Parses `repro bench`'s arguments: the artifact path, if any.
+fn parse_bench_args(mut it: impl Iterator<Item = String>) -> Result<Option<String>, String> {
+    let mut out = None;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => {
-                args.out = Some(it.next().ok_or("--out needs a path")?);
-            }
-            "--min-secs" => {
-                let s = it.next().ok_or("--min-secs needs seconds")?;
-                args.min_secs = s.parse().map_err(|_| format!("bad min-secs {s}"))?;
-                if !(args.min_secs > 0.0 && args.min_secs.is_finite()) {
-                    return Err("--min-secs must be positive".into());
-                }
-            }
-            "--rows" => {
-                let s = it
-                    .next()
-                    .ok_or("--rows needs a comma-separated jobs list")?;
-                args.jobs_rows = s
-                    .split(',')
-                    .map(|n| n.parse::<usize>().map_err(|_| format!("bad jobs row {n}")))
-                    .collect::<Result<_, _>>()?;
-                if args.jobs_rows.is_empty() || args.jobs_rows.contains(&0) {
-                    return Err("--rows must list positive worker counts".into());
-                }
-            }
+            "--out" => out = Some(it.next().ok_or("--out needs a path")?),
             "--help" | "-h" => {
-                println!(
-                    "usage: repro bench [--out BENCH_campaign_throughput.json] \
-                     [--min-secs SECS] [--rows 1,2,4,8]"
-                );
+                println!("usage: repro bench [--out BENCH_campaign_throughput.json]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown bench argument {other}")),
         }
     }
-    Ok(args)
+    Ok(out)
 }
 
 /// Runs the throughput bench: human summary on stderr, bench JSON on
 /// stdout (or into `--out`). The measurement asserts determinism on every
 /// iteration, so a nonzero exit here is an engine regression, not a perf
 /// number.
-fn run_bench(args: &BenchArgs) -> ExitCode {
+fn run_bench(out: Option<&str>) -> ExitCode {
+    let budget = serscale_bench::throughput::BUDGET;
     eprintln!(
-        "measuring campaign throughput (rows {:?}, ≥{:.1}s per row)…",
-        args.jobs_rows, args.min_secs
+        "measuring campaign throughput ({}s of rounds)…",
+        budget.as_secs()
     );
-    let report = serscale_bench::throughput::measure(&args.jobs_rows, args.min_secs);
+    let report = serscale_bench::throughput::measure(budget);
     eprint!("{}", report.render());
     let json = report.to_json();
-    match &args.out {
+    match out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {
                 eprintln!("repro bench: cannot write {path}: {e}");
@@ -689,7 +657,7 @@ fn main() -> ExitCode {
     if raw.peek().map(String::as_str) == Some("bench") {
         raw.next();
         return match parse_bench_args(raw) {
-            Ok(a) => run_bench(&a),
+            Ok(out) => run_bench(out.as_deref()),
             Err(e) => {
                 eprintln!("repro bench: {e}");
                 ExitCode::FAILURE
