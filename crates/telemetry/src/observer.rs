@@ -15,8 +15,9 @@
 //! Callbacks fire once per trial/upset, so series handles are resolved
 //! through the registry **once per session** and cached in small linear
 //! tables (≤8 entries each); the per-event cost is an atomic increment,
-//! one formatted JSONL line and an uncontended mutex push. The
-//! `campaign_throughput` bench pins the total overhead at ≤5%.
+//! one formatted JSONL line and an uncontended mutex push. `repro
+//! bench`'s `jobs=1+telemetry` row measures the total cost against the
+//! bare campaign, and CI gates it (TESTING.md).
 
 use std::sync::{Arc, Mutex};
 
