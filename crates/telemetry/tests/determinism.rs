@@ -3,7 +3,7 @@
 //! worker count — and the counters the telemetry *does* record agree with
 //! the report it shadowed.
 
-use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport};
+use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
 use serscale_core::trace::{tee, Logbook};
 use serscale_telemetry::{TelemetryOptions, TelemetrySink};
 use serscale_types::CacheLevel;
@@ -121,4 +121,42 @@ fn simulation_series_are_jobs_independent() {
         s1.counter_total("wave_trials_absorbed_total", &[]),
         s8.counter_total("wave_trials_absorbed_total", &[]),
     );
+}
+
+/// FNV-1a-64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The event stream is pinned byte for byte, at jobs 1 and 2, on a
+/// campaign whose stream holds every per-trial line kind: a change to how
+/// the observer renders an event must leave these bytes alone.
+#[test]
+fn event_stream_bytes_are_pinned_at_any_jobs() {
+    let mut config = CampaignConfig::paper_scaled(0.05);
+    config.seed = SEED;
+    for jobs in [1, 2] {
+        let sink = TelemetrySink::in_memory(TelemetryOptions::default());
+        let mut observer = sink.observer();
+        Campaign::new(config.clone())
+            .try_run(CampaignRunOptions::with_jobs(jobs), &mut observer)
+            .expect("a run with no journal and no cancel token cannot fail");
+        drop(observer);
+        let events = sink.events_jsonl();
+        for line in [
+            "{\"event\":\"run\",",
+            "{\"event\":\"edac\",",
+            "{\"event\":\"recovery\",",
+            "\"verdict\":\"sdc\"",
+        ] {
+            assert!(events.contains(line), "jobs={jobs}: no {line} line");
+        }
+        assert_eq!(
+            (fnv1a(events.as_bytes()), events.len()),
+            (0x0ee1_4ad0_f34b_46cb, 431_140),
+            "jobs={jobs}: the event stream moved"
+        );
+    }
 }
