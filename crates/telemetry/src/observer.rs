@@ -15,10 +15,12 @@
 //! Callbacks fire once per trial/upset, so series handles are resolved
 //! through the registry **once per session** and cached in small linear
 //! tables (≤8 entries each); the per-event cost is an atomic increment,
-//! one formatted JSONL line and an uncontended mutex push. `repro
+//! one JSONL line written in place into a session-local buffer, and
+//! uncontended locks of the convergence tracker and progress. `repro
 //! bench`'s `jobs=1+telemetry` row measures the total cost against the
 //! bare campaign, and CI gates it (TESTING.md).
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use serscale_core::classify::{FailureClass, RunVerdict};
@@ -512,9 +514,6 @@ impl SessionObserver for TelemetryObserver {
         let Some(state) = &mut self.state else { return };
         state.last_run_start = Some(start);
         state.runs += 1;
-        let (_, counter, bench_json) = state.run_counter(&self.shard, benchmark);
-        counter.inc();
-        let bench_json = bench_json.clone();
         if let Some(class) = verdict.failure_class() {
             state.failure_counter(&self.shard, class).inc();
         }
@@ -526,14 +525,22 @@ impl SessionObserver for TelemetryObserver {
             RunVerdict::AppCrash => ("app_crash", false),
             RunVerdict::SysCrash => ("sys_crash", false),
         };
-        let line = format!(
-            "{{\"event\":\"run\",\"t_s\":{},\"voltage\":{},\"benchmark\":{bench_json},\
-             \"verdict\":\"{kind}\",\"ce_notified\":{notified}}}",
-            crate::json::number(start.as_secs()),
-            self.state.as_ref().expect("state set above").voltage_json,
-        );
-        self.push_event(&line);
-        let upsets = self.state.as_ref().expect("state set above").upsets;
+        // The line is written in place: this runs once per trial.
+        let line = &mut self.pending;
+        line.push_str("{\"event\":\"run\",\"t_s\":");
+        crate::json::write_number(line, start.as_secs());
+        line.push_str(",\"voltage\":");
+        line.push_str(&state.voltage_json);
+        line.push_str(",\"benchmark\":");
+        let (_, counter, bench_json) = state.run_counter(&self.shard, benchmark);
+        counter.inc();
+        line.push_str(bench_json);
+        line.push_str(",\"verdict\":\"");
+        line.push_str(kind);
+        line.push_str("\",\"ce_notified\":");
+        line.push_str(if notified { "true}\n" } else { "false}\n" });
+        self.events_counter.inc();
+        let upsets = state.upsets;
         self.progress
             .lock()
             .expect("progress poisoned")
@@ -548,16 +555,20 @@ impl SessionObserver for TelemetryObserver {
         let Some(state) = &mut self.state else { return };
         state.upsets += 1;
         state.edac_counter(&self.shard, &record).inc();
-        let domain = record.array.voltage_domain();
-        let severity = record.severity;
-        let array_json = state.array_json(record.array).to_string();
-        let line = format!(
-            "{{\"event\":\"edac\",\"t_s\":{},\"voltage\":{},\"array\":{array_json},\
-             \"domain\":\"{domain}\",\"severity\":\"{severity}\"}}",
-            crate::json::number(record.time.as_secs()),
-            state.voltage_json,
+        let line = &mut self.pending;
+        line.push_str("{\"event\":\"edac\",\"t_s\":");
+        crate::json::write_number(line, record.time.as_secs());
+        line.push_str(",\"voltage\":");
+        line.push_str(&state.voltage_json);
+        line.push_str(",\"array\":");
+        line.push_str(state.array_json(record.array));
+        let _ = writeln!(
+            line,
+            ",\"domain\":\"{}\",\"severity\":\"{}\"}}",
+            record.array.voltage_domain(),
+            record.severity
         );
-        self.push_event(&line);
+        self.events_counter.inc();
     }
 
     fn on_recovery(&mut self, start: SimInstant, duration: SimDuration) {
