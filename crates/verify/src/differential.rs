@@ -17,9 +17,10 @@
 //! stopping rule, a merge reordering, a worker-count-dependent draw —
 //! shows up here as an inequality, with no statistics needed.
 //!
-//! Below the engines, the kernels have two paths too: the checkpointed
-//! kernels the runner uses resume corrupted runs from golden snapshots,
-//! and [`KernelResumeEquivalence`] holds them to the full re-execution.
+//! Below the engines, the kernels have two paths too: the kernels the
+//! runner uses resume corrupted runs from golden snapshots or replay them
+//! from golden increments, and [`KernelResumeEquivalence`] holds them to
+//! the full re-execution.
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
 use serscale_core::dut::DeviceUnderTest;
@@ -323,10 +324,10 @@ impl StatOracle for PlatformEquivalence {
     }
 }
 
-/// The checkpointed kernels behind `Benchmark::shared_kernel()` return
-/// exactly the output and the SDC verdict of a full re-execution
-/// (`Benchmark::kernel()`) for corruptions drawn the way the trial runner
-/// draws them.
+/// The kernels behind `Benchmark::shared_kernel()`, checkpointed or
+/// replayed, return exactly the output and the SDC verdict of a full
+/// re-execution (`Benchmark::kernel()`) for corruptions drawn the way the
+/// trial runner draws them.
 pub struct KernelResumeEquivalence;
 
 /// Corruptions per benchmark per budget seed.
@@ -404,7 +405,7 @@ impl StatOracle for KernelResumeEquivalence {
     }
 
     fn claim(&self) -> &'static str {
-        "Checkpointed kernel runs return the full re-execution's output bit for bit, and its SDC verdict"
+        "Checkpointed and replayed kernel runs return the full re-execution's output bit for bit, and its SDC verdict"
     }
 
     fn run(&self, ctx: &OracleContext) -> OracleReport {
@@ -494,6 +495,7 @@ impl StatOracle for ResumeEquivalence {
 mod tests {
     use super::*;
     use crate::oracle::TrialBudget;
+    use serscale_workload::cg::{Cg, CgReplay};
     use serscale_workload::mg::Mg;
     use serscale_workload::stepped::Stepped;
 
@@ -619,5 +621,53 @@ mod tests {
             &corruptions,
         );
         assert!(!broken.passed, "{broken:?}");
+    }
+
+    /// A broken CG replay that adds the golden increments after the
+    /// injection step in reverse step order: the same terms as the full
+    /// re-execution, rounded in another order.
+    struct ReversedTail(CgReplay);
+
+    impl Kernel for ReversedTail {
+        fn name(&self) -> &'static str {
+            Cg::NAME
+        }
+
+        fn run(&self) -> serscale_workload::KernelOutput {
+            self.0.golden()
+        }
+
+        fn run_corrupted(&self, corruption: Corruption) -> serscale_workload::KernelOutput {
+            // The class-A solve never breaks down, so every step adds.
+            let at = corruption.iteration(Cg::class_a().steps());
+            let increments: Vec<f64> = self.0.increments(corruption.word).collect();
+            let (before, after) = increments.split_at(at);
+            let before = before.iter().fold(0.0, |sum: f64, d| sum + d);
+            let flipped = f64::from_bits(before.to_bits() ^ (1 << corruption.bit));
+            let after = after.iter().rev().fold(flipped, |sum, d| sum + d);
+            self.0.output_with(corruption.word, after)
+        }
+    }
+
+    #[test]
+    fn kernel_resume_check_catches_a_reordered_replay() {
+        let mut rng = SimRng::seed_from(7).fork("cg");
+        let corruptions: Vec<Corruption> = (0..20).map(|_| runner_corruption(&mut rng)).collect();
+        let cg = Benchmark::Cg;
+        let honest = resume_check("cg", cg.kernel().as_ref(), cg.shared_kernel(), &corruptions);
+        assert!(honest.passed, "{honest:?}");
+        let broken = resume_check(
+            "cg",
+            cg.kernel().as_ref(),
+            &ReversedTail(CgReplay::new(Cg::class_a())),
+            &corruptions,
+        );
+        assert!(!broken.passed, "{broken:?}");
+        assert!(
+            broken
+                .detail
+                .contains("diverged from the full re-execution"),
+            "{broken:?}"
+        );
     }
 }

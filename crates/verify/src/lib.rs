@@ -19,8 +19,9 @@
 //!   the parallel engine at several worker counts must agree bit for bit,
 //!   reports and event traces alike; an interrupted-then-resumed
 //!   journaled campaign must reproduce the uninterrupted run exactly,
-//!   including across a torn journal tail; the checkpointed kernels must
-//!   return the full re-execution's output for sampled corruptions; the
+//!   including across a torn journal tail; the checkpointed and replayed
+//!   kernels must return the full re-execution's output for sampled
+//!   corruptions; the
 //!   batched arrival sampler must consume RNG streams draw-for-draw
 //!   identically to the per-event reference physics across random
 //!   operating points; and the

@@ -22,8 +22,9 @@
 //! Each kernel is written as one main loop over explicit state
 //! ([`stepped::Stepped`]). [`Benchmark::kernel`] re-executes a corrupted
 //! run in full; [`Benchmark::shared_kernel`] resumes it from golden
-//! checkpoints ([`stepped::Checkpointed`]), or replays EP's golden
-//! increments ([`ep::EpReplay`]), and returns the same output. Its
+//! checkpoints ([`stepped::Checkpointed`]), or replays CG's and EP's
+//! golden increments ([`cg::CgReplay`], [`ep::EpReplay`]), and returns
+//! the same output. Its
 //! [`Kernel::corrupts`] answers the SDC verdict alone and stops a run as
 //! soon as that is known.
 //!

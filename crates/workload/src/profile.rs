@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use serscale_types::SimDuration;
 
-use crate::cg::Cg;
+use crate::cg::{Cg, CgReplay};
 use crate::ep::{Ep, EpReplay};
 use crate::ft::Ft;
 use crate::is::Is;
@@ -91,15 +91,15 @@ impl Benchmark {
     /// arrays per worker per wave. Built lazily on first use by the one
     /// golden pass, which also keeps the golden snapshots its
     /// [`Kernel::run_corrupted`] resumes from ([`Checkpointed`]) or, for
-    /// EP, the golden increments it replays ([`EpReplay`]); outputs and
-    /// [`Kernel::corrupts`] verdicts equal [`Benchmark::kernel`]'s full
-    /// re-execution bit for bit.
+    /// CG and EP, the golden increments it replays ([`CgReplay`],
+    /// [`EpReplay`]); outputs and [`Kernel::corrupts`] verdicts equal
+    /// [`Benchmark::kernel`]'s full re-execution bit for bit.
     pub fn shared_kernel(self) -> &'static (dyn Kernel + Send + Sync) {
         static KERNELS: [OnceLock<Box<dyn Kernel + Send + Sync>>; 6] =
             [const { OnceLock::new() }; 6];
         KERNELS[self as usize]
             .get_or_init(|| match self {
-                Benchmark::Cg => Box::new(Checkpointed::new(Cg::class_a())),
+                Benchmark::Cg => Box::new(CgReplay::new(Cg::class_a())),
                 Benchmark::Ep => Box::new(EpReplay::new(Ep::class_a())),
                 Benchmark::Ft => Box::new(Checkpointed::new(Ft::class_a())),
                 Benchmark::Is => Box::new(Checkpointed::new(Is::class_a())),

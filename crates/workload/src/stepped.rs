@@ -118,17 +118,25 @@ fn execute<K: Stepped>(kernel: &K, corruption: Option<Corruption>) -> KernelOutp
 }
 
 /// The most snapshots one kernel keeps.
-const MAX_SNAPSHOTS: usize = 16;
+const MAX_SNAPSHOTS: usize = 8;
 
-/// The most snapshot bytes one kernel keeps, counted on the initial state
-/// (per-iteration histories add a few words per step on top).
+/// The most bytes one snapshot may hold, counted on the initial state
+/// (per-iteration histories add a few words per step on top): a kernel
+/// whose state is larger keeps none.
 const MAX_SNAPSHOT_BYTES: usize = 256 << 10;
 
+/// The most bytes one kernel's snapshots may hold in all.
+const MAX_KERNEL_SNAPSHOT_BYTES: usize = 768 << 10;
+
 /// The iteration spacing of snapshots for a loop of `steps` iterations
-/// over a state of `state_bytes`: as many evenly spaced snapshots as both
+/// over a state of `state_bytes`: as many evenly spaced snapshots as the
 /// caps allow, strictly inside the loop. A spacing of `steps` means none.
 fn spacing(steps: usize, state_bytes: usize) -> usize {
-    let count = MAX_SNAPSHOTS.min(MAX_SNAPSHOT_BYTES / state_bytes.max(1));
+    let count = if state_bytes > MAX_SNAPSHOT_BYTES {
+        0
+    } else {
+        MAX_SNAPSHOTS.min(MAX_KERNEL_SNAPSHOT_BYTES / state_bytes.max(1))
+    };
     steps.div_ceil(count + 1).max(1)
 }
 

@@ -2,8 +2,8 @@
 //! re-execution returns, for every corruption.
 //!
 //! `Benchmark::shared_kernel()` resumes corrupted runs from golden
-//! snapshots and stops at the first bitwise reconvergence (EP replays its
-//! golden increments instead); `Benchmark::kernel()` re-executes from
+//! snapshots and stops at the first bitwise reconvergence (CG and EP
+//! replay their golden increments instead); `Benchmark::kernel()` re-executes from
 //! iteration 0. Both drive the same step functions, so their outputs must
 //! be equal as whole `KernelOutput`s — headline values and checksum — not
 //! merely agree on whether the run matched the golden output. The
@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use serscale_stats::SimRng;
-use serscale_workload::cg::Cg;
+use serscale_workload::cg::{Cg, CgReplay};
 use serscale_workload::ep::{Ep, EpReplay};
 use serscale_workload::ft::Ft;
 use serscale_workload::is::Is;
@@ -175,14 +175,15 @@ fn edges_match<K: Stepped + Clone>(kernel: K, snapshots: usize) {
 
 #[test]
 fn loop_ends_and_snapshot_boundaries_match_full_run() {
-    // At most 16 snapshots and 256 KiB per kernel: IS's key array alone
-    // is over the byte cap, MG's grid fills it once.
-    edges_match(Cg::class_a(), 9);
-    edges_match(Ep::class_a(), 16);
+    // At most 8 snapshots, 256 KiB each and 768 KiB per kernel: IS's key
+    // array alone is over the per-snapshot cap, MG's grid fills the
+    // kernel's bytes three times, one snapshot entering every V-cycle.
+    edges_match(Cg::class_a(), 8);
+    edges_match(Ep::class_a(), 8);
     edges_match(Ft::class_a(), 3);
     edges_match(Is::class_a(), 0);
     edges_match(Lu::class_a(), 7);
-    edges_match(Mg::class_a(), 1);
+    edges_match(Mg::class_a(), 3);
 }
 
 /// The [`Stepped::recorded`] values of `kernel`'s full run with
@@ -358,6 +359,76 @@ proptest! {
         let bits = |o: &KernelOutput| (o.checksum, o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         prop_assert_eq!(bits(&got), bits(&full));
         prop_assert_eq!(replay.corrupts(corruption), !full.matches(&ep.golden()));
+    }
+}
+
+/// The iteration at which `Cg::new(2, 40)`'s breakdown guard ends its
+/// loop: the golden run enters iterations `0..=CG_BREAK` and the last one
+/// adds nothing.
+const CG_BREAK: usize = 27;
+
+/// `replay`'s output and verdict for `corruption` against `cg`'s full
+/// re-execution, by bit pattern.
+fn cg_replay_agrees(cg: &Cg, replay: &CgReplay, corruption: Corruption) -> Result<(), String> {
+    let bits = |o: &KernelOutput| {
+        let values: Vec<u64> = o.values.iter().map(|v| v.to_bits()).collect();
+        (o.checksum, values)
+    };
+    let full = cg.run_corrupted(corruption);
+    if bits(&replay.run_corrupted(corruption)) != bits(&full) {
+        return Err(format!("{corruption:?}: output"));
+    }
+    if replay.corrupts(corruption) == full.matches(&cg.golden()) {
+        return Err(format!("{corruption:?}: verdict"));
+    }
+    Ok(())
+}
+
+#[test]
+fn cg_replay_matches_full_run_on_every_step_around_a_breakdown() {
+    let cg = Cg::new(2, 40);
+    let mut state = cg.init();
+    let breaks = (0..cg.steps()).find(|&i| !cg.step(&mut state, i));
+    assert_eq!(breaks, Some(CG_BREAK), "Cg::new(2, 40) breaks down");
+    let replay = CgReplay::new(cg.clone());
+    assert_eq!(replay.golden(), cg.golden());
+    for at in 0..cg.steps() {
+        for word in 0..4 {
+            for bit in [0, 31, 51, 52, 62, 63] {
+                let corruption = Corruption::new(fraction_at(at, cg.steps()), word, bit);
+                cg_replay_agrees(&cg, &replay, corruption).unwrap();
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn cg_replay_matches_full_run_bit_for_bit(
+        side in 2usize..=32,
+        iterations in 1usize..=60,
+        word in 0usize..1 << 20,
+        bit in 0u8..64,
+        edge in 0u8..5,
+        seed in any::<u64>(),
+    ) {
+        let cg = Cg::new(side, iterations);
+        let replay = CgReplay::new(cg.clone());
+        prop_assert_eq!(replay.golden(), cg.golden());
+        let mut rng = SimRng::seed_from(seed);
+        // The loop's ends, and where `Cg::new(2, 40)` breaks down and the
+        // step after it.
+        let edges = [0.0, 0.9999, fraction_at(CG_BREAK, 40), fraction_at(CG_BREAK + 1, 40)];
+        let at_fraction = edges
+            .get(usize::from(edge))
+            .copied()
+            .unwrap_or_else(|| rng.uniform_in(0.0, 0.999));
+        let mut corruptions = vec![Corruption::new(at_fraction, word, bit)];
+        corruptions.extend((0..3).map(|_| draw(&mut rng)));
+        for corruption in corruptions {
+            let agrees = cg_replay_agrees(&cg, &replay, corruption);
+            prop_assert!(agrees.is_ok(), "{:?}", agrees);
+        }
     }
 }
 
