@@ -37,11 +37,19 @@
 //! does not verify. Recovery drops the tail and truncates the file back
 //! to the last verified line. A digest failure *before* the final line is
 //! not a torn write — it is corruption, and recovery refuses it loudly.
+//!
+//! ## Reading
+//!
+//! Every reader streams the file through one [`READ_BUFFER`]-byte buffer,
+//! a line at a time, and decodes each line against the exact layout the
+//! writer produces: the members in the writer's order with their literal
+//! keys, integers as plain digits, strings without escapes. A line in any
+//! other layout is refused even when its digest verifies; no writer ever
+//! produced one.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use serscale_soc::edac::{EdacRecord, EdacSeverity};
@@ -89,6 +97,21 @@ fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 fn line_digest(prefix: &str) -> u64 {
     fnv1a64_extend(fnv1a64(prefix.as_bytes()), b"}")
 }
+
+/// The digest field's text before its 16 hex digits; `"}` follows them
+/// and ends the line.
+const CRC_KEY: &str = ",\"crc\":\"";
+
+/// The length of the digest field at the end of every line.
+const CRC_FIELD_LEN: usize = CRC_KEY.len() + 16 + 2;
+
+/// The capacity of the one buffer each journal pass streams the file
+/// through.
+const READ_BUFFER: usize = 64 * 1024;
+
+/// The largest integer a JSON double carries exactly, as
+/// [`json::exact_u64`] bounds it.
+const EXACT_INT: u64 = 1 << 53;
 
 /// A fingerprint of the full campaign configuration (sessions, limits,
 /// facility, Vmin source, seed). Two configs with the same fingerprint
@@ -196,204 +219,254 @@ impl Record {
         }
     }
 
-    /// Parses one journal line, verifying its digest.
+    /// Parses one journal line, verifying its digest before it reads any
+    /// field.
+    ///
+    /// The line must be laid out byte for byte as
+    /// [`to_line`](Self::to_line) lays it out: the members in the
+    /// writer's order with their literal keys, no whitespace, integers as
+    /// plain digits, strings without escapes, and nothing after the digest
+    /// field. Every field keeps its type and range check.
     pub fn parse_line(line: &str) -> Result<Self, String> {
-        let crc_at = line
-            .rfind(",\"crc\":\"")
-            .ok_or_else(|| "line has no crc field".to_string())?;
-        let not_a_string = || "crc is not a string".to_string();
-        let members = Members::read(line)?.ok_or_else(not_a_string)?;
-        let claimed = text(members.crc).ok_or_else(not_a_string)?;
-        // Compared as the exact text `to_line` writes, 16 lowercase hex
-        // digits, so a flipped byte anywhere in the line — even one that
-        // changes only the case of a hex digit — fails the digest.
-        let lowercase_hex = claimed.len() == 16
-            && claimed
-                .bytes()
-                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-        if !lowercase_hex || u64::from_str_radix(&claimed, 16) != Ok(line_digest(&line[..crc_at])) {
-            return Err("crc mismatch".to_string());
+        let mut body = Body {
+            rest: verified_body(line)?,
+        };
+        let record = body.record()?;
+        if !body.rest.is_empty() {
+            return Err(format!(
+                "unexpected bytes after the last member: {:?}",
+                body.rest
+            ));
         }
-        members.decode()
+        Ok(record)
     }
 }
 
-/// The members of one journal line the decoder reads, each holding the
-/// last value its key carried (duplicate keys keep the last, as a JSON
-/// object does). `edac` also keeps its source text to descend into.
-#[derive(Default)]
-struct Members<'a> {
-    rec: Option<Token<'a>>,
-    version: Option<Token<'a>>,
-    seed: Option<Token<'a>>,
-    fingerprint: Option<Token<'a>>,
-    sessions: Option<Token<'a>>,
-    session: Option<Token<'a>>,
-    pmd_mv: Option<Token<'a>>,
-    soc_mv: Option<Token<'a>>,
-    freq_mhz: Option<Token<'a>>,
-    trial: Option<Token<'a>>,
-    benchmark: Option<Token<'a>>,
-    verdict: Option<Token<'a>>,
-    ce_notified: Option<Token<'a>>,
-    wall_s: Option<Token<'a>>,
-    strikes: Option<Token<'a>>,
-    retries: Option<Token<'a>>,
-    quarantined: Option<Token<'a>>,
-    edac: Option<(Token<'a>, &'a str)>,
-    reason: Option<Token<'a>>,
-    crc: Option<Token<'a>>,
+/// The bytes `line`'s digest covers, once the digest field at the line's
+/// end verifies against them.
+fn verified_body(line: &str) -> Result<&str, String> {
+    let body_len = line
+        .len()
+        .checked_sub(CRC_FIELD_LEN)
+        .ok_or_else(|| "line has no crc field".to_string())?;
+    let claimed = line
+        .get(body_len..)
+        .and_then(|field| field.strip_prefix(CRC_KEY))
+        .and_then(|field| field.strip_suffix("\"}"))
+        .ok_or_else(|| "line has no crc field".to_string())?;
+    let body = &line[..body_len];
+    // Compared as the exact text `to_line` writes, 16 lowercase hex
+    // digits, so a flipped byte anywhere in the line — even one that
+    // changes only the case of a hex digit — fails the digest.
+    let lowercase_hex = claimed
+        .bytes()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if !lowercase_hex || u64::from_str_radix(claimed, 16) != Ok(line_digest(body)) {
+        return Err("crc mismatch".to_string());
+    }
+    Ok(body)
 }
 
-impl<'a> Members<'a> {
-    /// Reads a whole line, or `None` when it is valid JSON but not an
-    /// object. Unknown keys are checked and skipped.
-    fn read(line: &'a str) -> Result<Option<Self>, String> {
-        let mut members = Members::default();
-        let object = json::members(line, |key, value, source| {
-            let slot = match &*key.get() {
-                "rec" => &mut members.rec,
-                "version" => &mut members.version,
-                "seed" => &mut members.seed,
-                "fingerprint" => &mut members.fingerprint,
-                "sessions" => &mut members.sessions,
-                "session" => &mut members.session,
-                "pmd_mv" => &mut members.pmd_mv,
-                "soc_mv" => &mut members.soc_mv,
-                "freq_mhz" => &mut members.freq_mhz,
-                "trial" => &mut members.trial,
-                "benchmark" => &mut members.benchmark,
-                "verdict" => &mut members.verdict,
-                "ce_notified" => &mut members.ce_notified,
-                "wall_s" => &mut members.wall_s,
-                "strikes" => &mut members.strikes,
-                "retries" => &mut members.retries,
-                "quarantined" => &mut members.quarantined,
-                "reason" => &mut members.reason,
-                "crc" => &mut members.crc,
-                "edac" => {
-                    members.edac = Some((value, source));
-                    return;
-                }
-                _ => return,
-            };
-            *slot = Some(value);
-        })?;
-        Ok(object.then_some(members))
-    }
+/// A cursor over a verified line body that reads the members in the
+/// order, and with the bytes, that [`Record::write_body`] and
+/// [`write_trial_body`] write them: the decoder is the encoder's mirror
+/// image.
+struct Body<'a> {
+    /// The bytes not yet read.
+    rest: &'a str,
+}
 
-    /// The record these members describe, with every field's type and
-    /// range checked.
-    fn decode(self) -> Result<Record, String> {
-        let rec = text(self.rec).ok_or_else(|| "missing rec tag".to_string())?;
-        match &*rec {
-            "campaign" => Ok(Record::Campaign {
-                version: u32::try_from(int(self.version, "version")?)
-                    .map_err(|_| "version out of range".to_string())?,
-                seed: hex(self.seed, "seed")?,
-                fingerprint: hex(self.fingerprint, "fingerprint")?,
-                sessions: u32::try_from(int(self.sessions, "sessions")?)
-                    .map_err(|_| "session count out of range".to_string())?,
-            }),
-            "session" => {
-                let mv = |slot, name: &str| {
-                    int(slot, name)
-                        .and_then(|v| u32::try_from(v).map_err(|_| format!("{name} out of range")))
-                };
-                Ok(Record::SessionStart {
-                    session: int(self.session, "session")?,
-                    point: OperatingPoint {
-                        pmd: Millivolts::new(mv(self.pmd_mv, "pmd_mv")?),
-                        soc: Millivolts::new(mv(self.soc_mv, "soc_mv")?),
-                        frequency: Megahertz::new(mv(self.freq_mhz, "freq_mhz")?),
-                    },
-                })
-            }
+impl<'a> Body<'a> {
+    fn record(&mut self) -> Result<Record, String> {
+        self.literal("{\"rec\":")?;
+        Ok(match self.quoted("rec tag")? {
+            "campaign" => Record::Campaign {
+                version: self.u32("version")?,
+                seed: self.hex("seed")?,
+                fingerprint: self.hex("fingerprint")?,
+                sessions: self.u32("sessions")?,
+            },
+            "session" => Record::SessionStart {
+                session: self.int("session")?,
+                point: OperatingPoint {
+                    pmd: Millivolts::new(self.u32("pmd_mv")?),
+                    soc: Millivolts::new(self.u32("soc_mv")?),
+                    frequency: Megahertz::new(self.u32("freq_mhz")?),
+                },
+            },
             "trial" => {
-                let benchmark = text(self.benchmark)
-                    .ok_or_else(|| "missing benchmark".to_string())
-                    .and_then(|name| benchmark_from_name(&name))?;
-                let kind = text(self.verdict).ok_or_else(|| "missing verdict".to_string())?;
-                let notified =
-                    flag(self.ce_notified).ok_or_else(|| "missing ce_notified".to_string())?;
-                let verdict = verdict_from_parts(&kind, notified)?;
-                let wall_s = number(self.wall_s)
-                    .filter(|w| w.is_finite() && *w >= 0.0)
-                    .ok_or_else(|| "missing or invalid wall_s".to_string())?;
-                let edac = match self.edac {
-                    Some((Token::BeginArray, source)) => decode_edac(source)?,
-                    _ => return Err("missing edac array".to_string()),
-                };
-                Ok(Record::Trial {
-                    session: int(self.session, "session")?,
+                let session = self.int("session")?;
+                let trial = self.int("trial")?;
+                let benchmark = benchmark_from_name(self.text("benchmark")?)?;
+                let kind = self.text("verdict")?;
+                let verdict = verdict_from_parts(kind, self.flag("ce_notified")?)?;
+                self.key("wall_s")?;
+                let wall_s = self.time("wall_s")?;
+                let sram_strikes = self.int("strikes")?;
+                let retries = self.u32("retries")?;
+                let quarantined = self.flag("quarantined")?;
+                self.key("edac")?;
+                let edac = self.edac()?;
+                Record::Trial {
+                    session,
                     execution: TrialExecution {
-                        trial: int(self.trial, "trial")?,
+                        trial,
                         outcome: RunOutcome {
                             benchmark,
                             verdict,
                             edac,
                             wall_time: SimDuration::from_secs(wall_s),
-                            sram_strikes: int(self.strikes, "strikes")?,
+                            sram_strikes,
                         },
-                        retries: u32::try_from(int(self.retries, "retries")?)
-                            .map_err(|_| "retries out of range".to_string())?,
-                        quarantined: flag(self.quarantined)
-                            .ok_or_else(|| "missing quarantined".to_string())?,
+                        retries,
+                        quarantined,
                     },
-                })
+                }
             }
-            "session_end" => {
-                let reason = text(self.reason).ok_or_else(|| "missing reason".to_string())?;
-                Ok(Record::SessionEnd {
-                    session: int(self.session, "session")?,
-                    reason: reason_from_name(&reason)?,
-                })
-            }
-            other => Err(format!("unknown record type {other:?}")),
-        }
+            "session_end" => Record::SessionEnd {
+                session: self.int("session")?,
+                reason: reason_from_name(self.text("reason")?)?,
+            },
+            other => return Err(format!("unknown record type {other:?}")),
+        })
     }
-}
 
-/// Decodes a trial's `edac` array — `[time, array, severity]` triples —
-/// from its source text, which the line's read already checked.
-fn decode_edac(source: &str) -> Result<Vec<EdacRecord>, String> {
-    let not_a_triple = || "edac entry is not a triple".to_string();
-    let mut reader = Reader::new(source);
-    reader.next_value()?;
-    let mut edac = Vec::new();
-    while let Some(entry) = reader.item()? {
-        if entry != Token::BeginArray {
-            return Err(not_a_triple());
-        }
-        let mut triple = [None; 3];
-        let mut len = 0;
-        while let Some(item) = reader.item()? {
-            reader.skip(item)?;
-            if let Some(slot) = triple.get_mut(len) {
-                *slot = Some(item);
+    /// A trial's `edac` array: `[time,"array","severity"]` triples.
+    fn edac(&mut self) -> Result<Vec<EdacRecord>, String> {
+        self.literal("[")?;
+        let mut edac = Vec::new();
+        while !self.eat("]") {
+            if !edac.is_empty() {
+                self.literal(",")?;
             }
-            len += 1;
+            self.literal("[")?;
+            let t_s = self.time("edac time")?;
+            self.literal(",")?;
+            let array = array_from_name(self.quoted("edac array name")?)?;
+            self.literal(",")?;
+            let severity = severity_from_name(self.quoted("edac severity")?)?;
+            self.literal("]")?;
+            edac.push(EdacRecord {
+                time: SimInstant::EPOCH + SimDuration::from_secs(t_s),
+                array,
+                severity,
+            });
         }
-        if len != 3 {
-            return Err(not_a_triple());
-        }
-        let [time, array, severity] = triple;
-        let t_s = number(time)
-            .filter(|t| t.is_finite() && *t >= 0.0)
-            .ok_or_else(|| "bad edac time".to_string())?;
-        let array = text(array)
-            .ok_or_else(|| "bad edac array name".to_string())
-            .and_then(|name| array_from_name(&name))?;
-        let severity = text(severity)
-            .ok_or_else(|| "bad edac severity".to_string())
-            .and_then(|name| severity_from_name(&name))?;
-        edac.push(EdacRecord {
-            time: SimInstant::EPOCH + SimDuration::from_secs(t_s),
-            array,
-            severity,
-        });
+        Ok(edac)
     }
-    Ok(edac)
+
+    /// Consumes `text` if the unread bytes start with it.
+    fn eat(&mut self, text: &str) -> bool {
+        match self.rest.strip_prefix(text) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Consumes the writer's fixed `text`.
+    fn literal(&mut self, text: &str) -> Result<(), String> {
+        if self.eat(text) {
+            Ok(())
+        } else {
+            Err(format!("expected {text:?} before {:?}", self.rest))
+        }
+    }
+
+    /// Consumes `,"key":`, the bytes before every member's value but the
+    /// first.
+    fn key(&mut self, key: &str) -> Result<(), String> {
+        let rest = self
+            .rest
+            .strip_prefix(",\"")
+            .and_then(|rest| rest.strip_prefix(key))
+            .and_then(|rest| rest.strip_prefix("\":"))
+            .ok_or_else(|| format!("expected member {key:?} before {:?}", self.rest))?;
+        self.rest = rest;
+        Ok(())
+    }
+
+    /// A quoted string's text. The writer escapes nothing, so the string
+    /// ends at the next quote, and an escape is read as text that no name
+    /// matches.
+    fn quoted(&mut self, what: &str) -> Result<&'a str, String> {
+        let (text, rest) = self
+            .rest
+            .strip_prefix('"')
+            .and_then(|rest| rest.split_once('"'))
+            .ok_or_else(|| format!("missing {what}"))?;
+        self.rest = rest;
+        Ok(text)
+    }
+
+    /// A string member's text.
+    fn text(&mut self, key: &str) -> Result<&'a str, String> {
+        self.key(key)?;
+        self.quoted(key)
+    }
+
+    /// An integer member: plain digits with no sign and no leading zero,
+    /// at most 2^53.
+    fn int(&mut self, key: &str) -> Result<u64, String> {
+        self.key(key)?;
+        let digits = self.rest.bytes().take_while(u8::is_ascii_digit).count();
+        let (text, rest) = self.rest.split_at(digits);
+        let value = match text.as_bytes() {
+            [b'0', _, ..] => None,
+            _ => text.parse::<u64>().ok().filter(|&n| n <= EXACT_INT),
+        };
+        self.rest = rest;
+        value.ok_or_else(|| format!("missing or non-integer {key}"))
+    }
+
+    /// An integer member in `u32` range.
+    fn u32(&mut self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.int(key)?).map_err(|_| format!("{key} out of range"))
+    }
+
+    /// A `u64` member written as a hex string (the seed and fingerprint).
+    fn hex(&mut self, key: &str) -> Result<u64, String> {
+        u64::from_str_radix(self.text(key)?, 16).map_err(|e| format!("bad hex {key}: {e}"))
+    }
+
+    /// A `true` / `false` member.
+    fn flag(&mut self, key: &str) -> Result<bool, String> {
+        self.key(key)?;
+        if self.eat("true") {
+            Ok(true)
+        } else if self.eat("false") {
+            Ok(false)
+        } else {
+            Err(format!("missing {key}"))
+        }
+    }
+
+    /// A time in seconds, read by the codec's number rule and required
+    /// finite and non-negative.
+    fn time(&mut self, what: &str) -> Result<f64, String> {
+        let invalid = || format!("missing or invalid {what}");
+        // The reader skips whitespace, which the writer never puts here.
+        if !self
+            .rest
+            .starts_with(|c: char| c == '-' || c.is_ascii_digit())
+        {
+            return Err(invalid());
+        }
+        let mut reader = Reader::new(self.rest);
+        let Ok(token @ Token::Number(t)) = reader.next_value() else {
+            return Err(invalid());
+        };
+        // A scalar's source text is exactly the bytes the reader consumed.
+        let read = reader.skip(token).map_err(|_| invalid())?.len();
+        self.rest = &self.rest[read..];
+        if t.is_finite() && t >= 0.0 {
+            Ok(t)
+        } else {
+            Err(invalid())
+        }
+    }
 }
 
 /// Appends one digest-carrying line to `out`: the body `write_body`
@@ -433,40 +506,6 @@ fn write_trial_body(out: &mut String, session: u64, execution: &TrialExecution) 
         let _ = write!(out, ",\"{}\"]", r.severity);
     }
     out.push(']');
-}
-
-fn text(token: Option<Token<'_>>) -> Option<Cow<'_, str>> {
-    match token {
-        Some(Token::Str(s)) => Some(s.get()),
-        _ => None,
-    }
-}
-
-fn number(token: Option<Token<'_>>) -> Option<f64> {
-    match token {
-        Some(Token::Number(n)) => Some(n),
-        _ => None,
-    }
-}
-
-fn flag(token: Option<Token<'_>>) -> Option<bool> {
-    match token {
-        Some(Token::Bool(b)) => Some(b),
-        _ => None,
-    }
-}
-
-/// An exact unsigned integer field (see [`json::exact_u64`]).
-fn int(token: Option<Token<'_>>, name: &str) -> Result<u64, String> {
-    number(token)
-        .and_then(json::exact_u64)
-        .ok_or_else(|| format!("missing or non-integer {name}"))
-}
-
-/// A `u64` written as a hex string (the seed and fingerprint).
-fn hex(token: Option<Token<'_>>, name: &str) -> Result<u64, String> {
-    let text = text(token).ok_or_else(|| format!("missing {name}"))?;
-    u64::from_str_radix(&text, 16).map_err(|e| format!("bad hex {name}: {e}"))
 }
 
 fn verdict_to_parts(verdict: RunVerdict) -> (&'static str, bool) {
@@ -765,52 +804,69 @@ fn invalid_data(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
 
-/// The verified records of raw journal bytes, decoded one line at a
-/// time. An unterminated or invalid *final* line is a torn tail and ends
-/// the stream quietly; an invalid line anywhere before that is
-/// corruption, yielded once as an `Err` that ends the stream.
-struct Records<'a> {
-    bytes: &'a [u8],
-    /// Where the next line starts.
-    offset: usize,
+/// The verified records of a journal stream, decoded one line at a time
+/// into one reused line buffer. An unterminated or invalid *final* line
+/// is a torn tail and ends the stream quietly; an invalid line anywhere
+/// before that is corruption, yielded once as an `InvalidData` error that
+/// ends the stream, as is a read error.
+struct Records<R> {
+    reader: R,
+    line: Vec<u8>,
     /// Byte length of the verified prefix yielded so far.
-    valid: usize,
+    valid: u64,
+    done: bool,
 }
 
-impl<'a> Records<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+impl<R: BufRead> Records<R> {
+    fn new(reader: R) -> Self {
         Records {
-            bytes,
-            offset: 0,
+            reader,
+            line: Vec::new(),
             valid: 0,
+            done: false,
         }
     }
-}
 
-impl Iterator for Records<'_> {
-    type Item = Result<Record, String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let rest = &self.bytes[self.offset..];
-        // No newline left: an unterminated tail is a torn write, drop it.
-        let nl = rest.iter().position(|&b| b == b'\n')?;
-        let line_end = self.offset + nl + 1;
-        let record = std::str::from_utf8(&rest[..nl])
+    /// The next item, or `None` at the end of the verified records.
+    fn read(&mut self) -> Option<std::io::Result<Record>> {
+        self.line.clear();
+        if let Err(e) = self.reader.read_until(b'\n', &mut self.line) {
+            return Some(Err(e));
+        }
+        // No newline: an unterminated tail is a torn write, drop it.
+        let (b'\n', line) = self.line.split_last()? else {
+            return None;
+        };
+        let record = std::str::from_utf8(line)
             .map_err(|_| "journal line is not UTF-8".to_string())
             .and_then(Record::parse_line);
         match record {
             Ok(record) => {
-                self.offset = line_end;
-                self.valid = line_end;
+                self.valid += self.line.len() as u64;
                 Some(Ok(record))
             }
-            Err(e) => {
-                self.offset = self.bytes.len();
-                // An invalid final line is a torn flush: drop it too.
-                (line_end < self.bytes.len())
-                    .then(|| Err(format!("journal corrupted before the tail: {e}")))
-            }
+            // An invalid final line is a torn flush: drop it too.
+            Err(e) => match self.reader.fill_buf() {
+                Ok([]) => None,
+                Ok(_) => Some(Err(invalid_data(format!(
+                    "journal corrupted before the tail: {e}"
+                )))),
+                Err(e) => Some(Err(e)),
+            },
         }
+    }
+}
+
+impl<R: BufRead> Iterator for Records<R> {
+    type Item = std::io::Result<Record>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let item = self.read();
+        self.done = !matches!(item, Some(Ok(_)));
+        item
     }
 }
 
@@ -838,9 +894,9 @@ pub fn read_journal(path: &Path) -> std::io::Result<Vec<Record>> {
 /// As [`read_journal`]. Records before a mid-file failure have already
 /// reached `each`.
 pub fn for_each_record(path: &Path, mut each: impl FnMut(Record)) -> std::io::Result<()> {
-    let bytes = std::fs::read(path)?;
-    for record in Records::new(&bytes) {
-        each(record.map_err(invalid_data)?);
+    let file = File::open(path)?;
+    for record in Records::new(BufReader::with_capacity(READ_BUFFER, file)) {
+        each(record?);
     }
     Ok(())
 }
@@ -848,68 +904,78 @@ pub fn for_each_record(path: &Path, mut each: impl FnMut(Record)) -> std::io::Re
 /// Folds the post-header records into per-session histories, validating
 /// ordering against the configuration.
 fn build_recovered(
-    records: impl Iterator<Item = Result<Record, String>>,
+    records: impl Iterator<Item = std::io::Result<Record>>,
     config: &CampaignConfig,
-) -> Result<RecoveredCampaign, String> {
-    let mut sessions: Vec<RecoveredSession> = Vec::new();
+) -> std::io::Result<RecoveredCampaign> {
+    let mut sessions = Vec::new();
     for record in records {
-        match record? {
-            Record::Campaign { .. } => {
-                return Err("duplicate campaign header".to_string());
-            }
-            Record::SessionStart { session, point } => {
-                if session != sessions.len() as u64 {
-                    return Err(format!(
-                        "session {session} started out of order (expected {})",
-                        sessions.len()
-                    ));
-                }
-                let configured = config
-                    .sessions
-                    .get(sessions.len())
-                    .map(|(p, _)| *p)
-                    .ok_or_else(|| format!("session {session} beyond configuration"))?;
-                if point != configured {
-                    return Err(format!(
-                        "session {session} ran at {point:?}, configuration says {configured:?}"
-                    ));
-                }
-                sessions.push(RecoveredSession {
-                    index: session,
-                    trials: Vec::new(),
-                    ended: None,
-                });
-            }
-            Record::Trial { session, execution } => {
-                let current = sessions
-                    .last_mut()
-                    .filter(|s| s.index == session)
-                    .ok_or_else(|| format!("trial for session {session} before its start"))?;
-                if current.ended.is_some() {
-                    return Err(format!("trial after session {session} ended"));
-                }
-                if execution.trial != current.trials.len() as u64 {
-                    return Err(format!(
-                        "session {session} trial {} out of order (expected {})",
-                        execution.trial,
-                        current.trials.len()
-                    ));
-                }
-                current.trials.push(execution);
-            }
-            Record::SessionEnd { session, reason } => {
-                let current = sessions
-                    .last_mut()
-                    .filter(|s| s.index == session)
-                    .ok_or_else(|| format!("end for session {session} before its start"))?;
-                if current.ended.is_some() {
-                    return Err(format!("session {session} ended twice"));
-                }
-                current.ended = Some(reason);
-            }
-        }
+        recover_record(&mut sessions, record?, config).map_err(invalid_data)?;
     }
     Ok(RecoveredCampaign { sessions })
+}
+
+/// Files one post-header record into its session's history.
+fn recover_record(
+    sessions: &mut Vec<RecoveredSession>,
+    record: Record,
+    config: &CampaignConfig,
+) -> Result<(), String> {
+    match record {
+        Record::Campaign { .. } => {
+            return Err("duplicate campaign header".to_string());
+        }
+        Record::SessionStart { session, point } => {
+            if session != sessions.len() as u64 {
+                return Err(format!(
+                    "session {session} started out of order (expected {})",
+                    sessions.len()
+                ));
+            }
+            let configured = config
+                .sessions
+                .get(sessions.len())
+                .map(|(p, _)| *p)
+                .ok_or_else(|| format!("session {session} beyond configuration"))?;
+            if point != configured {
+                return Err(format!(
+                    "session {session} ran at {point:?}, configuration says {configured:?}"
+                ));
+            }
+            sessions.push(RecoveredSession {
+                index: session,
+                trials: Vec::new(),
+                ended: None,
+            });
+        }
+        Record::Trial { session, execution } => {
+            let current = sessions
+                .last_mut()
+                .filter(|s| s.index == session)
+                .ok_or_else(|| format!("trial for session {session} before its start"))?;
+            if current.ended.is_some() {
+                return Err(format!("trial after session {session} ended"));
+            }
+            if execution.trial != current.trials.len() as u64 {
+                return Err(format!(
+                    "session {session} trial {} out of order (expected {})",
+                    execution.trial,
+                    current.trials.len()
+                ));
+            }
+            current.trials.push(execution);
+        }
+        Record::SessionEnd { session, reason } => {
+            let current = sessions
+                .last_mut()
+                .filter(|s| s.index == session)
+                .ok_or_else(|| format!("end for session {session} before its start"))?;
+            if current.ended.is_some() {
+                return Err(format!("session {session} ended twice"));
+            }
+            current.ended = Some(reason);
+        }
+    }
+    Ok(())
 }
 
 /// Opens (or creates) the journal for a campaign in `dir`.
@@ -940,11 +1006,7 @@ pub fn start_or_resume(
         .read(true)
         .write(true)
         .open(&path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-
-    let mut records = Records::new(&bytes);
-    let Some(header) = records.next() else {
+    let Some((recovered, valid)) = recover(&file, config)? else {
         // Fresh journal (or one whose very first flush tore).
         file.set_len(0)?;
         file.seek(SeekFrom::Start(0))?;
@@ -953,20 +1015,30 @@ pub fn start_or_resume(
         writer.sync_durable()?;
         return Ok((writer, None));
     };
+    file.set_len(valid)?;
+    file.seek(SeekFrom::Start(valid))?;
+    Ok((JournalWriter::from_file(file), Some(recovered)))
+}
 
-    let header = header.map_err(invalid_data)?;
+/// Reads an open journal into its recovered campaign and the byte length
+/// of its verified prefix, or `None` when not even the header survived.
+fn recover(
+    file: &File,
+    config: &CampaignConfig,
+) -> std::io::Result<Option<(RecoveredCampaign, u64)>> {
+    let mut records = Records::new(BufReader::with_capacity(READ_BUFFER, file));
+    let Some(header) = records.next() else {
+        return Ok(None);
+    };
+    let header = header?;
     let expected = Record::campaign_header(config);
     if header != expected {
         return Err(invalid_data(format!(
             "journal header {header:?} does not match this campaign {expected:?}"
         )));
     }
-    let recovered = build_recovered(&mut records, config).map_err(invalid_data)?;
-
-    let valid = records.valid as u64;
-    file.set_len(valid)?;
-    file.seek(SeekFrom::Start(valid))?;
-    Ok((JournalWriter::from_file(file), Some(recovered)))
+    let recovered = build_recovered(&mut records, config)?;
+    Ok(Some((recovered, records.valid)))
 }
 
 #[cfg(test)]
@@ -1125,6 +1197,251 @@ mod tests {
             record.write_line(&mut pending);
             assert!(pending.ends_with(line), "{pending}");
         }
+    }
+
+    /// The decoder reads only the writer's layout. Each variant below
+    /// carries a valid digest, so only its layout can refuse it; a decoder
+    /// that walks the line as general JSON accepts all nine.
+    #[test]
+    fn only_the_writers_layout_decodes() {
+        let golden = Record::Trial {
+            session: 1,
+            execution: sample_execution(3),
+        }
+        .to_line();
+        let body = &golden[..golden.len() - CRC_FIELD_LEN];
+        let digested = |body: &str| format!("{body}{CRC_KEY}{:016x}\"}}", line_digest(body));
+        assert_eq!(digested(body), golden);
+        assert!(Record::parse_line(&golden).is_ok());
+        let edit = |from: &str, to: &str| {
+            assert!(body.contains(from), "{from} not in {body}");
+            digested(&body.replacen(from, to, 1))
+        };
+        let variants = [
+            (
+                "members in another order",
+                edit(
+                    "\"strikes\":11,\"retries\":1",
+                    "\"retries\":1,\"strikes\":11",
+                ),
+            ),
+            ("a space after a colon", edit("\"trial\":3", "\"trial\": 3")),
+            ("a trailing carriage return", format!("{golden}\r")),
+            (
+                "an unknown member",
+                digested(&format!("{body},\"note\":\"x\"")),
+            ),
+            (
+                "a duplicated member",
+                edit("\"trial\":3", "\"trial\":3,\"trial\":3"),
+            ),
+            (
+                "an integer written 1.0",
+                edit("\"retries\":1", "\"retries\":1.0"),
+            ),
+            (
+                "an integer written 01",
+                edit("\"retries\":1", "\"retries\":01"),
+            ),
+            (
+                "an integer written -0",
+                edit("\"session\":1", "\"session\":-0"),
+            ),
+            ("an escaped name", edit("\"IS\"", "\"\\u0049S\"")),
+        ];
+        for (what, line) in variants {
+            assert!(Record::parse_line(&line).is_err(), "{what} decoded: {line}");
+        }
+    }
+
+    /// A finite, non-negative `f64` from `bits`. The top two bits pick a
+    /// class a campaign's times rarely or never reach: subnormal (or
+    /// zero), integral below 1e15 (written with `.0`), at least 2^50
+    /// (written without), or anything finite.
+    fn drawn_time(bits: u64) -> f64 {
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let (mantissa, pick) = (bits & MANTISSA, (bits >> 52) & 0x3ff);
+        let exponent = match bits >> 62 {
+            0 => 0,
+            1 => return (mantissa % 1_000_000_000_000_000) as f64,
+            2 => 1073 + pick % 974,
+            _ => pick * 2,
+        };
+        f64::from_bits(exponent << 52 | mantissa)
+    }
+
+    /// An integer up to 2^53 from `bits`, both ends included.
+    fn drawn_int(bits: u64) -> u64 {
+        match bits % 4 {
+            0 => 0,
+            1 => EXACT_INT,
+            _ => (bits >> 2) % (EXACT_INT + 1),
+        }
+    }
+
+    /// A `u32` from `bits`, both ends included.
+    fn drawn_u32(bits: u64) -> u32 {
+        match bits % 4 {
+            0 => 0,
+            1 => u32::MAX,
+            _ => (bits >> 2) as u32,
+        }
+    }
+
+    /// A record of a kind and content drawn from `draws`.
+    fn drawn_record(draws: &[u64]) -> Record {
+        let mut draws = draws.iter().copied();
+        let mut next = move || draws.next().expect("enough draws");
+        match next() % 4 {
+            0 => Record::Campaign {
+                version: drawn_u32(next()),
+                seed: next(),
+                fingerprint: next(),
+                sessions: drawn_u32(next()),
+            },
+            1 => Record::SessionStart {
+                session: drawn_int(next()),
+                point: OperatingPoint {
+                    pmd: Millivolts::new(drawn_u32(next())),
+                    soc: Millivolts::new(drawn_u32(next())),
+                    frequency: Megahertz::new(drawn_u32(next())),
+                },
+            },
+            2 => {
+                let verdicts = [
+                    RunVerdict::Correct,
+                    RunVerdict::Sdc {
+                        with_hw_notification: false,
+                    },
+                    RunVerdict::Sdc {
+                        with_hw_notification: true,
+                    },
+                    RunVerdict::AppCrash,
+                    RunVerdict::SysCrash,
+                ];
+                let mut pick = |n: usize| (next() % n as u64) as usize;
+                let (benchmark, verdict) = (Benchmark::ALL[pick(6)], verdicts[pick(5)]);
+                let edac = (0..pick(5))
+                    .map(|_| EdacRecord {
+                        time: SimInstant::EPOCH + SimDuration::from_secs(drawn_time(next())),
+                        array: ArrayKind::ALL[(next() % ArrayKind::ALL.len() as u64) as usize],
+                        severity: [EdacSeverity::Corrected, EdacSeverity::Uncorrected]
+                            [(next() % 2) as usize],
+                    })
+                    .collect();
+                Record::Trial {
+                    session: drawn_int(next()),
+                    execution: TrialExecution {
+                        trial: drawn_int(next()),
+                        outcome: RunOutcome {
+                            benchmark,
+                            verdict,
+                            edac,
+                            wall_time: SimDuration::from_secs(drawn_time(next())),
+                            sram_strikes: drawn_int(next()),
+                        },
+                        retries: drawn_u32(next()),
+                        quarantined: next() % 2 == 0,
+                    },
+                }
+            }
+            _ => Record::SessionEnd {
+                session: drawn_int(next()),
+                reason: [
+                    StopReason::ErrorEvents,
+                    StopReason::Fluence,
+                    StopReason::BeamTime,
+                ][(next() % 3) as usize],
+            },
+        }
+    }
+
+    proptest::proptest! {
+        /// Every record the writer can produce decodes to itself,
+        /// including values no golden journal holds.
+        #[test]
+        fn drawn_records_round_trip(
+            draws in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 80),
+        ) {
+            let record = drawn_record(&draws);
+            let line = record.to_line();
+            proptest::prop_assert_eq!(Record::parse_line(&line), Ok(record), "{}", line);
+        }
+    }
+
+    /// What [`Records`] makes of `bytes` read through a buffer of
+    /// `capacity`: the records, the verified length and the error that
+    /// ended the stream.
+    fn read_through(bytes: &[u8], capacity: usize) -> (Vec<Record>, u64, Option<String>) {
+        let mut records = Records::new(std::io::BufReader::with_capacity(capacity, bytes));
+        let mut read = Vec::new();
+        let mut error = None;
+        for record in &mut records {
+            match record {
+                Ok(record) => read.push(record),
+                Err(e) => error = Some(e.to_string()),
+            }
+        }
+        (read, records.valid, error)
+    }
+
+    /// The reader's buffer size is invisible: a line split across any
+    /// number of refills reads as the same record, and the torn-tail rule
+    /// gives the same verdict, at every capacity.
+    #[test]
+    fn the_read_buffer_size_changes_nothing() {
+        let config = config();
+        let mut records = vec![
+            Record::campaign_header(&config),
+            Record::SessionStart {
+                session: 0,
+                point: config.sessions[0].0,
+            },
+        ];
+        records.extend((0..3).map(|t| Record::Trial {
+            session: 0,
+            execution: sample_execution(t),
+        }));
+        records.push(Record::SessionEnd {
+            session: 0,
+            reason: StopReason::Fluence,
+        });
+        let mut journal = Vec::new();
+        let mut ends = Vec::new();
+        for record in &records {
+            journal.extend_from_slice(record.to_line().as_bytes());
+            journal.push(b'\n');
+            ends.push(journal.len());
+        }
+        let same_at_every_capacity = |bytes: &[u8]| {
+            let whole = read_through(bytes, bytes.len().max(1));
+            for capacity in [1, 7, 64] {
+                assert_eq!(read_through(bytes, capacity), whole, "capacity {capacity}");
+            }
+            whole
+        };
+
+        for cut in 0..=journal.len() {
+            let (read, valid, error) = same_at_every_capacity(&journal[..cut]);
+            let complete = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(read, records[..complete], "cut at {cut}");
+            assert_eq!(valid, ends[..complete].last().map_or(0, |&e| e as u64));
+            assert_eq!(error, None, "cut at {cut}");
+        }
+
+        let mut flipped = journal.clone();
+        flipped[ends[2] + 20] ^= 0x01;
+        let (read, valid, error) = same_at_every_capacity(&flipped);
+        assert_eq!(read, records[..3]);
+        assert_eq!(valid, ends[2] as u64);
+        assert!(error.is_some_and(|e| e.contains("corrupted")));
+
+        let mut torn = journal.clone();
+        torn[ends[ends.len() - 2] + 5] = 0xff;
+        let (read, valid, error) = same_at_every_capacity(&torn);
+        assert_eq!(read, records[..records.len() - 1]);
+        assert_eq!(valid, ends[ends.len() - 2] as u64);
+        assert_eq!(error, None);
     }
 
     #[test]

@@ -35,11 +35,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use serscale_core::classify::RunVerdict;
 use serscale_core::journal::{for_each_record, journal_path, Record};
 use serscale_soc::edac::EdacSeverity;
+use serscale_types::ArrayKind;
 
 use crate::json::{self, Token};
 
@@ -401,14 +404,30 @@ fn read_span(doc: &str) -> Result<InspectSpan, String> {
 
 type EventEdac = (Vec<EdacAttribution>, usize);
 
+/// Reads `events.jsonl` a line at a time through one reused buffer,
+/// numbering lines from 1 and skipping blank ones as [`json::lines`]
+/// does.
 fn read_events(path: &Path) -> Result<EventEdac, String> {
     if !path.is_file() {
         return Ok((Vec::new(), 0));
     }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let failed = |e: std::io::Error| format!("{}: {e}", path.display());
+    let mut reader = BufReader::new(File::open(path).map_err(failed)?);
     let mut counts: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
     let mut docs = 0;
-    for (line, doc) in json::lines(&text) {
+    let mut buffer = String::new();
+    for line in 1.. {
+        buffer.clear();
+        if reader.read_line(&mut buffer).map_err(failed)? == 0 {
+            break;
+        }
+        let doc = match buffer.strip_suffix('\n') {
+            Some(doc) => doc.strip_suffix('\r').unwrap_or(doc),
+            None => &buffer,
+        };
+        if doc.trim().is_empty() {
+            continue;
+        }
         docs += 1;
         let (mut event, mut domain, mut array, mut severity) = (None, None, None, None);
         json::members(doc, |key, value, _| {
@@ -453,7 +472,10 @@ fn read_journal_forensics(dir: &Path) -> Result<JournalRead, String> {
         bytes,
     };
     let mut walls = Vec::new();
-    let mut counts: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
+    // Counted under names and arrays that allocate nothing per trial;
+    // the output maps name them once at the end.
+    let mut verdicts: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut by_array: BTreeMap<ArrayKind, (u64, u64)> = BTreeMap::new();
     for_each_record(&path, |record| match record {
         Record::Campaign { .. } | Record::SessionEnd { .. } => {}
         Record::SessionStart { .. } => forensics.sessions += 1,
@@ -461,16 +483,12 @@ fn read_journal_forensics(dir: &Path) -> Result<JournalRead, String> {
             forensics.trials += 1;
             forensics.retries += u64::from(execution.retries);
             forensics.quarantined += u64::from(execution.quarantined);
-            let verdict = verdict_name(execution.outcome.verdict).to_string();
-            *forensics.verdicts.entry(verdict).or_default() += 1;
+            *verdicts
+                .entry(verdict_name(execution.outcome.verdict))
+                .or_default() += 1;
             walls.push(execution.outcome.wall_time.as_secs());
             for edac in &execution.outcome.edac {
-                let slot = counts
-                    .entry((
-                        edac.array.voltage_domain().to_string(),
-                        edac.array.to_string(),
-                    ))
-                    .or_default();
+                let slot = by_array.entry(edac.array).or_default();
                 match edac.severity {
                     EdacSeverity::Uncorrected => slot.1 += 1,
                     EdacSeverity::Corrected => slot.0 += 1,
@@ -479,6 +497,14 @@ fn read_journal_forensics(dir: &Path) -> Result<JournalRead, String> {
         }
     })
     .map_err(|e| format!("{}: {e}", path.display()))?;
+    forensics.verdicts = verdicts
+        .into_iter()
+        .map(|(name, n)| (name.to_string(), n))
+        .collect();
+    let counts = by_array
+        .into_iter()
+        .map(|(array, n)| ((array.voltage_domain().to_string(), array.to_string()), n))
+        .collect();
     Ok(Some((forensics, walls, collect_edac(counts))))
 }
 

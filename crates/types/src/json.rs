@@ -10,7 +10,7 @@
 //! - [`validate`] / [`validate_lines`] drain the reader to check a
 //!   document without allocating;
 //! - [`members`] hands a flat object's members to a callback, for decoders
-//!   that read a few known fields (journal lines, spans, events);
+//!   that read a few known fields (spans and events);
 //! - [`parse`] / [`parse_lines`] build a [`JsonValue`] tree on top of the
 //!   reader, for the small documents that want one (specs, platform files,
 //!   HTTP bodies).
