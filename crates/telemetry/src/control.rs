@@ -581,14 +581,22 @@ impl ControlPlane {
     }
 
     /// The job's telemetry event stream so far, plus whether the job has
-    /// reached a terminal state (the `/campaigns/{id}/events` poll).
+    /// reached a terminal state.
     pub fn events_snapshot(&self, id: u64) -> Option<(String, bool)> {
+        self.events_since(id, 0)
+    }
+
+    /// The job's event stream past byte `offset`, plus whether the job
+    /// has reached a terminal state (the `/campaigns/{id}/events` poll,
+    /// which passes the bytes it has already sent). The state is read
+    /// first, so a terminal job's bytes are complete.
+    pub fn events_since(&self, id: u64, offset: usize) -> Option<(String, bool)> {
         let (sink, terminal) = {
             let state = self.lock();
             let entry = state.jobs.get(&id)?;
             (Arc::clone(&entry.sink), entry.state.terminal())
         };
-        Some((sink.events_jsonl(), terminal))
+        Some((sink.events_since(offset), terminal))
     }
 
     /// The job's convergence snapshot, tenant-labeled like the resource

@@ -198,7 +198,15 @@ impl TelemetrySink {
 
     /// The event stream accumulated so far.
     pub fn events_jsonl(&self) -> String {
-        self.events.lock().expect("event buffer poisoned").clone()
+        self.events_since(0)
+    }
+
+    /// The event stream's bytes past `offset`, copied under the lock: a
+    /// follower that passes the length it already holds copies only what
+    /// is new. Empty when `offset` is at or past the end.
+    pub fn events_since(&self, offset: usize) -> String {
+        let events = self.events.lock().expect("event buffer poisoned");
+        events.get(offset..).unwrap_or_default().to_string()
     }
 
     /// Sets a gauge on the sink's own shard — the hook `repro verify`

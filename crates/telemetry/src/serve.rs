@@ -573,7 +573,7 @@ impl MonitorState {
                 Err(err) => Response::control_error(&err),
             },
             ("GET", Some("events")) => {
-                if control.events_snapshot(id).is_some() {
+                if control.state_label(id).is_some() {
                     // The stream outlives this routing decision; the
                     // connection handler takes over the socket.
                     return Reply::EventStream(id);
@@ -780,16 +780,15 @@ fn stream_events(
     let deadline = Instant::now() + EVENT_STREAM_CAP;
     let mut sent = 0usize;
     let reason = loop {
-        let Some((events, done)) = control.events_snapshot(id) else {
+        let Some((fresh, done)) = control.events_since(id, sent) else {
             break "gone";
         };
-        if events.len() > sent {
-            let fresh = &events.as_bytes()[sent..];
+        if !fresh.is_empty() {
             stream.write_all(format!("{:x}\r\n", fresh.len()).as_bytes())?;
-            stream.write_all(fresh)?;
+            stream.write_all(fresh.as_bytes())?;
             stream.write_all(b"\r\n")?;
             stream.flush()?;
-            sent = events.len();
+            sent += fresh.len();
             *payload_bytes += fresh.len();
         }
         if done {
@@ -1281,6 +1280,68 @@ mod tests {
         assert_eq!(status, 200);
         let (status, body) = http_request(addr, "POST", "/campaigns", spec).expect("late");
         assert_eq!(status, 503, "{body}");
+        control.drain();
+    }
+
+    /// Each poll copies only the bytes past what the stream has sent, yet
+    /// a stream opened while its job is still queued carries the job's
+    /// whole event stream, then the `stream_end` line.
+    #[test]
+    fn an_event_stream_opened_before_its_job_carries_every_event() {
+        use crate::control::{ControlPlane, ControlPlaneOptions};
+
+        let sink = Arc::new(TelemetrySink::in_memory(TelemetryOptions::default()));
+        let control = ControlPlane::start(ControlPlaneOptions {
+            start_paused: true,
+            ..Default::default()
+        });
+        let server = sink
+            .serve_control("127.0.0.1:0", Arc::clone(&control))
+            .expect("bind");
+        let spec = "{\"tenant\":\"stream\",\"seed\":4,\"scale\":0.001}";
+        let (status, body) =
+            http_request(server.addr(), "POST", "/campaigns", spec).expect("submit");
+        assert_eq!(status, 202, "{body}");
+        let id = json::parse(&body)
+            .expect("acceptance parses")
+            .get("id")
+            .and_then(JsonValue::as_f64)
+            .expect("id") as u64;
+
+        let mut stream =
+            TcpStream::connect_timeout(&server.addr(), SOCKET_TIMEOUT).expect("connect");
+        stream
+            .set_read_timeout(Some(EVENT_STREAM_CAP))
+            .expect("read timeout");
+        stream
+            .write_all(
+                format!(
+                    "GET /campaigns/{id}/events HTTP/1.1\r\nHost: serscale\r\n\
+                     Content-Length: 0\r\nConnection: close\r\n\r\n"
+                )
+                .as_bytes(),
+            )
+            .expect("request");
+        // The stream writes its head before its first poll; no chunk can
+        // follow while the job is queued.
+        let mut raw = Vec::new();
+        let mut byte = [0u8; 1];
+        while head_end(&raw).is_none() {
+            stream.read_exact(&mut byte).expect("response head");
+            raw.push(byte[0]);
+        }
+        assert_eq!(control.state_label(id), Some("queued"));
+        control.set_paused(false);
+        stream.read_to_end(&mut raw).expect("stream to its end");
+
+        let payload = decode_chunked(&raw[head_end(&raw).expect("head")..]);
+        let (events, done) = control.events_snapshot(id).expect("job");
+        assert!(done, "the stream ends with its job");
+        assert!(events.contains("\"session_start\""), "{events}");
+        assert_eq!(
+            payload,
+            format!("{events}{{\"event\":\"stream_end\",\"reason\":\"done\"}}\n")
+        );
         control.drain();
     }
 
