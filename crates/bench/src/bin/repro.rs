@@ -372,16 +372,15 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
     }
     control.drain();
     server.shutdown();
-    // With every handler thread joined, the access log and the service
-    // metrics are final and mutually consistent; persisting both lets CI
+    // With every handler thread joined, the access log (appended to
+    // `access.jsonl` as each request ended) and the service metrics are
+    // final and mutually consistent; persisting the metrics lets CI
     // reconcile the per-request log against the counter totals offline.
     if let Some(dir) = &args.state {
-        if let Some(log) = server.access_log_jsonl() {
+        if let Some(e) = server.access_log_failure() {
             let path = Path::new(dir).join("access.jsonl");
-            if let Err(e) = std::fs::write(&path, log) {
-                eprintln!("repro serve: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            eprintln!("repro serve: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
         }
         let path = Path::new(dir).join("service.prom");
         let prom = server.metrics_snapshot().render_prometheus();

@@ -13,10 +13,13 @@
 //! Every job owns a private [`TelemetrySink`] (its own metrics registry,
 //! tracer, event stream and progress state), its own journal directory
 //! and its own RNG root (the spec's seed — every stream below it is
-//! counter-derived). Nothing about a job's execution reads another job's
-//! state, which is why a report produced under concurrency is
-//! bit-identical to the same spec run solo: `tests/control_plane.rs`
-//! asserts exactly that, byte for byte, against the one-shot CLI path.
+//! counter-derived). With a state directory the event stream is the file
+//! `job-<id>/events.jsonl`, appended after every wave from the job's
+//! first event on; without one it stays in memory. Nothing about a job's
+//! execution reads another job's state, which is why a report produced
+//! under concurrency is bit-identical to the same spec run solo:
+//! `tests/control_plane.rs` asserts exactly that, byte for byte, against
+//! the one-shot CLI path.
 //!
 //! ## Cancellation and resume
 //!
@@ -27,7 +30,10 @@
 //! `"resume": <id>` re-opens the cancelled job's journal through
 //! [`start_or_resume`] and reproduces the uninterrupted report bit for
 //! bit — cancellation deliberately rides the crash-recovery path instead
-//! of inventing a second lifecycle.
+//! of inventing a second lifecycle. The resume starts its own
+//! `events.jsonl` in the adopted directory; every earlier job's stream
+//! there moves to `events-<its id>.jsonl` first, so its `/events` keeps
+//! returning exactly the bytes it produced.
 //!
 //! ## Quarantine
 //!
@@ -55,7 +61,7 @@ use serscale_core::spec::{parse_campaign, CampaignSpec};
 use serscale_types::json;
 use serscale_types::spec::SpecError;
 
-use crate::export::{TelemetryOptions, TelemetrySink};
+use crate::export::TelemetrySink;
 
 /// Upper bound on queued + live jobs a control plane will hold before
 /// refusing submissions (backpressure, and a memory bound: job state is
@@ -259,6 +265,11 @@ impl ControlPlane {
         })
     }
 
+    /// The directory of the per-job journals, if the service has one.
+    pub(crate) fn state_dir(&self) -> Option<&Path> {
+        self.inner.state_dir.as_deref()
+    }
+
     /// Attaches a server-level sink for fleet counters
     /// (`campaigns_submitted_total`, `campaigns_completed_total{outcome}`).
     pub fn attach_metrics(&self, sink: Arc<TelemetrySink>) {
@@ -348,6 +359,17 @@ impl ControlPlane {
                         ),
                     ));
                 }
+                for (id, job) in &state.jobs {
+                    if job.journal_dir.as_ref() == Some(&dir) {
+                        let kept = dir.join(format!("events-{id}.jsonl"));
+                        job.sink.events.relocate(&kept).map_err(|e| {
+                            ControlError::simple(
+                                500,
+                                &format!("cannot keep job {id}'s event stream: {e}"),
+                            )
+                        })?;
+                    }
+                }
                 Some(dir)
             }
             None => {
@@ -361,13 +383,14 @@ impl ControlPlane {
         let id = state.next_id;
         state.next_id += 1;
         let tenant = spec.tenant.clone();
+        let events = journal_dir.as_ref().map(|dir| dir.join("events.jsonl"));
         state.jobs.insert(
             id,
             JobEntry {
                 spec,
                 state: JobState::Queued,
                 cancel: CancelToken::new(),
-                sink: Arc::new(TelemetrySink::in_memory(TelemetryOptions::default())),
+                sink: Arc::new(TelemetrySink::for_job(events)),
                 journal_dir,
                 resumed_trials: 0,
                 report: None,
@@ -587,16 +610,27 @@ impl ControlPlane {
     }
 
     /// The job's event stream past byte `offset`, plus whether the job
-    /// has reached a terminal state (the `/campaigns/{id}/events` poll,
-    /// which passes the bytes it has already sent). The state is read
-    /// first, so a terminal job's bytes are complete.
+    /// has reached a terminal state. The state is read first, so a
+    /// terminal job's bytes are complete.
     pub fn events_since(&self, id: u64, offset: usize) -> Option<(String, bool)> {
+        self.events_window(id, offset, usize::MAX)
+    }
+
+    /// [`events_since`](Self::events_since), reading at most `max` bytes:
+    /// the `/campaigns/{id}/events` poll, which passes the bytes it has
+    /// already sent.
+    pub(crate) fn events_window(
+        &self,
+        id: u64,
+        offset: usize,
+        max: usize,
+    ) -> Option<(String, bool)> {
         let (sink, terminal) = {
             let state = self.lock();
             let entry = state.jobs.get(&id)?;
             (Arc::clone(&entry.sink), entry.state.terminal())
         };
-        Some((sink.events_since(offset), terminal))
+        Some((sink.events.read(offset, max), terminal))
     }
 
     /// The job's convergence snapshot, tenant-labeled like the resource
@@ -1022,19 +1056,16 @@ fn run_job(inner: &Arc<ControlInner>, id: u64) {
             JobOutcome::Failed(format!("campaign panicked: {reason}"))
         }
     };
-    // Drop the run's host-side telemetry next to its journal so `repro
+    // Drop the run's spans next to its journal and event stream so `repro
     // inspect` can do offline forensics on service-submitted campaigns
     // too. Best-effort and observe-only: these files feed no engine path,
     // and a full disk must not flip a finished campaign to failed.
+    sink.events.close();
     if let Some(dir) = &journal_dir {
         let _ = std::fs::create_dir_all(dir);
         let spans = sink.tracer().to_jsonl();
         if !spans.is_empty() {
             let _ = std::fs::write(dir.join("spans.jsonl"), spans);
-        }
-        let events = sink.events_jsonl();
-        if !events.is_empty() {
-            let _ = std::fs::write(dir.join("events.jsonl"), events);
         }
     }
     let (outcome_label, tenant, run_seconds, quarantined) = {

@@ -11,9 +11,14 @@
 //! | `metrics.prom`| Prometheus text exposition snapshot of all series   |
 //! | `summary.txt` | the human summary table also printed at end of run  |
 //!
+//! `events.jsonl` is created with the sink and grows as the run goes: the
+//! observers hand it their lines after every wave, and the sink keeps
+//! none of them in memory. The other three are written at the end.
+//!
 //! Both JSONL streams are checked with [`crate::json::validate_lines`]
-//! before anything touches disk, so a malformed line fails the run loudly
-//! instead of poisoning downstream tooling. The
+//! before they touch disk, the event stream one chunk at a time, so a
+//! malformed line fails the run loudly instead of poisoning downstream
+//! tooling. The
 //! [`TelemetrySink::crosscheck_campaign`] method closes the loop the
 //! other way: it proves the exported `edac_events` counters agree with
 //! the simulation's own [`CampaignReport`] per voltage domain.
@@ -29,6 +34,7 @@ use serscale_core::journal::SyncProbe;
 
 use crate::convergence::{ConvergenceSnapshot, ConvergenceTracker};
 use crate::json;
+use crate::jsonl::JsonlLog;
 use crate::metrics::{Registry, Shard};
 use crate::observer::TelemetryObserver;
 use crate::progress::{Progress, ProgressMode};
@@ -61,7 +67,10 @@ pub struct TelemetrySink {
     /// observer (e.g. verify verdict headlines).
     shard: Arc<Shard>,
     tracer: Arc<Tracer>,
-    events: Arc<Mutex<String>>,
+    /// The event stream: `dir/events.jsonl` for a sink with a directory,
+    /// in memory otherwise. The control plane reads, closes and moves a
+    /// job's stream through it.
+    pub(crate) events: Arc<JsonlLog>,
     progress: Arc<Mutex<Progress>>,
     campaign_span: SpanId,
     options: TelemetryOptions,
@@ -75,10 +84,14 @@ pub struct TelemetrySink {
 }
 
 impl TelemetrySink {
-    /// A sink writing artifacts under `dir` (created if absent).
+    /// A sink writing artifacts under `dir` (created if absent). Creates
+    /// (or truncates) `dir/events.jsonl`, which the run's events are
+    /// appended to as they merge, each chunk checked first.
     pub fn new(dir: &Path, options: TelemetryOptions) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let mut sink = Self::in_memory(options);
+        let events = JsonlLog::file(dir.join("events.jsonl"), true);
+        events.open()?;
+        let mut sink = Self::with_events(options, events);
         sink.dir = Some(dir.to_path_buf());
         Ok(sink)
     }
@@ -86,6 +99,18 @@ impl TelemetrySink {
     /// A sink that never touches disk ([`write`](Self::write) is then an
     /// error). Used by tests and by callers that only want the summary.
     pub fn in_memory(options: TelemetryOptions) -> Self {
+        Self::with_events(options, JsonlLog::in_memory())
+    }
+
+    /// A service job's sink: its event stream goes to `events` when the
+    /// job has a directory (the file appears with the first event, and
+    /// no chunk is checked), to memory otherwise.
+    pub(crate) fn for_job(events: Option<PathBuf>) -> Self {
+        let events = events.map_or_else(JsonlLog::in_memory, |path| JsonlLog::file(path, false));
+        Self::with_events(TelemetryOptions::default(), events)
+    }
+
+    fn with_events(options: TelemetryOptions, events: JsonlLog) -> Self {
         let registry = Registry::new();
         let shard = registry.shard();
         let tracer = Arc::new(Tracer::new());
@@ -95,7 +120,7 @@ impl TelemetrySink {
             registry,
             shard,
             tracer,
-            events: Arc::new(Mutex::new(String::new())),
+            events: Arc::new(events),
             progress: Arc::new(Mutex::new(Progress::with_mode(
                 options.progress,
                 options.progress_mode,
@@ -201,12 +226,11 @@ impl TelemetrySink {
         self.events_since(0)
     }
 
-    /// The event stream's bytes past `offset`, copied under the lock: a
-    /// follower that passes the length it already holds copies only what
-    /// is new. Empty when `offset` is at or past the end.
+    /// The event stream's bytes past `offset`: a follower that passes the
+    /// length it already holds reads only what is new. Empty when
+    /// `offset` is at or past the end.
     pub fn events_since(&self, offset: usize) -> String {
-        let events = self.events.lock().expect("event buffer poisoned");
-        events.get(offset..).unwrap_or_default().to_string()
+        self.events.read(offset, usize::MAX)
     }
 
     /// Sets a gauge on the sink's own shard — the hook `repro verify`
@@ -336,10 +360,11 @@ impl TelemetrySink {
         out
     }
 
-    /// Writes `events.jsonl`, `spans.jsonl`, `metrics.prom` and
-    /// `summary.txt` into the sink's directory and returns their paths.
-    /// The event and span streams are validated first; a malformed line
-    /// is an error and nothing is written.
+    /// Finishes `events.jsonl`, writes `spans.jsonl`, `metrics.prom` and
+    /// `summary.txt` into the sink's directory, and returns the four
+    /// paths. The event stream's first failed check or write is an error
+    /// (its file then ends at the last whole chunk before it), and so is
+    /// a malformed span line; either way the other three are not written.
     pub fn write(&self) -> std::io::Result<Vec<PathBuf>> {
         let dir = self.dir.clone().ok_or_else(|| {
             std::io::Error::other("telemetry sink has no output directory (in-memory sink)")
@@ -347,25 +372,23 @@ impl TelemetrySink {
         self.tracer.exit(self.campaign_span);
         self.progress.lock().expect("progress poisoned").finish();
 
-        // The event buffer is checked and written under its lock rather
-        // than copied out first.
-        let events = self.events.lock().expect("event buffer poisoned");
-        json::validate_lines(&events)
-            .map_err(|e| std::io::Error::other(format!("events.jsonl self-check failed: {e}")))?;
+        self.events.close();
+        if let Some(failure) = self.events.failure() {
+            return Err(failure);
+        }
         let spans = self.tracer.to_jsonl();
         json::validate_lines(&spans)
             .map_err(|e| std::io::Error::other(format!("spans.jsonl self-check failed: {e}")))?;
 
         let artifacts = [
-            ("events.jsonl", events.as_str()),
-            ("spans.jsonl", &spans),
+            ("spans.jsonl", spans.as_str()),
             (
                 "metrics.prom",
                 &self.registry.snapshot().render_prometheus(),
             ),
             ("summary.txt", &self.summary()),
         ];
-        let mut paths = Vec::new();
+        let mut paths = vec![dir.join("events.jsonl")];
         for (name, contents) in artifacts {
             let path = dir.join(name);
             std::fs::write(&path, contents)?;
@@ -447,6 +470,30 @@ mod tests {
         assert!(prom.contains("edac_events{"), "{prom}");
         let summary = std::fs::read_to_string(dir.join("summary.txt")).expect("summary");
         assert!(summary.contains("worker utilization"), "{summary}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_malformed_event_chunk_never_reaches_disk_and_write_reports_it() {
+        let dir = std::env::temp_dir().join(format!(
+            "serscale-telemetry-malformed-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let sink = TelemetrySink::new(&dir, TelemetryOptions::default()).expect("sink");
+        let good = "{\"event\":\"run\"}\n";
+        sink.events.append(good);
+        sink.events.append("{\"event\":\"run\"}\n{\"event\":\n");
+        sink.events.append(good);
+        let err = sink.write().expect_err("the self-check failed");
+        assert!(
+            err.to_string()
+                .starts_with("events.jsonl self-check failed"),
+            "{err}"
+        );
+        let events = std::fs::read_to_string(dir.join("events.jsonl")).expect("events");
+        assert_eq!(events, good);
+        assert!(!dir.join("spans.jsonl").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -406,7 +406,9 @@ type EventEdac = (Vec<EdacAttribution>, usize);
 
 /// Reads `events.jsonl` a line at a time through one reused buffer,
 /// numbering lines from 1 and skipping blank ones as [`json::lines`]
-/// does.
+/// does. Every writer ends each line with a newline, so a final fragment
+/// without one is a line cut by a killed run and is dropped, as the
+/// journal reader drops a torn tail; a malformed whole line is an error.
 fn read_events(path: &Path) -> Result<EventEdac, String> {
     if !path.is_file() {
         return Ok((Vec::new(), 0));
@@ -421,10 +423,10 @@ fn read_events(path: &Path) -> Result<EventEdac, String> {
         if reader.read_line(&mut buffer).map_err(failed)? == 0 {
             break;
         }
-        let doc = match buffer.strip_suffix('\n') {
-            Some(doc) => doc.strip_suffix('\r').unwrap_or(doc),
-            None => &buffer,
+        let Some(doc) = buffer.strip_suffix('\n') else {
+            break;
         };
+        let doc = doc.strip_suffix('\r').unwrap_or(doc);
         if doc.trim().is_empty() {
             continue;
         }
@@ -1024,6 +1026,43 @@ mod tests {
             assert!(!stack.is_empty());
             weight.parse::<u64>().expect("integer weight");
         }
+    }
+
+    #[test]
+    fn a_cut_event_file_drops_its_last_fragment_but_not_a_malformed_line() {
+        use crate::export::{TelemetryOptions, TelemetrySink};
+        use serscale_core::campaign::{Campaign, CampaignConfig, CampaignRunOptions};
+
+        let dir = std::env::temp_dir().join(format!("serscale-inspect-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sink = TelemetrySink::new(&dir, TelemetryOptions::default()).expect("sink");
+        let mut observer = sink.observer();
+        Campaign::new(CampaignConfig::paper_scaled(0.005))
+            .try_run(CampaignRunOptions::with_jobs(1), &mut observer)
+            .expect("a run with no journal and no cancel token cannot fail");
+        drop(observer);
+        sink.write().expect("write");
+        let whole = inspect_dir(&dir).expect("the whole run inspects");
+        let events_path = dir.join("events.jsonl");
+        let events = std::fs::read(&events_path).expect("events");
+        // A run killed mid-append: the last line loses its final 40 bytes.
+        std::fs::write(&events_path, &events[..events.len() - 40]).expect("cut copy");
+        let cut = inspect_dir(&dir).expect("a cut run still inspects");
+        assert_eq!(cut.event_lines, whole.event_lines - 1);
+        // A whole malformed line is still an error, wherever it sits.
+        let middle = events.len() / 2;
+        let line_end = middle
+            + events[middle..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .expect("newline");
+        let mut broken = events[..=line_end].to_vec();
+        broken.extend_from_slice(b"{\"event\":\n");
+        broken.extend_from_slice(&events[line_end + 1..]);
+        std::fs::write(&events_path, &broken).expect("broken copy");
+        let err = inspect_dir(&dir).expect_err("a malformed line fails");
+        assert!(err.contains("events.jsonl: line "), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

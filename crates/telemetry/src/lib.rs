@@ -20,7 +20,9 @@
 //!   turns engine callbacks into all of the above.
 //! - [`export`] — the [`TelemetrySink`] writing `events.jsonl`,
 //!   `spans.jsonl`, `metrics.prom` and `summary.txt`, plus the
-//!   report-vs-counters crosscheck.
+//!   report-vs-counters crosscheck. Event streams and the service's
+//!   access log go through one append-only JSONL log, a file wherever
+//!   there is a directory for it, so no run keeps its stream in memory.
 //! - [`serve`] — the [`MonitorServer`], a dependency-free HTTP/1.1
 //!   monitoring plane (`/metrics`, `/healthz`, `/progress`, `/spans`,
 //!   `/campaign`) over the same registry/tracer/progress state, for
@@ -56,6 +58,7 @@ pub mod control;
 pub mod convergence;
 pub mod export;
 pub mod inspect;
+mod jsonl;
 pub mod metrics;
 pub mod observer;
 pub mod progress;

@@ -15,8 +15,11 @@
 //! Callbacks fire once per trial/upset, so series handles are resolved
 //! through the registry **once per session** and cached in small linear
 //! tables (≤8 entries each); the per-event cost is an atomic increment,
-//! one JSONL line written in place into a session-local buffer, and
-//! uncontended locks of the convergence tracker and progress. `repro
+//! one JSONL line written in place into an observer-local buffer, and
+//! uncontended locks of the convergence tracker and progress. The buffer
+//! goes to the sink's event log after every wave and at session end, so
+//! it holds at most one wave's lines (a replayed session's, when a
+//! journal is resumed) and a follower sees each wave as it merges. `repro
 //! bench`'s `jobs=1+telemetry` row measures the total cost against the
 //! bare campaign, and CI gates it (TESTING.md).
 
@@ -31,6 +34,7 @@ use serscale_soc::platform::OperatingPoint;
 use serscale_types::{ArrayKind, CacheLevel, SimDuration, SimInstant, VoltageDomain};
 use serscale_workload::Benchmark;
 
+use crate::jsonl::JsonlLog;
 use crate::metrics::{Counter, Gauge, Histogram, Registry, Shard};
 use crate::progress::Progress;
 use crate::span::{SpanId, SpanLevel, Tracer};
@@ -218,9 +222,9 @@ pub struct TelemetryObserver {
     registry: Registry,
     shard: Arc<Shard>,
     tracer: Arc<Tracer>,
-    events: Arc<Mutex<String>>,
-    /// Event lines buffered locally and flushed to the shared stream at
-    /// session end, keeping the callback path lock-free.
+    events: Arc<JsonlLog>,
+    /// Event lines buffered locally and handed to the sink's log after
+    /// every wave and at session end, keeping the callback path lock-free.
     pending: String,
     events_counter: Counter,
     progress: Arc<Mutex<Progress>>,
@@ -247,7 +251,7 @@ impl TelemetryObserver {
     pub(crate) fn new(
         registry: Registry,
         tracer: Arc<Tracer>,
-        events: Arc<Mutex<String>>,
+        events: Arc<JsonlLog>,
         progress: Arc<Mutex<Progress>>,
         parent: SpanId,
         trial_spans: bool,
@@ -309,16 +313,10 @@ impl TelemetryObserver {
         self.events_counter.inc();
     }
 
-    /// Moves buffered event lines into the shared stream (one lock per
-    /// session, not per event).
+    /// Hands buffered event lines to the sink's log (one append per wave,
+    /// not per event).
     fn flush_events(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.events
-            .lock()
-            .expect("event buffer poisoned")
-            .push_str(&self.pending);
+        self.events.append(&self.pending);
         self.pending.clear();
     }
 
@@ -641,6 +639,7 @@ impl SessionObserver for TelemetryObserver {
     }
 
     fn on_wave(&mut self, stats: WaveStats) {
+        self.flush_events();
         self.account_pool(&stats.pool);
         let Some(state) = &self.state else { return };
         state.wave_latency.observe(stats.host_nanos as f64 / 1e9);
@@ -885,6 +884,71 @@ mod tests {
             snap.histograms[&key].count, waves,
             "every merged wave lands one critical-path observation"
         );
+    }
+
+    /// Forwards to a telemetry observer and records its sink's stream
+    /// length right after each wave.
+    struct WaveProbe<'a> {
+        inner: TelemetryObserver,
+        sink: &'a TelemetrySink,
+        after_wave: Vec<usize>,
+    }
+
+    impl SessionObserver for WaveProbe<'_> {
+        fn on_session_start(&mut self, at: SimInstant, point: OperatingPoint) {
+            self.inner.on_session_start(at, point);
+        }
+        fn on_run(&mut self, start: SimInstant, benchmark: Benchmark, verdict: RunVerdict) {
+            self.inner.on_run(start, benchmark, verdict);
+        }
+        fn on_edac(&mut self, record: EdacRecord) {
+            self.inner.on_edac(record);
+        }
+        fn on_recovery(&mut self, start: SimInstant, duration: SimDuration) {
+            self.inner.on_recovery(start, duration);
+        }
+        fn on_session_end(&mut self, at: SimInstant, reason: StopReason) {
+            self.inner.on_session_end(at, reason);
+        }
+        fn on_wave(&mut self, stats: WaveStats) {
+            self.inner.on_wave(stats);
+            self.after_wave.push(self.sink.events_since(0).len());
+        }
+    }
+
+    #[test]
+    fn each_wave_reaches_the_stream_as_it_merges() {
+        let sink = TelemetrySink::in_memory(TelemetryOptions::default());
+        let mut probe = WaveProbe {
+            inner: sink.observer(),
+            sink: &sink,
+            after_wave: Vec::new(),
+        };
+        let point = xgene2_point("Vmin");
+        let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
+        let mut session = TestSession::new(
+            dut,
+            Flux::per_cm2_s(1.5e6),
+            SessionLimits::time_boxed(SimDuration::from_minutes(600.0)),
+        );
+        run(
+            &mut session,
+            5,
+            CampaignRunOptions::with_jobs(1),
+            &mut probe,
+        );
+        let after_wave = probe.after_wave;
+        assert!(after_wave.len() >= 2, "{after_wave:?}");
+        assert!(
+            after_wave[0] > 0,
+            "the first wave's lines wait: {after_wave:?}"
+        );
+        assert!(after_wave.windows(2).all(|w| w[0] < w[1]), "{after_wave:?}");
+        // Only the session-end line follows the last wave.
+        let events = sink.events_jsonl();
+        let last_wave = *after_wave.last().expect("a wave");
+        assert!(events[last_wave..].starts_with("{\"event\":\"session_end\""));
+        assert_eq!(events[last_wave..].lines().count(), 1);
     }
 
     #[test]

@@ -70,6 +70,7 @@ use serscale_core::journal::SyncProbe;
 
 use crate::control::ControlPlane;
 use crate::json;
+use crate::jsonl::JsonlLog;
 use crate::metrics::{Registry, Shard};
 use crate::progress::Progress;
 use crate::span::Tracer;
@@ -86,6 +87,9 @@ const MAX_BODY_BYTES: usize = 64 * 1024;
 const SPAN_WINDOW: usize = 64;
 /// How often an event stream polls its job for fresh lines.
 const EVENT_POLL: Duration = Duration::from_millis(25);
+/// The most an event stream reads of its job's stream at once, so a
+/// follower of a long finished job never copies the whole stream.
+const EVENT_READ: usize = 256 * 1024;
 /// Hard cap on one event-stream connection, so an abandoned client
 /// cannot pin a handler thread forever.
 const EVENT_STREAM_CAP: Duration = Duration::from_secs(600);
@@ -116,9 +120,11 @@ struct ServiceTelemetry {
     /// A shard of the *server-level* registry (never a campaign's), so
     /// the request series ride the existing `/metrics` renderer.
     shard: Arc<Shard>,
-    /// One wide JSONL event per request, newest last. Every line is
+    /// One wide JSONL event per request, newest last: appended to
+    /// `state/access.jsonl` as each request ends when the control plane
+    /// has a state directory, kept in memory otherwise. Every line is
     /// checked by the in-repo JSON reader before it lands.
-    log: Mutex<String>,
+    log: JsonlLog,
     /// Wall-clock seconds of the most recently finished request.
     last_accept: Mutex<Option<f64>>,
 }
@@ -157,6 +163,7 @@ impl ServiceTelemetry {
         }
         line.push('}');
         json::validate(&line).expect("access-log line must be valid JSON");
+        line.push('\n');
         let class = format!("{}xx", rec.status / 100);
         self.shard
             .counter(
@@ -177,9 +184,7 @@ impl ServiceTelemetry {
         self.shard
             .counter("http_response_bytes_total", &[("path", rec.template)])
             .add(rec.bytes as u64);
-        let mut log = self.log.lock().expect("access log poisoned");
-        log.push_str(&line);
-        log.push('\n');
+        self.log.append(&line);
         *self.last_accept.lock().expect("last-accept poisoned") = Some(unix_s);
     }
 }
@@ -261,13 +266,24 @@ impl MonitorState {
     /// Attaches a [`ControlPlane`], turning the read-only monitoring
     /// plane into the campaign service (the `/campaigns` routes above)
     /// and switching on per-request service telemetry: the JSONL access
-    /// log plus `http_*` series in the server-level registry.
+    /// log plus `http_*` series in the server-level registry. With a
+    /// state directory the access log is `state/access.jsonl`, truncated
+    /// here so that it holds exactly this service's requests; a failure
+    /// to create it is [`MonitorServer::access_log_failure`].
     #[must_use]
     pub fn with_control(mut self, control: Arc<ControlPlane>) -> Self {
+        let log = match control.state_dir() {
+            Some(dir) => {
+                let log = JsonlLog::file(dir.join("access.jsonl"), false);
+                let _ = log.open();
+                log
+            }
+            None => JsonlLog::in_memory(),
+        };
         self.control = Some(control);
         self.service = Some(Arc::new(ServiceTelemetry {
             shard: self.registry.shard(),
-            log: Mutex::new(String::new()),
+            log,
             last_accept: Mutex::new(None),
         }));
         self
@@ -276,9 +292,7 @@ impl MonitorState {
     /// The access log accumulated so far (JSONL, one wide event per
     /// finished request), or `None` when no control plane is attached.
     pub fn access_log_jsonl(&self) -> Option<String> {
-        self.service
-            .as_ref()
-            .map(|s| s.log.lock().expect("access log poisoned").clone())
+        self.service.as_ref().map(|s| s.log.read(0, usize::MAX))
     }
 
     /// Records one finished request into the access log and the
@@ -754,10 +768,14 @@ fn parse_request(stream: &mut impl Read) -> Result<Request, String> {
 }
 
 /// Serves `/campaigns/{id}/events`: a chunked JSONL stream that follows
-/// the job's private event buffer and terminates when the job reaches a
-/// terminal state (or at [`EVENT_STREAM_CAP`]). Offsets are previous
-/// buffer lengths and appends are whole lines, so every chunk is valid
-/// UTF-8 ending on a line boundary. The final payload line is always a
+/// the job's private event stream and terminates when the job reaches a
+/// terminal state (or at [`EVENT_STREAM_CAP`]). Each read takes at most
+/// [`EVENT_READ`] bytes past what was sent; a read that returned bytes is
+/// followed at once by the next, and only an empty read waits
+/// [`EVENT_POLL`]. The job's state is read before its bytes, so the
+/// stream ends at the first empty read of a terminal job. Reads end on a
+/// whole character, so every chunk is valid UTF-8. The final payload line
+/// is always a
 /// `{"event":"stream_end","reason":...}` record naming why the stream
 /// closed (`done`/`cancelled`/`failed` per the job's terminal state,
 /// `cap` at the connection cap, `gone` if the job vanished), so clients
@@ -780,9 +798,12 @@ fn stream_events(
     let deadline = Instant::now() + EVENT_STREAM_CAP;
     let mut sent = 0usize;
     let reason = loop {
-        let Some((fresh, done)) = control.events_since(id, sent) else {
+        let Some((fresh, done)) = control.events_window(id, sent, EVENT_READ) else {
             break "gone";
         };
+        if fresh.is_empty() && done {
+            break control.state_label(id).unwrap_or("done");
+        }
         if !fresh.is_empty() {
             stream.write_all(format!("{:x}\r\n", fresh.len()).as_bytes())?;
             stream.write_all(fresh.as_bytes())?;
@@ -791,13 +812,12 @@ fn stream_events(
             sent += fresh.len();
             *payload_bytes += fresh.len();
         }
-        if done {
-            break control.state_label(id).unwrap_or("done");
-        }
         if Instant::now() >= deadline {
             break "cap";
         }
-        std::thread::sleep(EVENT_POLL);
+        if fresh.is_empty() {
+            std::thread::sleep(EVENT_POLL);
+        }
     };
     let terminal = format!(
         "{{\"event\":\"stream_end\",\"reason\":{}}}\n",
@@ -935,6 +955,12 @@ impl MonitorServer {
     /// the complete log.
     pub fn access_log_jsonl(&self) -> Option<String> {
         self.state.access_log_jsonl()
+    }
+
+    /// The first failure to create or append to `state/access.jsonl`, if
+    /// any: the log has stored no line since.
+    pub fn access_log_failure(&self) -> Option<std::io::Error> {
+        self.state.service.as_ref().and_then(|s| s.log.failure())
     }
 
     /// A merged snapshot of the registry this server renders on

@@ -132,31 +132,59 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The event stream is pinned byte for byte, at jobs 1 and 2, on a
 /// campaign whose stream holds every per-trial line kind: a change to how
-/// the observer renders an event must leave these bytes alone.
+/// the observer renders an event must leave these bytes alone. A sink
+/// with a directory streams the same bytes to its `events.jsonl`, and
+/// reads them back from any offset.
 #[test]
 fn event_stream_bytes_are_pinned_at_any_jobs() {
     let mut config = CampaignConfig::paper_scaled(0.05);
     config.seed = SEED;
+    let dir = std::env::temp_dir().join(format!(
+        "serscale-pinned-events-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
     for jobs in [1, 2] {
-        let sink = TelemetrySink::in_memory(TelemetryOptions::default());
-        let mut observer = sink.observer();
-        Campaign::new(config.clone())
-            .try_run(CampaignRunOptions::with_jobs(jobs), &mut observer)
-            .expect("a run with no journal and no cancel token cannot fail");
-        drop(observer);
-        let events = sink.events_jsonl();
-        for line in [
-            "{\"event\":\"run\",",
-            "{\"event\":\"edac\",",
-            "{\"event\":\"recovery\",",
-            "\"verdict\":\"sdc\"",
-        ] {
-            assert!(events.contains(line), "jobs={jobs}: no {line} line");
+        for streamed in [false, true] {
+            let sink = if streamed {
+                TelemetrySink::new(&dir, TelemetryOptions::default()).expect("sink dir")
+            } else {
+                TelemetrySink::in_memory(TelemetryOptions::default())
+            };
+            let mut observer = sink.observer();
+            Campaign::new(config.clone())
+                .try_run(CampaignRunOptions::with_jobs(jobs), &mut observer)
+                .expect("a run with no journal and no cancel token cannot fail");
+            drop(observer);
+            let events = if streamed {
+                sink.write().expect("artifacts written");
+                std::fs::read_to_string(dir.join("events.jsonl")).expect("events.jsonl")
+            } else {
+                sink.events_jsonl()
+            };
+            for line in [
+                "{\"event\":\"run\",",
+                "{\"event\":\"edac\",",
+                "{\"event\":\"recovery\",",
+                "\"verdict\":\"sdc\"",
+            ] {
+                assert!(events.contains(line), "jobs={jobs}: no {line} line");
+            }
+            assert_eq!(
+                (fnv1a(events.as_bytes()), events.len()),
+                (0x0ee1_4ad0_f34b_46cb, 431_140),
+                "jobs={jobs} streamed={streamed}: the event stream moved"
+            );
+            let mid_line = events.len() / 2;
+            assert_ne!(events.as_bytes()[mid_line - 1], b'\n');
+            for offset in [0, mid_line, events.len(), events.len() + 7] {
+                assert_eq!(
+                    sink.events_since(offset),
+                    events.get(offset..).unwrap_or_default(),
+                    "jobs={jobs} streamed={streamed}: events_since({offset})"
+                );
+            }
         }
-        assert_eq!(
-            (fnv1a(events.as_bytes()), events.len()),
-            (0x0ee1_4ad0_f34b_46cb, 431_140),
-            "jobs={jobs}: the event stream moved"
-        );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,9 @@ Stdlib only. Against a base URL this client:
 2. submits three campaign specs from two tenants (two short jobs whose
    reports CI diffs against one-shot `repro --summary-out` goldens, plus
    one deliberately long job),
-3. streams one job's chunked JSONL event feed while it runs,
+3. streams one job's chunked JSONL event feed while it runs (saved as
+   `events-<seed>.jsonl`; `jobs.json` maps each short spec's seed to its
+   job id),
 4. cancels the long job mid-run (wave-boundary cancel, resumable
    journal),
 5. waits for the surviving jobs, fetches their reports, and
@@ -135,6 +137,8 @@ def main():
 
     short_ids = [submit(base, spec) for spec in SHORT_SPECS]
     cancel_id = submit(base, CANCEL_SPEC)
+    jobs = {str(spec["seed"]): job for spec, job in zip(SHORT_SPECS, short_ids)}
+    (out / "jobs.json").write_text(json.dumps(jobs) + "\n")
 
     # Stream the first short job's events while everything runs.
     stream_errors = []

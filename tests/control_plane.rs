@@ -14,6 +14,8 @@
 //!    HTTP).
 //! 3. **Service hygiene** — the legacy `/campaign` alias tracks the
 //!    current job, and the event stream is valid JSONL that terminates.
+//!    With a state directory a job's stream is its `events.jsonl`, which
+//!    a follower reads in bounded chunks and a resume does not rewrite.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -207,6 +209,13 @@ fn cancel_then_resume_reproduces_the_uninterrupted_report() {
             let (status, _) =
                 http_get(addr, &format!("/campaigns/{id}/report")).expect("no report");
             assert_eq!(status, 409);
+            let (status, cancelled_stream) =
+                http_get(addr, &format!("/campaigns/{id}/events")).expect("cancelled stream");
+            assert_eq!(status, 200);
+            assert!(
+                cancelled_stream.ends_with("{\"event\":\"stream_end\",\"reason\":\"cancelled\"}\n"),
+                "{cancelled_stream}"
+            );
             // Resubmit with resume: the journal's prefix replays, the
             // rest re-simulates, and the bytes come out unchanged.
             let (status, body) =
@@ -232,6 +241,26 @@ fn cancel_then_resume_reproduces_the_uninterrupted_report() {
             assert_eq!(
                 report, uninterrupted,
                 "resumed report differs from the never-cancelled run"
+            );
+            // The resume started its own `events.jsonl` in the adopted
+            // directory; the cancelled job's stream moved aside, and its
+            // `/events` still returns exactly the bytes it produced.
+            let (_, after) =
+                http_get(addr, &format!("/campaigns/{id}/events")).expect("cancelled stream");
+            assert_eq!(
+                after, cancelled_stream,
+                "the resume rewrote job {id}'s stream"
+            );
+            let dir = state.join(format!("job-{id}"));
+            let kept = std::fs::read_to_string(dir.join(format!("events-{id}.jsonl")))
+                .expect("the cancelled job's events kept");
+            assert!(cancelled_stream.starts_with(&kept) && !kept.is_empty());
+            let (_, resumed_stream) =
+                http_get(addr, &format!("/campaigns/{resumed_id}/events")).expect("resumed stream");
+            let own = std::fs::read_to_string(dir.join("events.jsonl")).expect("resumed events");
+            assert_eq!(
+                resumed_stream,
+                format!("{own}{{\"event\":\"stream_end\",\"reason\":\"done\"}}\n")
             );
         }
         // The campaign can finish before the DELETE lands (tiny host
@@ -317,4 +346,51 @@ fn alias_and_event_stream_follow_the_current_job() {
         "stream carries engine events: {events}"
     );
     control.drain();
+}
+
+/// Contract 3b: with a state directory, a job's event stream is its
+/// `job-<id>/events.jsonl`. A stream opened after a job whose events span
+/// several bounded reads finished carries exactly that file, then
+/// `stream_end`; a job that emits no event leaves no file.
+#[test]
+fn a_stream_opened_after_a_multi_chunk_job_carries_its_event_file() {
+    let state = case_dir("stream-file");
+    let (_sink, control, server) = service(1, Some(state.clone()));
+    let addr = server.addr();
+    let (status, body) = http_request(
+        addr,
+        "POST",
+        "/campaigns",
+        "{\"tenant\":\"file\",\"seed\":31,\"scale\":0.1,\"jobs\":1}",
+    )
+    .expect("submit");
+    assert_eq!(status, 202, "{body}");
+    let id = json::parse(&body)
+        .expect("parses")
+        .get("id")
+        .and_then(JsonValue::as_f64)
+        .expect("id") as u64;
+    let poison = control.submit_poison("file").expect("poison queued");
+    wait_terminal(addr, id, Duration::from_secs(120));
+    wait_terminal(addr, poison, Duration::from_secs(120));
+
+    let file = std::fs::read_to_string(state.join(format!("job-{id}/events.jsonl")))
+        .expect("the job's event file");
+    assert!(
+        file.len() > 3 * 256 * 1024,
+        "{} bytes fit in too few reads",
+        file.len()
+    );
+    let (status, stream) = http_get(addr, &format!("/campaigns/{id}/events")).expect("events");
+    assert_eq!(status, 200);
+    assert!(
+        stream == format!("{file}{{\"event\":\"stream_end\",\"reason\":\"done\"}}\n"),
+        "the stream ({} bytes) is not the file ({} bytes) and stream_end",
+        stream.len(),
+        file.len()
+    );
+    assert_eq!(control.events_snapshot(id).expect("job").0, file);
+    assert!(!state.join(format!("job-{poison}/events.jsonl")).exists());
+    control.drain();
+    let _ = std::fs::remove_dir_all(&state);
 }

@@ -357,6 +357,50 @@ fn access_log_counters_and_scheduler_series_reconcile() {
     std::fs::remove_dir_all(&state).expect("cleanup");
 }
 
+/// With a state directory the access log is `state/access.jsonl`: the
+/// service truncates it when it starts and appends each line as its
+/// request ends, so the file holds this service's requests while it is
+/// still running (and after a kill).
+#[test]
+fn the_access_log_reaches_disk_as_each_request_ends() {
+    let state = case_dir("access-file");
+    let path = state.join("access.jsonl");
+    std::fs::write(&path, "{\"left\":\"by an earlier service\"}\n").expect("stale log");
+    let (_sink, control, mut server) = service(Some(state.clone()));
+    assert_eq!(std::fs::read_to_string(&path).expect("log"), "");
+    let addr = server.addr();
+    for (n, route) in ["/healthz", "/metrics", "/campaigns"]
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(http_get(addr, route).expect("request").0, 200);
+        // The line lands after the response is sent; wait for it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let on_disk = loop {
+            let on_disk = std::fs::read_to_string(&path).expect("log");
+            if on_disk.lines().count() > n || Instant::now() > deadline {
+                break on_disk;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let docs = json::parse_lines(&on_disk).expect("the file parses");
+        assert_eq!(docs.len(), n + 1, "{on_disk}");
+        assert_eq!(
+            docs[n].get("path").and_then(JsonValue::as_str),
+            Some(route),
+            "{on_disk}"
+        );
+    }
+    control.drain();
+    server.shutdown();
+    assert!(server.access_log_failure().is_none());
+    assert_eq!(
+        server.access_log_jsonl().expect("service log exists"),
+        std::fs::read_to_string(&path).expect("log")
+    );
+    std::fs::remove_dir_all(&state).expect("cleanup");
+}
+
 /// The plain monitoring plane (no control plane attached) must record no
 /// service series at all — the CI monitoring job byte-compares a live
 /// scrape against the exported `metrics.prom`, so request accounting
